@@ -4,11 +4,15 @@
 //   $ ./wavesim_cli --topo 8x8 --protocol clrp --pattern working-set
 //                   --load 0.15 --length 64 --cycles 10000
 //   $ ./wavesim_cli --help
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
@@ -114,6 +118,25 @@ void usage() {
       "                      under any --engine/--shards/--lookahead\n");
 }
 
+/// Parse all of `text` as a T. Anything else -- trailing junk, a sign on
+/// an unsigned count, a value out of T's range, nan or inf -- is a usage
+/// error (exit 2), never a silently wrapped or defaulted value.
+template <typename T>
+T number(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (ec != std::errc{} || ptr != end || ptr == text || !finite) {
+    std::fprintf(stderr, "error: %s expects a%s number (got '%s')\n",
+                 flag.c_str(),
+                 std::is_unsigned_v<T> ? " non-negative whole" : "", text);
+    std::exit(2);
+  }
+  return value;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -130,16 +153,16 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--protocol") opt.protocol = need(i);
     else if (arg == "--routing") opt.routing = need(i);
     else if (arg == "--pattern") opt.pattern = need(i);
-    else if (arg == "--vcs") opt.vcs = std::atoi(need(i));
-    else if (arg == "--k") opt.k = std::atoi(need(i));
-    else if (arg == "--m") opt.m = std::atoi(need(i));
-    else if (arg == "--cache") opt.cache = std::atoi(need(i));
+    else if (arg == "--vcs") opt.vcs = number<std::int32_t>(arg, need(i));
+    else if (arg == "--k") opt.k = number<std::int32_t>(arg, need(i));
+    else if (arg == "--m") opt.m = number<std::int32_t>(arg, need(i));
+    else if (arg == "--cache") opt.cache = number<std::int32_t>(arg, need(i));
     else if (arg == "--replacement") opt.replacement = need(i);
-    else if (arg == "--load") opt.load = std::atof(need(i));
-    else if (arg == "--length") opt.length = std::atoi(need(i));
-    else if (arg == "--warmup") opt.warmup = std::strtoull(need(i), nullptr, 10);
-    else if (arg == "--cycles") opt.cycles = std::strtoull(need(i), nullptr, 10);
-    else if (arg == "--seed") opt.seed = std::strtoull(need(i), nullptr, 10);
+    else if (arg == "--load") opt.load = number<double>(arg, need(i));
+    else if (arg == "--length") opt.length = number<std::int32_t>(arg, need(i));
+    else if (arg == "--warmup") opt.warmup = number<Cycle>(arg, need(i));
+    else if (arg == "--cycles") opt.cycles = number<Cycle>(arg, need(i));
+    else if (arg == "--seed") opt.seed = number<std::uint64_t>(arg, need(i));
     else if (arg == "--faults") {
       // A plain number is the static fault rate; anything else is a
       // wavesim.faults.v1 schedule file.
@@ -151,26 +174,26 @@ bool parse(int argc, char** argv, Options& opt) {
     }
     else if (arg == "--pcs-only") opt.pcs_only = true;
     else if (arg == "--virtual") opt.virtual_circuits = true;
-    else if (arg == "--max-packet") opt.max_packet = std::atoi(need(i));
+    else if (arg == "--max-packet") opt.max_packet = number<std::int32_t>(arg, need(i));
     else if (arg == "--hist") opt.histogram = true;
     else if (arg == "--json") opt.json_path = need(i);
     else if (arg == "--trace") opt.trace_path = need(i);
     else if (arg == "--metrics") opt.metrics_path = need(i);
-    else if (arg == "--sample-every") opt.sample_every = std::strtoull(need(i), nullptr, 10);
-    else if (arg == "--replicas") opt.replicas = std::atoi(need(i));
-    else if (arg == "--threads") opt.threads = static_cast<unsigned>(std::atoi(need(i)));
+    else if (arg == "--sample-every") opt.sample_every = number<Cycle>(arg, need(i));
+    else if (arg == "--replicas") opt.replicas = number<std::int32_t>(arg, need(i));
+    else if (arg == "--threads") opt.threads = number<unsigned>(arg, need(i));
     else if (arg == "--engine") opt.engine = need(i);
     else if (arg.rfind("--engine=", 0) == 0) opt.engine = arg.substr(9);
     else if (arg == "--shards") {
-      opt.shards = std::atoi(need(i));
+      opt.shards = number<std::int32_t>(arg, need(i));
       opt.shards_given = true;
     }
     else if (arg == "--lookahead") {
-      opt.lookahead = std::strtoll(need(i), nullptr, 10);
+      opt.lookahead = number<std::int64_t>(arg, need(i));
       opt.lookahead_given = true;
     }
     else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = std::strtoull(need(i), nullptr, 10);
+      opt.checkpoint_every = number<Cycle>(arg, need(i));
       opt.checkpoint_every_given = true;
     }
     else if (arg == "--checkpoint-out") opt.checkpoint_out = need(i);

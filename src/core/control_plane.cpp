@@ -19,10 +19,14 @@ ControlPlane::ControlPlane(const topo::KAryNCube& topology,
                            const ControlPlaneParams& params,
                            const Instrumentation* instrumentation)
     : topology_(topology), circuits_(circuits), gate_(gate), params_(params),
-      instr_(instrumentation), registers_(topology, params.num_switches) {
+      instr_(instrumentation), registers_(topology, params.num_switches),
+      history_(topology.num_nodes()) {
   if (params.num_switches < 1 || params.max_misroutes < 0 ||
       params.hop_cycles < 1) {
     throw std::invalid_argument("ControlPlane: bad params");
+  }
+  if (topology.num_ports() > pcs::kMaxPorts) {
+    throw std::invalid_argument("ControlPlane: too many ports per node");
   }
 }
 
@@ -215,6 +219,14 @@ ProbeId ControlPlane::launch_probe(CircuitId circuit, bool force) {
   ap.probe.force = force;
   ap.probe.switch_index = rec.switch_index;
   ap.node = rec.src;
+  ap.history = history_.acquire(ap.probe.id);
+  // Each advance moves one hop closer or, using one of at most m
+  // misroutes, at most one hop further, so a reserved path never exceeds
+  // distance + 2m hops.
+  const std::size_t max_hops = static_cast<std::size_t>(
+      topology_.distance(rec.src, rec.dest) + 2 * params_.max_misroutes);
+  ap.stack.reserve(max_hops);
+  rec.path.reserve(max_hops);
   probes_.push_back(std::move(ap));  // ids are monotone: stays sorted
   ++stats_.probes_launched;
   return probes_.back().probe.id;
@@ -269,15 +281,15 @@ void ControlPlane::start_teardown(CircuitId circuit) {
   ++stats_.teardowns_started;
 }
 
-const std::vector<pcs::PortView>& ControlPlane::build_view(
-    const ActiveProbe& ap) {
-  const pcs::SwitchRegisters& regs =
-      registers_.at(ap.node, ap.probe.switch_index);
-  std::vector<pcs::PortView>& view = view_scratch_;
-  view.assign(topology_.num_ports(), pcs::PortView::kUnusable);
-  const std::uint32_t searched = history_.mask(ap.probe.id, ap.node);
-  for (PortId p = 0; p < topology_.num_ports(); ++p) {
-    if (!topology_.has_neighbor(ap.node, p)) continue;
+std::span<const pcs::PortView> ControlPlane::build_view(
+    const ActiveProbe& ap, const pcs::SwitchRegisters& regs) {
+  const std::span<const NodeId> neighbors = topology_.neighbor_row(ap.node);
+  const std::uint32_t searched = history_.mask(ap.history, ap.node);
+  const PortId ports = topology_.num_ports();
+  std::array<pcs::PortView, pcs::kMaxPorts>& view = view_;
+  for (PortId p = 0; p < ports; ++p) {
+    view[p] = pcs::PortView::kUnusable;
+    if (neighbors[p] == kInvalidNode) continue;
     if ((searched >> p) & 1u) continue;
     switch (regs.status(p)) {
       case pcs::ChannelStatus::kFree:
@@ -298,7 +310,8 @@ const std::vector<pcs::PortView>& ControlPlane::build_view(
         break;  // stays kUnusable
     }
   }
-  return view;
+  return std::span<const pcs::PortView>(view.data(),
+                                        static_cast<std::size_t>(ports));
 }
 
 void ControlPlane::finish_probe_success(ActiveProbe& ap, Cycle now) {
@@ -321,7 +334,7 @@ void ControlPlane::finish_probe_success(ActiveProbe& ap, Cycle now) {
     throw std::logic_error("circuit to self");
   }
   flits_.push_back(ack);
-  history_.erase(ap.probe.id);
+  history_.release(ap.history);
   erase_probe(ap.probe.id);  // invalidates ap
 }
 
@@ -331,7 +344,7 @@ void ControlPlane::fail_probe(ActiveProbe& ap) {
                                        ap.probe.src, /*success=*/false,
                                        ap.probe.switch_index});
   const ProbeId id = ap.probe.id;
-  history_.erase(id);
+  history_.release(ap.history);
   erase_probe(id);  // invalidates ap
 }
 
@@ -381,11 +394,21 @@ void ControlPlane::step_probe(ActiveProbe& ap, Cycle now) {
     return;
   }
 
-  const auto& view = build_view(ap);
+  // Parked on an unchanged bank: the view, history, arrival port and
+  // misroutes that produced the wait are all unchanged, so decide() would
+  // return the same wait. Keep waiting without re-deciding.
+  if (ap.waiting && ap.parked_version == here.version()) {
+    ++stats_.force_waits;
+    request_release(ap, ap.wait_port, now);
+    return;
+  }
+
+  const std::span<const pcs::PortView> view = build_view(ap, here);
   const auto decision =
       pcs::decide(topology_, ap.node, ap.probe.dest, view, ap.arrival_port,
                   ap.probe.misroutes, params_.max_misroutes, ap.probe.force,
                   params_.mutate_force_unacked);
+  ++decisions_;
 
   switch (decision.action) {
     case pcs::MbmAction::kDeliver:
@@ -398,7 +421,7 @@ void ControlPlane::step_probe(ActiveProbe& ap, Cycle now) {
           ap.arrival_port == kInvalidPort ? pcs::kLocalEndpoint
                                           : ap.arrival_port;
       here.reserve(decision.port, ap.probe.id, in_port);
-      history_.mark(ap.probe.id, ap.node, decision.port);
+      history_.mark(ap.history, ap.node, decision.port);
       ap.stack.push_back(Hop{ap.node, decision.port, ap.probe.misroutes});
       if (decision.misroute) {
         ++ap.probe.misroutes;
@@ -429,6 +452,7 @@ void ControlPlane::step_probe(ActiveProbe& ap, Cycle now) {
       ap.wait_port = decision.port;
       ap.wait_was_acked =
           view[decision.port] == pcs::PortView::kBusyEstablished;
+      ap.parked_version = here.version();
       request_release(ap, decision.port, now);
       return;
     }
@@ -598,16 +622,29 @@ std::string ControlPlane::debug_dump() const {
   return os.str();
 }
 
-std::vector<ProbeResult> ControlPlane::take_probe_results() {
-  return std::exchange(probe_results_, {});
+namespace {
+
+/// Hand out the pending events and keep collecting into the buffer the
+/// previous drain returned, so neither vector reallocates in steady state.
+template <typename T>
+const std::vector<T>& drain(std::vector<T>& pending, std::vector<T>& drained) {
+  drained.clear();
+  drained.swap(pending);
+  return drained;
 }
 
-std::vector<ReleaseDemand> ControlPlane::take_release_demands() {
-  return std::exchange(release_demands_, {});
+}  // namespace
+
+const std::vector<ProbeResult>& ControlPlane::take_probe_results() {
+  return drain(probe_results_, drained_results_);
 }
 
-std::vector<TeardownDone> ControlPlane::take_teardowns_done() {
-  return std::exchange(teardowns_done_, {});
+const std::vector<ReleaseDemand>& ControlPlane::take_release_demands() {
+  return drain(release_demands_, drained_demands_);
+}
+
+const std::vector<TeardownDone>& ControlPlane::take_teardowns_done() {
+  return drain(teardowns_done_, drained_teardowns_);
 }
 
 void ControlPlane::snap(snap::Archive& ar) {
@@ -639,8 +676,12 @@ void ControlPlane::snap(snap::Archive& ar) {
   });
   if (ar.reading()) {
     // The cached record pointer is re-resolved, never serialized: a
-    // probing circuit is always live in the table.
-    for (ActiveProbe& ap : probes_) ap.rec = &circuits_.at(ap.probe.circuit);
+    // probing circuit is always live in the table. Each probe claims its
+    // restored History Store row (or a fresh one if it had marked none).
+    for (ActiveProbe& ap : probes_) {
+      ap.rec = &circuits_.at(ap.probe.circuit);
+      ap.history = history_.adopt(ap.probe.id);
+    }
   }
   ar.vec(flits_, [](snap::Archive& a, TravelFlit& f) {
     a.pod(f.kind);

@@ -17,7 +17,9 @@
 //    established the probe backtracks even with Force set.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -119,9 +121,11 @@ class ControlPlane {
   void step(Cycle now);
 
   // -- event drains (call once per cycle) ---------------------------------
-  std::vector<ProbeResult> take_probe_results();
-  std::vector<ReleaseDemand> take_release_demands();
-  std::vector<TeardownDone> take_teardowns_done();
+  // Each returns the events raised since its previous call. The buffer is
+  // reused: the reference is valid until the next call of the same drain.
+  const std::vector<ProbeResult>& take_probe_results();
+  const std::vector<ReleaseDemand>& take_release_demands();
+  const std::vector<TeardownDone>& take_teardowns_done();
 
   // -- introspection -------------------------------------------------------
   const pcs::SwitchRegisters& registers(NodeId node, std::int32_t sw) const {
@@ -146,6 +150,11 @@ class ControlPlane {
   std::vector<WaitingProbe> waiting_probes() const;
   std::size_t travelling_flits() const noexcept { return flits_.size(); }
   bool idle() const noexcept { return probes_.empty() && flits_.empty(); }
+  /// MB-m decisions evaluated so far. A parked Force probe whose register
+  /// bank is unchanged reuses its wait decision without a new one. Host
+  /// diagnostic, not simulation state: a restored run re-decides every
+  /// parked probe once.
+  std::uint64_t decisions() const noexcept { return decisions_; }
 
   struct Stats {
     std::uint64_t probes_launched = 0;
@@ -195,9 +204,14 @@ class ControlPlane {
     NodeId node = kInvalidNode;       ///< current location
     PortId arrival_port = kInvalidPort;  ///< input port here (src: invalid)
     std::vector<Hop> stack;           ///< reserved path back to the source
+    /// History Store row (not serialized: re-adopted on restore).
+    pcs::HistoryStore::Slot history = pcs::HistoryStore::kNoSlot;
     bool waiting = false;             ///< Force probe parked on wait_port
     PortId wait_port = kInvalidPort;
     bool wait_was_acked = false;      ///< wait target acked at decision time
+    /// Version of the bank at `node` when the probe decided to wait (not
+    /// serialized: a restored probe decides afresh).
+    std::uint64_t parked_version = kNotParked;
     CircuitId release_requested_for = kInvalidCircuit;
     Cycle release_requested_at = 0;
     Cycle ready_at = 0;               ///< earliest cycle of the next hop
@@ -218,7 +232,10 @@ class ControlPlane {
     bool done = false;
   };
 
-  const std::vector<pcs::PortView>& build_view(const ActiveProbe& ap);
+  static constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
+
+  std::span<const pcs::PortView> build_view(const ActiveProbe& ap,
+                                            const pcs::SwitchRegisters& regs);
   void step_probe(ActiveProbe& ap, Cycle now);
   void finish_probe_success(ActiveProbe& ap, Cycle now);
   void fail_probe(ActiveProbe& ap);
@@ -248,9 +265,15 @@ class ControlPlane {
   std::vector<ProbeResult> probe_results_;
   std::vector<ReleaseDemand> release_demands_;
   std::vector<TeardownDone> teardowns_done_;
+  /// The buffers last handed out by the take_* drains, swapped back in
+  /// on the next drain so the event vectors keep their capacity.
+  std::vector<ProbeResult> drained_results_;  // [snap: skip] already dispatched
+  std::vector<ReleaseDemand> drained_demands_;  // [snap: skip] already dispatched
+  std::vector<TeardownDone> drained_teardowns_;  // [snap: skip] already dispatched
   /// Hot-path scratch, reused across probes/cycles (never read across
   /// calls): the MB-m port view.
-  std::vector<pcs::PortView> view_scratch_;  // [snap: skip] dead between calls
+  std::array<pcs::PortView, pcs::kMaxPorts> view_;  // [snap: skip] dead between calls
+  std::uint64_t decisions_ = 0;  // [snap: skip] host diagnostic, see decisions()
   /// Channels statically faulted at init, per (node, switch, port):
   /// restore_link must not heal them. Empty until the first mark_faulty.
   std::vector<std::uint8_t> static_faulty_;

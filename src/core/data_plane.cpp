@@ -45,6 +45,7 @@ void DataPlane::start_transfer(MessageId msg, CircuitId circuit,
   t.started = now;
   t.not_before = now + start_delay;
   t.pipe = pipe_latency(rec.hops());
+  t.deliveries.reserve(static_cast<std::size_t>(length));
   transfers_.emplace(msg, std::move(t));
 }
 
@@ -104,8 +105,10 @@ MessageId DataPlane::abort_transfer(CircuitId circuit) {
   return kInvalidMessage;
 }
 
-std::vector<TransferDone> DataPlane::take_completed() {
-  return std::exchange(completed_, {});
+const std::vector<TransferDone>& DataPlane::take_completed() {
+  drained_.clear();
+  drained_.swap(completed_);
+  return drained_;
 }
 
 void DataPlane::snap(snap::Archive& ar) {

@@ -54,7 +54,9 @@ class DataPlane {
 
   void step(Cycle now);
 
-  std::vector<TransferDone> take_completed();
+  /// Transfers completed since the previous call. The buffer is reused:
+  /// the reference is valid until the next call.
+  const std::vector<TransferDone>& take_completed();
 
   /// The circuit died (dynamic link failure): drop its in-flight transfer,
   /// if any, and return the carried message so the source can resend it
@@ -96,6 +98,9 @@ class DataPlane {
   DataPlaneParams params_;  // [snap: skip] config, fixed at construction
   std::map<MessageId, Transfer> transfers_;
   std::vector<TransferDone> completed_;
+  /// The buffer take_completed() last returned, swapped back in on the
+  /// next call so neither vector reallocates in steady state.
+  std::vector<TransferDone> drained_;  // [snap: skip] already dispatched
   std::uint64_t flits_delivered_ = 0;
   std::uint64_t transfers_aborted_ = 0;
 };

@@ -18,7 +18,6 @@ std::uint8_t reserved_by(std::int32_t job) {
 std::uint8_t acked_for(std::int32_t job) {
   return static_cast<std::uint8_t>(2 + 2 * job);
 }
-bool is_reserved(std::uint8_t c) { return c != kFree && (c - 1) % 2 == 0; }
 bool is_acked(std::uint8_t c) { return c != kFree && (c - 1) % 2 == 1; }
 std::int32_t owner_of(std::uint8_t c) { return (c - 1) / 2; }
 

@@ -1,6 +1,5 @@
 #include "pcs/mbm.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -9,11 +8,10 @@ namespace wavesim::pcs {
 
 namespace {
 
-/// Fixed-capacity minimal-port list (ports fit easily: 2 per dimension,
-/// and HistoryStore already caps ports at 32). Keeps decide() free of
-/// per-step heap allocation.
+/// Fixed-capacity minimal-port list (at most one port per dimension).
+/// Keeps decide() free of per-step heap allocation.
 struct MinimalPorts {
-  std::array<PortId, 32> ports;
+  std::array<PortId, kMaxPorts> ports;
   std::int32_t count = 0;
 
   bool contains(PortId p) const noexcept {
@@ -26,15 +24,21 @@ struct MinimalPorts {
 
 MinimalPorts collect_minimal(const topo::KAryNCube& topology, NodeId node,
                              NodeId dest) {
-  std::array<std::pair<std::int32_t, PortId>, 32> scored;
+  const std::span<const std::int32_t> from = topology.coord_row(node);
+  const std::span<const std::int32_t> to = topology.coord_row(dest);
+  // Sorted by (-|offset|, port). The keys are unique (one port per
+  // dimension) and few, so an insertion sort yields std::sort's order.
+  std::array<std::pair<std::int32_t, PortId>, kMaxPorts> scored;
   std::int32_t n = 0;
   for (std::int32_t d = 0; d < topology.num_dims(); ++d) {
-    const std::int32_t off = topology.min_offset(node, dest, d);
+    const std::int32_t off = topology.wrap_offset(to[d] - from[d], d);
     if (off == 0) continue;
-    scored[n++] = {-std::abs(off),
-                   topo::KAryNCube::port_of(d, off > 0)};
+    const std::pair<std::int32_t, PortId> key{
+        -std::abs(off), topo::KAryNCube::port_of(d, off > 0)};
+    std::int32_t i = n++;
+    for (; i > 0 && key < scored[i - 1]; --i) scored[i] = scored[i - 1];
+    scored[i] = key;
   }
-  std::sort(scored.begin(), scored.begin() + n);
   MinimalPorts out;
   out.count = n;
   for (std::int32_t i = 0; i < n; ++i) out.ports[i] = scored[i].second;
@@ -51,7 +55,7 @@ std::vector<PortId> ordered_minimal_ports(const topo::KAryNCube& topology,
 }
 
 MbmDecision decide(const topo::KAryNCube& topology, NodeId node, NodeId dest,
-                   const std::vector<PortView>& view, PortId arrival_port,
+                   std::span<const PortView> view, PortId arrival_port,
                    std::int32_t misroutes, std::int32_t max_misroutes,
                    bool force, bool mutate_force_unacked) {
   if (static_cast<std::int32_t>(view.size()) != topology.num_ports()) {

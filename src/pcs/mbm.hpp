@@ -8,12 +8,17 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pcs/probe.hpp"
 #include "topology/topology.hpp"
 
 namespace wavesim::pcs {
+
+/// Most output ports a node may have: the History Store keeps one bit per
+/// port in a 32-bit mask, and views are fixed arrays of this size.
+inline constexpr std::int32_t kMaxPorts = 32;
 
 /// Availability of the (control, data) channel pair behind one output port
 /// as seen by a probe.
@@ -51,7 +56,7 @@ struct MbmDecision {
 /// the linchpin of the Theorem-1 deadlock-freedom argument.
 ///
 /// `view[p]` must already fold in history, faults and mesh edges
-/// (kUnusable). `arrival_port` is the input port the probe occupies at
+/// (kUnusable); `view` holds exactly one entry per port. `arrival_port` is the input port the probe occupies at
 /// `node` (kInvalidPort at the source); its opposite direction is excluded
 /// from misroute candidates.
 ///
@@ -62,7 +67,7 @@ struct MbmDecision {
 /// one switch and the model-vs-runtime agreement contract can be tested in
 /// a normal build.
 MbmDecision decide(const topo::KAryNCube& topology, NodeId node, NodeId dest,
-                   const std::vector<PortView>& view, PortId arrival_port,
+                   std::span<const PortView> view, PortId arrival_port,
                    std::int32_t misroutes, std::int32_t max_misroutes,
                    bool force, bool mutate_force_unacked = false);
 

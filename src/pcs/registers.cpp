@@ -27,6 +27,7 @@ const SwitchRegisters::OutChannel& SwitchRegisters::at(PortId out_port) const {
 }
 
 SwitchRegisters::OutChannel& SwitchRegisters::at(PortId out_port) {
+  ++version_;  // only the mutators below take a writable channel
   return out_.at(out_port);
 }
 

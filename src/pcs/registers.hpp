@@ -52,6 +52,11 @@ class SwitchRegisters {
     return out_.at(out_port).ack_returned;
   }
 
+  /// Mutation counter: bumped by every call below that changes a channel,
+  /// so an unchanged value means an unchanged bank (a parked Force probe
+  /// reuses its wait decision while it holds). Never decreases.
+  std::uint64_t version() const noexcept { return version_; }
+
   /// Reserve the (control, data) channel pair for a searching probe.
   void reserve(PortId out_port, ProbeId probe, PortId in_port);
   /// Probe backtracked: release the reservation.
@@ -90,6 +95,7 @@ class SwitchRegisters {
   OutChannel& at(PortId out_port);
 
   std::vector<OutChannel> out_;
+  std::uint64_t version_ = 0;  // [snap: skip] host-side change detector; a restore discards every decision cached against it
 };
 
 /// All PCS registers of the network: [node][switch_index].

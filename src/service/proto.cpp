@@ -50,6 +50,15 @@ std::int64_t get_int(const sim::JsonValue& obj, const std::string& key,
   return v->as_int();
 }
 
+/// A cycle count: an integer that must not be negative (a negative value
+/// would wrap to an effectively endless unsigned Cycle).
+Cycle get_cycles(const sim::JsonValue& obj, const std::string& key,
+                 std::int64_t fallback) {
+  const std::int64_t v = get_int(obj, key, fallback);
+  if (v < 0) bad_field(key, "expected a non-negative cycle count");
+  return static_cast<Cycle>(v);
+}
+
 double get_double(const sim::JsonValue& obj, const std::string& key,
                   double fallback) {
   const sim::JsonValue* v = get(obj, key);
@@ -183,14 +192,14 @@ snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
   spec.pattern = get_string(value, "pattern", "uniform");
   spec.offered_load = get_double(value, "load", 0.10);
   spec.message_flits = static_cast<std::int32_t>(get_int(value, "length", 64));
-  spec.warmup = static_cast<Cycle>(get_int(value, "warmup", 2000));
-  spec.measure = static_cast<Cycle>(get_int(value, "measure", 10000));
+  spec.warmup = get_cycles(value, "warmup", 2000);
+  spec.measure = get_cycles(value, "measure", 10000);
   // Same default cap formula as wavesim_cli, so a job without an
   // explicit drain_cap is the run the CLI would execute.
-  spec.drain_cap = static_cast<Cycle>(get_int(
+  spec.drain_cap = get_cycles(
       value, "drain_cap",
       static_cast<std::int64_t>(40 * (spec.warmup + spec.measure) +
-                                1'000'000)));
+                                1'000'000));
   spec.seed = static_cast<std::uint64_t>(get_int(value, "seed", 1));
 
   const std::int64_t storm_at = get_int(value, "storm_at", 0);
@@ -198,7 +207,7 @@ snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
     cfg.faults.storm.at = static_cast<Cycle>(storm_at);
     cfg.faults.storm.fraction = get_double(value, "storm_fraction", 0.10);
     cfg.faults.storm.repair_after =
-        static_cast<Cycle>(get_int(value, "storm_repair_after", 0));
+        get_cycles(value, "storm_repair_after", 0);
   } else if (get(value, "storm_fraction") != nullptr ||
              get(value, "storm_repair_after") != nullptr) {
     bad_field("storm_fraction", "requires storm_at > 0");

@@ -52,8 +52,12 @@ std::vector<std::int32_t> KAryNCube::min_offsets(NodeId from, NodeId to) const {
 }
 
 std::int32_t KAryNCube::distance(NodeId from, NodeId to) const {
+  const std::span<const std::int32_t> a = coord_row(from);
+  const std::span<const std::int32_t> b = coord_row(to);
   std::int32_t sum = 0;
-  for (auto o : min_offsets(from, to)) sum += std::abs(o);
+  for (std::int32_t d = 0; d < num_dims(); ++d) {
+    sum += std::abs(wrap_offset(b[d] - a[d], d));
+  }
   return sum;
 }
 

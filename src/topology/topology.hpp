@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -51,6 +52,15 @@ class KAryNCube {
   bool has_neighbor(NodeId node, PortId port) const {
     return neighbor(node, port) != kInvalidNode;
   }
+  /// All num_ports() neighbors of `node` (entry p = neighbor(node, p)),
+  /// behind one bounds check for callers that scan every port.
+  std::span<const NodeId> neighbor_row(NodeId node) const {
+    return row_of(neighbors_, node, num_ports());
+  }
+  /// The num_dims() coordinates of `node`, behind one bounds check.
+  std::span<const std::int32_t> coord_row(NodeId node) const {
+    return row_of(coord_flat_, node, num_dims());
+  }
 
   /// Signed minimal offset from `from` to `to` along each dimension
   /// (torus picks the shorter way; exact ties go the positive way).
@@ -59,8 +69,13 @@ class KAryNCube {
   /// table, no nested vector hop).
   std::int32_t min_offset(NodeId from, NodeId to, std::int32_t dim) const {
     const std::size_t dims = radix_.size();
-    std::int32_t delta = coord_flat_.at(to * dims + dim) -
-                         coord_flat_.at(from * dims + dim);
+    return wrap_offset(coord_flat_.at(to * dims + dim) -
+                           coord_flat_.at(from * dims + dim),
+                       dim);
+  }
+  /// min_offset() from a raw coordinate difference along `dim` (for
+  /// callers holding both coord_row()s).
+  std::int32_t wrap_offset(std::int32_t delta, std::int32_t dim) const {
     if (torus_) {
       const std::int32_t r = radix_[dim];
       // Normalize into (-r/2, r/2]; ties (|delta| == r/2) go positive.
@@ -92,6 +107,16 @@ class KAryNCube {
   }
 
  private:
+  template <typename T>
+  static std::span<const T> row_of(const std::vector<T>& flat, NodeId node,
+                                   std::int32_t width) {
+    const std::size_t begin = static_cast<std::size_t>(node) * width;
+    if (node < 0 || begin + width > flat.size()) {
+      throw std::out_of_range("KAryNCube: node out of range");
+    }
+    return std::span<const T>(flat).subspan(begin, width);
+  }
+
   std::vector<std::int32_t> radix_;
   bool torus_;
   std::int32_t num_nodes_;

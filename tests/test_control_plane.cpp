@@ -187,6 +187,48 @@ TEST_F(ControlPlaneTest, ForceProbeDemandsReleaseFromCrossingCircuitSource) {
   EXPECT_TRUE(got_success(f));
 }
 
+TEST_F(ControlPlaneTest, ParkedForceProbeRedecidesOnlyWhenItsBankChanges) {
+  // Same staging as above: the Force probe parks at (1,0) on the +x
+  // channel held by A (switch 0).
+  const CircuitId a = establish(topo_.node_of({0, 0}), topo_.node_of({2, 0}), 0);
+  const NodeId at = topo_.node_of({1, 0});
+  const CircuitId f = circuits_.create(at, topo_.node_of({2, 0}), 0);
+  plane_.launch_probe(f, /*force=*/true);
+  run(4);
+  ASSERT_EQ(plane_.waiting_probes().size(), 1u);
+  ASSERT_EQ(plane_.waiting_probes()[0].node, at);
+
+  // Unchanged bank: the probe keeps waiting, and keeps counting its wait
+  // cycles, without evaluating a new MB-m decision.
+  const std::uint64_t decided = plane_.decisions();
+  const std::uint64_t waits = plane_.stats().force_waits;
+  run(10);
+  EXPECT_EQ(plane_.decisions(), decided);
+  EXPECT_EQ(plane_.stats().force_waits, waits + 10);
+
+  // A change to another node's bank, or to the same node's other switch,
+  // is not this probe's bank: still no re-decide.
+  plane_.mark_faulty(topo_.node_of({3, 3}), 0, KAryNCube::port_of(1, true));
+  plane_.mark_faulty(at, 1, KAryNCube::port_of(1, true));
+  run(3);
+  EXPECT_EQ(plane_.decisions(), decided);
+
+  // Any change to its own bank -- here on a port it is not waiting on --
+  // costs exactly one re-decide (same wait), then the skip resumes.
+  plane_.mark_faulty(at, 0, KAryNCube::port_of(1, true));
+  run(5);
+  EXPECT_EQ(plane_.decisions(), decided + 1);
+  ASSERT_EQ(plane_.waiting_probes().size(), 1u);
+  EXPECT_EQ(plane_.stats().force_waits, waits + 18);
+
+  // Tearing A down frees the wait target: the probe re-decides, advances
+  // and completes.
+  plane_.start_teardown(a);
+  run(64);
+  EXPECT_TRUE(got_success(f));
+  EXPECT_TRUE(plane_.waiting_probes().empty());
+}
+
 TEST_F(ControlPlaneTest, ForceProbeBacktracksOffPendingCircuits) {
   // Occupy all out-channels of src with *reservations* (probes that can
   // never finish because their destinations' channels are all reserved by

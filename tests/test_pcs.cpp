@@ -6,6 +6,7 @@
 #include "sim/rng.hpp"
 #include "pcs/mbm.hpp"
 #include "pcs/registers.hpp"
+#include "snap/archive.hpp"
 
 namespace wavesim::pcs {
 namespace {
@@ -112,43 +113,154 @@ TEST(RegisterFile, IndexesByNodeAndSwitch) {
   EXPECT_EQ(file.at(4, 1).status(0), ChannelStatus::kFree);
 }
 
+TEST(SwitchRegisters, VersionCountsEveryMutation) {
+  SwitchRegisters regs(4);
+  std::uint64_t v = regs.version();
+  const auto bumped = [&] {
+    const bool moved = regs.version() > v;
+    v = regs.version();
+    return moved;
+  };
+  regs.reserve(1, 3, kLocalEndpoint);
+  EXPECT_TRUE(bumped());
+  (void)regs.status(1);
+  (void)regs.reverse_map(1);
+  (void)regs.direct_map(kLocalEndpoint);
+  EXPECT_FALSE(bumped());  // queries leave it alone
+  regs.commit(1, 9);
+  EXPECT_TRUE(bumped());
+  regs.mark_ack_returned(1);
+  EXPECT_TRUE(bumped());
+  regs.release_circuit(1);
+  EXPECT_TRUE(bumped());
+  regs.reserve(2, 4, 0);
+  EXPECT_TRUE(bumped());
+  regs.release_reservation(2);
+  EXPECT_TRUE(bumped());
+  regs.mark_faulty(3);
+  EXPECT_TRUE(bumped());
+  regs.clear_faulty(3);
+  EXPECT_TRUE(bumped());
+}
+
 // ------------------------------------------------------------------ history
 
 TEST(HistoryStore, MarkAndQuery) {
-  HistoryStore h;
-  EXPECT_FALSE(h.searched(1, 5, 2));
-  h.mark(1, 5, 2);
-  EXPECT_TRUE(h.searched(1, 5, 2));
-  EXPECT_FALSE(h.searched(1, 5, 3));
-  EXPECT_FALSE(h.searched(1, 6, 2));
-  EXPECT_FALSE(h.searched(2, 5, 2));  // other probe unaffected
-  EXPECT_EQ(h.mask(1, 5), 0b100u);
+  HistoryStore h(16);
+  const auto a = h.acquire(1);
+  const auto b = h.acquire(2);
+  EXPECT_FALSE(h.searched(a, 5, 2));
+  h.mark(a, 5, 2);
+  EXPECT_TRUE(h.searched(a, 5, 2));
+  EXPECT_FALSE(h.searched(a, 5, 3));
+  EXPECT_FALSE(h.searched(a, 6, 2));
+  EXPECT_FALSE(h.searched(b, 5, 2));  // other probe unaffected
+  EXPECT_EQ(h.mask(a, 5), 0b100u);
 }
 
 TEST(HistoryStore, EntriesCountAcrossNodes) {
-  HistoryStore h;
-  h.mark(1, 0, 0);
-  h.mark(1, 0, 1);
-  h.mark(1, 7, 3);
-  EXPECT_EQ(h.entries(1), 3);
-  h.mark(1, 0, 0);  // idempotent
-  EXPECT_EQ(h.entries(1), 3);
+  HistoryStore h(16);
+  const auto a = h.acquire(1);
+  h.mark(a, 0, 0);
+  h.mark(a, 0, 1);
+  h.mark(a, 7, 3);
+  EXPECT_EQ(h.entries(a), 3);
+  h.mark(a, 0, 0);  // idempotent
+  EXPECT_EQ(h.entries(a), 3);
 }
 
 TEST(HistoryStore, EraseDropsProbe) {
-  HistoryStore h;
-  h.mark(1, 0, 0);
-  h.mark(2, 0, 0);
-  h.erase(1);
-  EXPECT_FALSE(h.searched(1, 0, 0));
-  EXPECT_TRUE(h.searched(2, 0, 0));
+  HistoryStore h(16);
+  const auto a = h.acquire(1);
+  const auto b = h.acquire(2);
+  h.mark(a, 0, 0);
+  h.mark(b, 0, 0);
+  h.release(a);
+  EXPECT_TRUE(h.searched(b, 0, 0));
   EXPECT_EQ(h.probes_tracked(), 1u);
 }
 
+TEST(HistoryStore, RecycledSlotStartsEmpty) {
+  HistoryStore h(16);
+  const auto a = h.acquire(1);
+  h.mark(a, 3, 0);
+  h.mark(a, 15, 5);
+  h.release(a);
+  const auto c = h.acquire(9);
+  EXPECT_EQ(c, a);  // the pool hands the zeroed row out again
+  EXPECT_EQ(h.entries(c), 0);
+  for (NodeId n = 0; n < 16; ++n) EXPECT_EQ(h.mask(c, n), 0u) << n;
+}
+
 TEST(HistoryStore, PortOutOfMaskRangeThrows) {
-  HistoryStore h;
-  EXPECT_THROW(h.mark(1, 0, 32), std::invalid_argument);
-  EXPECT_THROW(h.mark(1, 0, -1), std::invalid_argument);
+  HistoryStore h(16);
+  const auto a = h.acquire(1);
+  EXPECT_THROW(h.mark(a, 0, 32), std::invalid_argument);
+  EXPECT_THROW(h.mark(a, 0, -1), std::invalid_argument);
+  EXPECT_THROW(h.mark(a, 16, 0), std::invalid_argument);
+}
+
+// The section layout is part of wavesim.snap.v1 and must not depend on
+// slot order: a count, then per probe with at least one mark, in ascending
+// id order, the id and its row cut after the highest marked node.
+TEST(HistoryStore, SnapBytesMatchTheSnapV1Layout) {
+  HistoryStore h(16);
+  const auto late = h.acquire(7);
+  const auto idle = h.acquire(3);  // nothing marked: not written
+  const auto early = h.acquire(5);
+  h.mark(late, 2, 1);
+  h.mark(early, 9, 0);
+  h.mark(early, 4, 3);
+  (void)idle;
+  auto ar = snap::Archive::writer();
+  h.snap(ar);
+
+  auto ref = snap::Archive::writer();
+  std::uint64_t n = 2;
+  ref.pod(n);
+  ProbeId id = 5;
+  ref.pod(id);
+  std::vector<std::uint32_t> row5(10, 0);
+  row5[9] = 0b1;
+  row5[4] = 0b1000;
+  ref.vec_pod(row5);
+  id = 7;
+  ref.pod(id);
+  std::vector<std::uint32_t> row7(3, 0);
+  row7[2] = 0b10;
+  ref.vec_pod(row7);
+  EXPECT_EQ(ar.bytes(), ref.bytes());
+
+  // Reading rebuilds the rows; each probe adopts its own, and a probe
+  // without a stored row gets an empty one.
+  HistoryStore back(16);
+  auto rd = snap::Archive::reader(ar.bytes());
+  back.snap(rd);
+  EXPECT_TRUE(rd.exhausted());
+  const auto s3 = back.adopt(3);
+  const auto s5 = back.adopt(5);
+  const auto s7 = back.adopt(7);
+  EXPECT_EQ(back.entries(s3), 0);
+  EXPECT_EQ(back.mask(s5, 9), 0b1u);
+  EXPECT_EQ(back.mask(s5, 4), 0b1000u);
+  EXPECT_EQ(back.mask(s7, 2), 0b10u);
+  EXPECT_EQ(back.probes_tracked(), 3u);
+  auto again = snap::Archive::writer();
+  back.snap(again);
+  EXPECT_EQ(again.bytes(), ar.bytes());
+}
+
+TEST(HistoryStore, SnapRejectsRowsWiderThanTheNetwork) {
+  auto ar = snap::Archive::writer();
+  std::uint64_t n = 1;
+  ar.pod(n);
+  ProbeId id = 0;
+  ar.pod(id);
+  std::vector<std::uint32_t> row(5, 1);
+  ar.vec_pod(row);
+  HistoryStore h(4);
+  auto rd = snap::Archive::reader(ar.bytes());
+  EXPECT_THROW(h.snap(rd), snap::ArchiveError);
 }
 
 // -------------------------------------------------------------------- MB-m
@@ -293,8 +405,8 @@ TEST_F(MbmTest, ZeroMisrouteBudgetIsProfitableOnly) {
 }
 
 TEST_F(MbmTest, ViewSizeMismatchThrows) {
-  EXPECT_THROW(decide(torus_, 0, 1, {PortView::kAvailable}, kInvalidPort, 0,
-                      2, false),
+  const std::vector<PortView> one{PortView::kAvailable};
+  EXPECT_THROW(decide(torus_, 0, 1, one, kInvalidPort, 0, 2, false),
                std::invalid_argument);
 }
 

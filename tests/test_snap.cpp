@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "engine/engine.hpp"
 #include "snap/runstate.hpp"
 #include "snap/snapshot.hpp"
@@ -280,6 +281,25 @@ TEST(SnapRoundTrip, DensePerCycleCutsCoverProbeAndTeardownWindows) {
     ASSERT_EQ(original.checkpoint().digest(), restored.checkpoint().digest())
         << "diverged after the cut at cycle " << (original.now() - 1);
   }
+}
+
+TEST(SnapRoundTrip, RestoreMidForceWaitMatchesUninterruptedRun) {
+  // Cut while a Force probe has been parked for more than one cycle, so
+  // the original run is reusing its wait decision and the restored run
+  // (which caches nothing) must re-decide its way to the same state.
+  snap::RunSpec spec = small_clrp_spec();
+  snap::CheckpointableRun probe_run(spec);
+  Cycle cut = 0;
+  std::size_t parked_cycles = 0;
+  while (cut == 0 && !probe_run.done() && probe_run.now() < 20'000) {
+    probe_run.advance(1);
+    const core::ControlPlane* plane =
+        probe_run.sim().network().control_plane();
+    parked_cycles = plane->waiting_probes().empty() ? 0 : parked_cycles + 1;
+    if (parked_cycles == 3) cut = probe_run.now();
+  }
+  ASSERT_NE(cut, 0u) << "no Force probe parked within the search window";
+  check_round_trip(spec, cut);
 }
 
 // -- Engine / shard / lookahead matrix ---------------------------------------

@@ -60,7 +60,7 @@ TEST_P(TopologySweep, RandomTrafficDeliversEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TopologySweep,
     ::testing::Values(
-        TopoCase{"ring8_clrp", {8}, true, sim::ProtocolKind::kClrp},
+        TopoCase{"ring8_torus_clrp", {8}, true, sim::ProtocolKind::kClrp},
         TopoCase{"line8_wormhole", {8}, false, sim::ProtocolKind::kWormholeOnly},
         TopoCase{"mesh4x4_clrp", {4, 4}, false, sim::ProtocolKind::kClrp},
         TopoCase{"mesh4x4_carp", {4, 4}, false, sim::ProtocolKind::kCarp},
