@@ -14,7 +14,6 @@
 
 #include "bench_util.hpp"
 #include "core/simulation.hpp"
-#include "core/step_engine.hpp"
 #include "engine/engine.hpp"
 #include "engine/pool.hpp"
 #include "harness/sweep.hpp"
@@ -27,11 +26,9 @@ using namespace wavesim;
 
 struct Leg {
   std::int32_t shards = 0;   ///< 0 = sequential stepper
-  Cycle lookahead = 1;       ///< parallel engine barrier lookahead
   double wall_seconds = 0.0;
   std::string digest;        ///< stats + cycle (+ event fingerprint)
   Cycle cycles = 0;
-  core::StepEngine::WindowStats windows;
 };
 
 sim::SimConfig make_config(bool quick) {
@@ -51,23 +48,18 @@ sim::SimConfig make_wormhole_config(bool quick) {
   return config;
 }
 
-// The CLRP legs hash the full event stream into the digest; the lookahead
-// legs drop the sink (an event sink counts as instrumentation, which
-// disables the early-send fast path that lookahead exists to exercise)
-// and compare stats + final cycle instead.
+// The CLRP legs hash the full event stream into the digest; legs without
+// the sink time the bare stepper and compare stats + final cycle instead.
 Leg run_leg(const sim::SimConfig& config, bool quick, std::int32_t shards,
-            Cycle lookahead, double offered_load, bool with_sink,
-            std::int32_t flits = 64, Cycle measure_override = 0) {
+            double offered_load, bool with_sink, std::int32_t flits = 64,
+            Cycle measure_override = 0) {
   core::Simulation sim(config);
-  const core::StepEngine* installed = nullptr;
   if (shards > 0) {
     engine::EngineConfig engine_config;
     engine_config.kind = engine::EngineKind::kPar;
     engine_config.shards = shards;
-    engine_config.lookahead = lookahead;
-    auto eng = engine::make_engine(engine_config, sim.topology().num_nodes());
-    installed = eng.get();
-    sim.set_engine(std::move(eng));
+    sim.set_engine(
+        engine::make_engine(engine_config, sim.topology().num_nodes()));
   }
   std::uint64_t fingerprint = 0x77617665u;
   if (with_sink) {
@@ -98,10 +90,8 @@ Leg run_leg(const sim::SimConfig& config, bool quick, std::int32_t shards,
       std::chrono::steady_clock::now() - start;
   Leg leg;
   leg.shards = shards;
-  leg.lookahead = lookahead;
   leg.wall_seconds = elapsed.count();
   leg.cycles = sim.now();
-  if (installed != nullptr) leg.windows = installed->window_stats();
   leg.digest = harness::stats_to_json(r.stats).dump() + "@" +
                std::to_string(sim.now()) + "@" + std::to_string(fingerprint);
   return leg;
@@ -133,7 +123,7 @@ int main(int argc, char** argv) {
                  : 0.0;
     };
 
-    const Leg seq = run_leg(config, quick, /*shards=*/0, /*lookahead=*/1,
+    const Leg seq = run_leg(config, quick, /*shards=*/0,
                             /*offered_load=*/0.12, /*with_sink=*/true);
     std::vector<std::int32_t> shard_counts{2, 4, 8};
     bench::Table table(
@@ -144,8 +134,8 @@ int main(int argc, char** argv) {
     sim::JsonValue points = sim::JsonValue::array();
     double best_speedup = 0.0;
     for (const std::int32_t shards : shard_counts) {
-      const Leg par = run_leg(config, quick, shards, /*lookahead=*/1,
-                              /*offered_load=*/0.12, /*with_sink=*/true);
+      const Leg par = run_leg(config, quick, shards, /*offered_load=*/0.12,
+                              /*with_sink=*/true);
       bench::require(par.digest == seq.digest,
                      "parallel engine (shards=" + std::to_string(shards) +
                          ") diverged from the sequential stepper");
@@ -164,49 +154,35 @@ int main(int argc, char** argv) {
     }
     cli.report(table, "engine_speedup");
 
-    // Lookahead sweep: wormhole-only, sparse load, short messages, where the static
-    // window analysis can actually prove cross-shard quiet spans. No event
-    // sink here (see run_leg); identity is stats + final cycle vs seq.
+    // Wormhole leg: wormhole-only, sparse load, short messages, with no
+    // event sink (see run_leg); identity is stats + final cycle vs seq.
     const sim::SimConfig wh = make_wormhole_config(quick);
-    // Per-node load scaled so the whole-network message rate (and hence
-    // the cross-shard quiet-span distribution) matches across configs.
+    // Per-node load scaled so the whole-network message rate matches
+    // across configs.
     const double wh_load = quick ? 0.01 : 0.0025;
     const std::int32_t wh_flits = 16;
-    const Leg wh_seq = run_leg(wh, quick, /*shards=*/0, /*lookahead=*/1,
-                               wh_load, /*with_sink=*/false, wh_flits);
-    bench::Table latable({"engine", "shards", "lookahead", "wall-s",
-                          "kcycles/s", "barriers", "cyc/barrier", "identical"});
-    latable.add_row({"seq", "-", "-", bench::fmt(wh_seq.wall_seconds, 3),
-                     bench::fmt(krate(wh_seq), 1), "-", "-", "-"});
-    sim::JsonValue lapoints = sim::JsonValue::array();
-    const std::int32_t la_shards = 4;
-    for (const Cycle lookahead : {Cycle{1}, Cycle{8}, Cycle{32}}) {
-      const Leg par =
-          run_leg(wh, quick, la_shards, lookahead, wh_load, false, wh_flits);
-      bench::require(par.digest == wh_seq.digest,
-                     "lookahead engine (L=" + std::to_string(lookahead) +
-                         ") diverged from the sequential stepper");
-      const std::uint64_t barriers = par.windows.windows;
-      const double cyc_per_barrier =
-          barriers > 0
-              ? static_cast<double>(par.windows.committed_cycles) /
-                    static_cast<double>(barriers)
-              : 0.0;
-      latable.add_row({"par", bench::fmt_int(la_shards),
-                       bench::fmt_int(lookahead),
-                       bench::fmt(par.wall_seconds, 3),
-                       bench::fmt(krate(par), 1), bench::fmt_int(barriers),
-                       bench::fmt(cyc_per_barrier, 2), "yes"});
-      lapoints.push_back(
-          sim::JsonValue::object()
-              .set("shards", la_shards)
-              .set("lookahead", static_cast<std::int64_t>(lookahead))
-              .set("wall_seconds", par.wall_seconds)
-              .set("kcycles_per_s", krate(par))
-              .set("cycles_per_barrier", cyc_per_barrier)
-              .set("identical", true));
-    }
-    cli.report(latable, "engine_lookahead");
+    const std::int32_t wh_shards = 4;
+    const Leg wh_seq = run_leg(wh, quick, /*shards=*/0, wh_load,
+                               /*with_sink=*/false, wh_flits);
+    const Leg wh_par =
+        run_leg(wh, quick, wh_shards, wh_load, /*with_sink=*/false, wh_flits);
+    bench::require(wh_par.digest == wh_seq.digest,
+                   "parallel engine (wormhole, shards=" +
+                       std::to_string(wh_shards) +
+                       ") diverged from the sequential stepper");
+    bench::Table whtable(
+        {"engine", "shards", "wall-s", "kcycles/s", "identical"});
+    whtable.add_row({"seq", "-", bench::fmt(wh_seq.wall_seconds, 3),
+                     bench::fmt(krate(wh_seq), 1), "-"});
+    whtable.add_row({"par", bench::fmt_int(wh_shards),
+                     bench::fmt(wh_par.wall_seconds, 3),
+                     bench::fmt(krate(wh_par), 1), "yes"});
+    sim::JsonValue whpoint = sim::JsonValue::object()
+                                 .set("shards", wh_shards)
+                                 .set("wall_seconds", wh_par.wall_seconds)
+                                 .set("kcycles_per_s", krate(wh_par))
+                                 .set("identical", true);
+    cli.report(whtable, "engine_wormhole");
 
     // Fault legs: the same CLRP torus through a mid-run failure storm
     // (15% of links fail, then recover). Fault application lives in the
@@ -217,7 +193,7 @@ int main(int argc, char** argv) {
     stormy.faults.storm.at = quick ? 400 : 600;
     stormy.faults.storm.fraction = 0.15;
     stormy.faults.storm.repair_after = quick ? 600 : 1000;
-    const Leg fault_seq = run_leg(stormy, quick, /*shards=*/0, /*lookahead=*/1,
+    const Leg fault_seq = run_leg(stormy, quick, /*shards=*/0,
                                   /*offered_load=*/0.12, /*with_sink=*/true);
     bench::Table ftable(
         {"engine", "shards", "wall-s", "kcycles/s", "vs healthy", "identical"});
@@ -235,8 +211,8 @@ int main(int argc, char** argv) {
                           .set("kcycles_per_s", krate(fault_seq))
                           .set("identical", true));
     for (const std::int32_t shards : {2, 8}) {
-      const Leg par = run_leg(stormy, quick, shards, /*lookahead=*/1,
-                              /*offered_load=*/0.12, /*with_sink=*/true);
+      const Leg par = run_leg(stormy, quick, shards, /*offered_load=*/0.12,
+                              /*with_sink=*/true);
       bench::require(par.digest == fault_seq.digest,
                      "parallel engine (shards=" + std::to_string(shards) +
                          ") diverged from the sequential stepper under a "
@@ -288,10 +264,10 @@ int main(int argc, char** argv) {
     std::string healthy_digest;
     std::string armed_digest;
     for (int rep = 0; rep < kMaxOverheadReps; ++rep) {
-      const Leg h = run_leg(config, quick, /*shards=*/0, /*lookahead=*/1,
+      const Leg h = run_leg(config, quick, /*shards=*/0,
                             /*offered_load=*/0.12, /*with_sink=*/false,
                             /*flits=*/64, overhead_measure);
-      const Leg a = run_leg(armed, quick, /*shards=*/0, /*lookahead=*/1,
+      const Leg a = run_leg(armed, quick, /*shards=*/0,
                             /*offered_load=*/0.12, /*with_sink=*/false,
                             /*flits=*/64, overhead_measure);
       healthy_rate = std::max(healthy_rate, krate(h));
@@ -315,7 +291,7 @@ int main(int argc, char** argv) {
     cli.note("seq_wall_seconds", sim::JsonValue(seq.wall_seconds));
     cli.note("seq_kcycles_per_s", sim::JsonValue(krate(seq)));
     cli.note("engine_points", std::move(points));
-    cli.note("lookahead_points", std::move(lapoints));
+    cli.note("wormhole_point", std::move(whpoint));
     cli.note("best_speedup", sim::JsonValue(best_speedup));
     std::printf("\nbest speedup %.2fx on %u host thread(s); all legs "
                 "bit-identical to seq; fault hook healthy-path overhead "

@@ -163,7 +163,6 @@ bool Cli::parse(int argc, char** argv) {
           "  --engine seq|par  step engine per simulation (default seq;\n"
           "                    par never changes results, only wall time)\n"
           "  --shards N        shard count for --engine par (default auto)\n"
-          "  --lookahead L     barrier lookahead for --engine par (default 1)\n"
           "  --help            this text\n",
           experiment_.c_str(), title_.c_str());
       for (const IntFlag& f : int_flags_) {
@@ -231,17 +230,6 @@ bool Cli::parse(int argc, char** argv) {
         return false;
       }
       engine_.shards = static_cast<std::int32_t>(parsed);
-    } else if (arg == "--lookahead") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      const long parsed = std::strtol(v, nullptr, 10);
-      if (parsed < 1) {
-        std::fprintf(stderr, "%s: --lookahead must be >= 1 (got %s)\n",
-                     experiment_.c_str(), v);
-        exit_code_ = 2;
-        return false;
-      }
-      engine_.lookahead = static_cast<Cycle>(parsed);
     } else {
       std::fprintf(stderr, "%s: unknown flag %s (try --help)\n",
                    experiment_.c_str(), arg.c_str());
@@ -253,14 +241,6 @@ bool Cli::parse(int argc, char** argv) {
     std::fprintf(stderr,
                  "%s: --shards only applies to --engine par "
                  "(the sequential engine is unsharded)\n",
-                 experiment_.c_str());
-    exit_code_ = 2;
-    return false;
-  }
-  if (engine_.lookahead > 1 && !engine_.parallel()) {
-    std::fprintf(stderr,
-                 "%s: --lookahead only applies to --engine par "
-                 "(the sequential engine has no barriers to amortize)\n",
                  experiment_.c_str());
     exit_code_ = 2;
     return false;

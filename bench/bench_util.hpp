@@ -60,7 +60,6 @@ void require(bool ok, const std::string& message);
 ///   --sample-every N  gauge sampling period for the observed run
 ///   --engine seq|par  step engine for each simulation (default seq)
 ///   --shards N        shard count for --engine par (default: auto)
-///   --lookahead L     barrier lookahead for --engine par (default 1)
 ///   --help            usage
 /// After parse(), report() both prints a table and records it for export;
 /// finish(ok) writes the JSON file and maps ok to the process exit code.

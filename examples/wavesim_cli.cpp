@@ -19,6 +19,7 @@
 #include "fault/schedule.hpp"
 #include "harness/sweep.hpp"
 #include "obs/observer.hpp"
+#include "service/proto.hpp"
 #include "sim/build_info.hpp"
 #include "sim/json.hpp"
 #include "snap/runstate.hpp"
@@ -60,8 +61,6 @@ struct Options {
   std::string engine = "seq";
   std::int32_t shards = 0;  ///< auto under --engine par unless shards_given
   bool shards_given = false;
-  std::int64_t lookahead = 1;  ///< barrier lookahead for --engine par
-  bool lookahead_given = false;
   Cycle checkpoint_every = 0;  ///< wavesim.snap.v1 checkpoint period
   bool checkpoint_every_given = false;
   std::string checkpoint_out;  ///< checkpoint file (+ .json metadata)
@@ -105,9 +104,6 @@ void usage() {
       "  --engine E          step engine: seq | par (default seq; par is\n"
       "                      bit-identical to seq, only wall time changes)\n"
       "  --shards N          shard count for --engine par (default: auto)\n"
-      "  --lookahead L       barrier lookahead for --engine par (default 1;\n"
-      "                      commits up to L cycles per synchronization,\n"
-      "                      bit-identical to L=1)\n"
       "  --checkpoint-every C  write a wavesim.snap.v1 checkpoint every C\n"
       "                      cycles (requires --checkpoint-out)\n"
       "  --checkpoint-out PATH checkpoint file; PATH.json gets metadata.\n"
@@ -115,7 +111,7 @@ void usage() {
       "  --restore PATH      resume a checkpointed run; config/workload\n"
       "                      flags come from the snapshot. The finished\n"
       "                      run is bit-identical to an uninterrupted one\n"
-      "                      under any --engine/--shards/--lookahead\n");
+      "                      under any --engine/--shards\n");
 }
 
 /// Parse all of `text` as a T. Anything else -- trailing junk, a sign on
@@ -188,10 +184,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.shards = number<std::int32_t>(arg, need(i));
       opt.shards_given = true;
     }
-    else if (arg == "--lookahead") {
-      opt.lookahead = number<std::int64_t>(arg, need(i));
-      opt.lookahead_given = true;
-    }
     else if (arg == "--checkpoint-every") {
       opt.checkpoint_every = number<Cycle>(arg, need(i));
       opt.checkpoint_every_given = true;
@@ -230,20 +222,6 @@ engine::EngineConfig build_engine_config(const Options& opt) {
       std::exit(2);
     }
     cfg.shards = opt.shards;
-  }
-  if (opt.lookahead_given) {
-    if (opt.lookahead < 1) {
-      std::fprintf(stderr, "error: --lookahead must be >= 1 (got %lld)\n",
-                   static_cast<long long>(opt.lookahead));
-      std::exit(2);
-    }
-    if (!cfg.parallel()) {
-      std::fprintf(stderr,
-                   "error: --lookahead only applies to --engine par "
-                   "(the sequential engine has no barriers to amortize)\n");
-      std::exit(2);
-    }
-    cfg.lookahead = static_cast<Cycle>(opt.lookahead);
   }
   return cfg;
 }
@@ -286,30 +264,9 @@ void check_checkpoint_flags(const Options& opt) {
   }
 }
 
-std::string format_radices(const std::vector<std::int32_t>& radix) {
-  std::string out;
-  for (std::size_t i = 0; i < radix.size(); ++i) {
-    if (i > 0) out += 'x';
-    out += std::to_string(radix[i]);
-  }
-  return out;
-}
-
-std::vector<std::int32_t> parse_radices(const std::string& spec) {
-  std::vector<std::int32_t> radix;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t next = spec.find('x', pos);
-    radix.push_back(std::atoi(spec.substr(pos, next - pos).c_str()));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  return radix;
-}
-
 sim::SimConfig build_config(const Options& opt) {
   sim::SimConfig cfg;
-  cfg.topology.radix = parse_radices(opt.topo);
+  cfg.topology.radix = service::parse_radices(opt.topo);
   cfg.topology.torus = !opt.mesh;
   cfg.router.wormhole_vcs = opt.vcs;
   cfg.router.wave_switches = opt.protocol == "wormhole" ? 0 : opt.k;
@@ -426,7 +383,7 @@ int main(int argc, char** argv) {
       // is the source of truth for config and workload.
       const snap::RunSpec& spec = run->spec();
       cfg = spec.config;
-      opt.topo = format_radices(cfg.topology.radix);
+      opt.topo = service::format_radices(cfg.topology.radix);
       opt.routing = sim::to_string(cfg.router.routing);
       opt.pattern = spec.pattern;
       opt.length = spec.message_flits;

@@ -1,6 +1,5 @@
 #include "core/network.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "sim/log.hpp"
@@ -88,14 +87,14 @@ MessageId Network::send(NodeId src, NodeId dest, std::int32_t length) {
   if (length < 1) {
     throw std::invalid_argument("Network::send: length < 1");
   }
-  return dispatch_send(src, dest, length, now_);
+  return dispatch_send(src, dest, length);
 }
 
-MessageId Network::dispatch_send(NodeId src, NodeId dest, std::int32_t length,
-                                 Cycle at) {
-  const MessageId id = log_.create(src, dest, length, at);
-  instrumentation_.emit(at, EventKind::kSubmitted, src, id);
-  interfaces_[src]->submit(id, at);
+MessageId Network::dispatch_send(NodeId src, NodeId dest,
+                                 std::int32_t length) {
+  const MessageId id = log_.create(src, dest, length, now_);
+  instrumentation_.emit(now_, EventKind::kSubmitted, src, id);
+  interfaces_[src]->submit(id, now_);
   return id;
 }
 
@@ -121,15 +120,10 @@ void Network::schedule_send(NodeId src, NodeId dest, std::int32_t length,
   sends_.push_back(ScheduledSend{at, src, dest, length});
 }
 
-Cycle Network::next_scheduled_send() const noexcept {
-  return sends_head_ < sends_.size() ? sends_[sends_head_].at
-                                     : std::numeric_limits<Cycle>::max();
-}
-
-void Network::process_scheduled_sends(Cycle horizon) {
-  while (sends_head_ < sends_.size() && sends_[sends_head_].at < horizon) {
+void Network::offer_due_sends() {
+  while (sends_head_ < sends_.size() && sends_[sends_head_].at <= now_) {
     const ScheduledSend& s = sends_[sends_head_++];
-    dispatch_send(s.src, s.dest, s.length, s.at);
+    dispatch_send(s.src, s.dest, s.length);
   }
   if (sends_head_ == sends_.size()) {
     sends_.clear();
@@ -196,7 +190,7 @@ void Network::step_begin() {
   step_faults();
   // Due scheduled sends next: exactly where a direct send() call before
   // the step would have run.
-  process_scheduled_sends(now_ + 1);
+  offer_due_sends();
   gate_.reset();
   if (control_ != nullptr) control_->step(now_);
   if (data_ != nullptr) data_->step(now_);
@@ -208,18 +202,13 @@ void Network::step_begin() {
 }
 
 void Network::step_shard(NodeId begin, NodeId end, ShardContext& ctx) {
-  step_window_shard(begin, end, ctx, now_);
-}
-
-void Network::step_window_shard(NodeId begin, NodeId end, ShardContext& ctx,
-                                Cycle at) {
   ctx.clear();
   for (NodeId n = begin; n < end; ++n) {
     // pump_streams on an interface with nothing pending is a no-op; the
     // fabric's activity byte makes the skip a single byte test.
-    if (fabric_.ni_work(n)) interfaces_[n]->pump_streams(at, ctx.io);
+    if (fabric_.ni_work(n)) interfaces_[n]->pump_streams(now_, ctx.io);
   }
-  fabric_.step_nodes(at, begin, end, ctx.io);
+  fabric_.step_nodes(now_, begin, end, ctx.io);
   // Reassembly by count: packets of a segmented message may interleave
   // across VCs, so tail flags alone cannot signal completion. A message
   // only ever ejects at its destination node, so its record is owned by
@@ -228,19 +217,13 @@ void Network::step_window_shard(NodeId begin, NodeId end, ShardContext& ctx,
   for (const wh::EjectedFlit& e : ctx.io.ejected) {
     MessageRecord& rec = log_.at(e.flit.msg);
     if (++rec.flits_received == rec.length) {
-      log_.mark_delivered(e.flit.msg, at);
+      log_.mark_delivered(e.flit.msg, now_);
       ++ctx.messages_delivered;
       if (instrumented) {
-        ctx.events.emit(at, EventKind::kDelivered, rec.dest, e.flit.msg);
+        ctx.events.emit(now_, EventKind::kDelivered, rec.dest, e.flit.msg);
       }
     }
   }
-}
-
-void Network::window_advance_local(NodeId begin, NodeId end,
-                                   ShardContext& prev) {
-  gate_.reset_nodes(begin, end);
-  fabric_.commit_shard_local(begin, end, prev.io);
 }
 
 void Network::step_commit(std::span<ShardContext* const> contexts) {
@@ -248,33 +231,6 @@ void Network::step_commit(std::span<ShardContext* const> contexts) {
   for (ShardContext* ctx : contexts) instrumentation_.flush(ctx->events);
   for (ShardContext* ctx : contexts) delivered_msgs_ += ctx->messages_delivered;
   ++now_;
-}
-
-void Network::step_commit_window(std::span<ShardContext* const> contexts,
-                                 Cycle rows) {
-  const std::size_t per_row = contexts.size() / static_cast<std::size_t>(rows);
-  std::size_t i = 0;
-  for (Cycle j = 0; j < rows; ++j) {
-    for (std::size_t s = 0; s < per_row; ++s, ++i) {
-      fabric_.commit_cycle(now_ + j, contexts[i]->io);
-    }
-  }
-  // Rows ascend and shards ascend within a row, so the staged events
-  // replay in exactly the order the sequential stepper would have
-  // emitted them.
-  for (ShardContext* ctx : contexts) instrumentation_.flush(ctx->events);
-  for (ShardContext* ctx : contexts) delivered_msgs_ += ctx->messages_delivered;
-  now_ += rows;
-}
-
-bool Network::window_ready() const {
-  if (config_.protocol.pcs_only) return false;  // per-cycle retry pumping
-  if (control_ != nullptr && !control_->idle()) return false;
-  if (data_ != nullptr && data_->active_transfers() != 0) return false;
-  // Fault activity (adverts in flight, armed route timeouts) is sequential
-  // per-cycle work; windows may only span dormant stretches.
-  if (fault_ != nullptr && !fault_->dormant()) return false;
-  return true;
 }
 
 void Network::step() {

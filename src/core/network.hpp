@@ -8,7 +8,6 @@
 // traffic link priority.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -60,8 +59,8 @@ class Network {
   /// Queue a message to be offered at cycle `at` (>= now, non-decreasing
   /// across calls). Equivalent to calling send() at the top of cycle
   /// `at`: step_begin() offers every due message, in schedule order,
-  /// before anything else runs. Pre-scheduling lets workload generators
-  /// hand a lookahead engine whole spans of cycles at once.
+  /// before anything else runs. Pre-scheduling lets a workload generator
+  /// draw a whole span of traffic up front.
   void schedule_send(NodeId src, NodeId dest, std::int32_t length, Cycle at);
 
   /// CARP primitives (valid on any circuit-capable configuration).
@@ -94,55 +93,6 @@ class Network {
   /// ascending node ranges), replay staged events, advance the clock.
   void step_commit(std::span<ShardContext* const> contexts);
 
-  // -- lookahead windows (engine seam, continued) ---------------------------
-  // When the sequential planes are idle, a lookahead engine may run each
-  // shard for several consecutive cycles between barriers: one
-  // step_window_shard call per (shard, local cycle), with
-  // window_advance_local between local cycles, then one
-  // step_commit_window for the whole grid. The engine is responsible for
-  // choosing a window length that provably admits no cross-shard
-  // interaction before the barrier (see src/engine/engine.cpp and
-  // docs/ENGINE.md).
-
-  /// step_shard with an explicit cycle stamp: steps nodes [begin, end)
-  /// as of cycle `at` (which may be ahead of now() inside a window).
-  void step_window_shard(NodeId begin, NodeId end, ShardContext& ctx,
-                         Cycle at);
-  /// Between two local cycles of a window: reset the gate channels and
-  /// absorb the previous cycle's shard-local transport for nodes
-  /// [begin, end). Owner-partitioned writes only; callable concurrently
-  /// on disjoint ranges.
-  void window_advance_local(NodeId begin, NodeId end, ShardContext& prev);
-  /// Barrier commit of a whole window: `contexts` holds rows * shards
-  /// entries, row-major (all shards of local cycle 0, then 1, ...), each
-  /// row committed in ascending shard order at its own cycle. Advances
-  /// the clock by `rows`.
-  void step_commit_window(std::span<ShardContext* const> contexts,
-                          Cycle rows);
-
-  /// True when nothing sequential can act between cycles: no PCS-only
-  /// retry pumping, control plane idle, data plane idle. A window may
-  /// only span cycles while this holds.
-  bool window_ready() const;
-  /// This configuration can carry circuits (submit may touch the control
-  /// plane, so scheduled sends cannot be offered early).
-  bool circuit_capable() const noexcept { return control_ != nullptr; }
-  /// An event sink is installed (events must be emitted in cycle order,
-  /// which also rules out offering scheduled sends early).
-  bool instrumentation_enabled() const noexcept {
-    return instrumentation_.enabled();
-  }
-  /// Scheduled sends may be offered ahead of their cycle (with their own
-  /// cycle stamp): nothing sequential observes the early offer.
-  bool early_send_ok() const noexcept {
-    return !circuit_capable() && !instrumentation_enabled();
-  }
-  /// Cycle of the earliest pending scheduled send (Cycle max when none).
-  Cycle next_scheduled_send() const noexcept;
-  /// Offer every scheduled send due before `horizon` now, stamped with
-  /// its own cycle. Caller must have checked early_send_ok().
-  void process_scheduled_sends(Cycle horizon);
-
   // -- component access ----------------------------------------------------
   const MessageLog& messages() const noexcept { return log_; }
   wh::Fabric& fabric() noexcept { return fabric_; }
@@ -171,12 +121,6 @@ class Network {
 
   /// Dynamic fault plane (nullptr without a fault schedule).
   const fault::FaultPlane* fault_plane() const noexcept { return fault_.get(); }
-  /// Cycle of the next scheduled fault event (Cycle max when none remain):
-  /// a lookahead window must not leap across it.
-  Cycle next_fault_event() const noexcept {
-    return fault_ != nullptr ? fault_->next_event_at()
-                             : std::numeric_limits<Cycle>::max();
-  }
 
   /// Install an event sink (timelines, debugging, trace capture).
   void set_event_sink(Instrumentation::Sink sink) {
@@ -206,8 +150,9 @@ class Network {
   /// Apply due dynamic fault events and advance the distance-vector plane
   /// (first thing in the sequential prologue).
   void step_faults();
-  MessageId dispatch_send(NodeId src, NodeId dest, std::int32_t length,
-                          Cycle at);
+  MessageId dispatch_send(NodeId src, NodeId dest, std::int32_t length);
+  /// Offer every scheduled send due this cycle, in schedule order.
+  void offer_due_sends();
 
   // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py):
   // [shard: seq] mutated only by the sequential phases, [shard: owned]

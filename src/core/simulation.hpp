@@ -114,12 +114,6 @@ class Simulation {
     if (step_hook_) step_hook_(network_->now());
   }
   void run(Cycle cycles) {
-    // A per-cycle hook pins the run to single steps; otherwise hand the
-    // whole span to the engine, which may batch barriers (lookahead).
-    if (engine_ && !step_hook_) {
-      engine_->run(*network_, cycles);
-      return;
-    }
     for (Cycle i = 0; i < cycles; ++i) step();
   }
 

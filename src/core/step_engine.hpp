@@ -3,14 +3,8 @@
 // may instead drive the step_begin / step_shard / step_commit phases —
 // e.g. src/engine's sharded parallel engine. Every engine must advance
 // exactly one cycle per step() call and leave the network in a state
-// bit-identical to the sequential stepper. run() advances a whole span
-// and is the seam through which a lookahead engine may commit several
-// cycles per synchronization barrier (still bit-identical).
+// bit-identical to the sequential stepper.
 #pragma once
-
-#include <cstdint>
-
-#include "sim/types.hpp"
 
 namespace wavesim::core {
 
@@ -21,30 +15,14 @@ class StepEngine {
   virtual ~StepEngine() = default;
 
   /// Advance `net` by exactly one cycle.
-  virtual void step(Network& net) = 0;
-
-  /// Advance `net` by exactly `cycles` cycles. The default is a step()
-  /// loop; engines with lookahead override this to batch barriers.
   ///
-  /// Quiesce-for-snapshot seam (src/snap): whenever step() or run()
-  /// returns, the engine must hold NO carryover state about the network
-  /// -- every window fully committed, every shard context drained -- so
-  /// that Network::snap() between calls captures the complete simulation
-  /// state and a restored network may continue under ANY engine (or shard
-  /// count, or lookahead) with bit-identical results. Engines that batch
-  /// cycles internally must never return mid-window.
-  virtual void run(Network& net, Cycle cycles) {
-    for (Cycle i = 0; i < cycles; ++i) step(net);
-  }
-
-  /// Barrier bookkeeping of the most recent run() calls: how many
-  /// synchronizations happened and how many cycles they committed in
-  /// total. Engines without lookahead report zeros.
-  struct WindowStats {
-    std::uint64_t windows = 0;          ///< barrier synchronizations
-    std::uint64_t committed_cycles = 0; ///< cycles those barriers covered
-  };
-  virtual WindowStats window_stats() const { return {}; }
+  /// Quiesce-for-snapshot seam (src/snap): whenever step() returns, the
+  /// engine must hold NO carryover state about the network -- every
+  /// shard context committed and drained -- so that Network::snap()
+  /// between calls captures the complete simulation state and a restored
+  /// network may continue under ANY engine (or shard count) with
+  /// bit-identical results.
+  virtual void step(Network& net) = 0;
 
   /// Stable identifier ("seq", "par") for logs and JSON stamps.
   virtual const char* name() const noexcept = 0;

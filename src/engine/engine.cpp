@@ -1,8 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "core/network.hpp"
@@ -40,9 +38,6 @@ sim::JsonValue EngineConfig::to_json(std::int32_t num_nodes) const {
   v.set("kind", to_string(kind));
   if (parallel()) {
     v.set("shards", num_nodes > 0 ? resolve_shards(num_nodes) : shards);
-    if (lookahead > 1) {
-      v.set("lookahead", static_cast<std::int64_t>(lookahead));
-    }
   }
   return v;
 }
@@ -57,69 +52,16 @@ class SequentialEngine final : public core::StepEngine {
 
 class ParallelEngine final : public core::StepEngine {
  public:
-  ParallelEngine(std::int32_t num_nodes, std::int32_t shards, unsigned threads,
-                 Cycle lookahead)
-      : lookahead_(std::max<Cycle>(1, lookahead)),
-        ranges_(partition_nodes(num_nodes, shards)),
-        contexts_(ranges_.size() * static_cast<std::size_t>(lookahead_)),
-        pool_(resolve_participants(ranges_.size(), threads)) {
-    context_ptrs_.reserve(ranges_.size());
-    for (std::size_t s = 0; s < ranges_.size(); ++s) {
-      context_ptrs_.push_back(&grid(s, 0));
-    }
-  }
+  ParallelEngine(std::int32_t num_nodes, std::int32_t shards, unsigned threads)
+      : ranges_(partition_nodes(num_nodes, shards)),
+        contexts_(ranges_.size()),
+        pool_(resolve_participants(ranges_.size(), threads)) {}
 
+  /// One cycle: step_begin(), then only the shards with work (a shard
+  /// whose activity bytes are all zero steps to an empty context, so
+  /// skipping it — and its context at commit — changes nothing).
   void step(core::Network& net) override {
     net.step_begin();
-    step_cycle(net);
-  }
-
-  void run(core::Network& net, Cycle cycles) override {
-    if (lookahead_ <= 1) {
-      for (Cycle i = 0; i < cycles; ++i) step(net);
-      return;
-    }
-    ensure_cut_map(net);
-    Cycle remaining = cycles;
-    while (remaining > 0) {
-      net.step_begin();
-      const Cycle w = plan_window(net, remaining);
-      if (w <= 1) {
-        step_cycle(net);
-        ++stats_.windows;
-        ++stats_.committed_cycles;
-        --remaining;
-        continue;
-      }
-      // Pre-offer the window's sends (wormhole-only, no event sink: the
-      // early offer only queues time-stamped packets behind the NI's
-      // send-path gate, which nothing observes before their cycle).
-      if (net.early_send_ok()) net.process_scheduled_sends(net.now() + w);
-      run_window(net, w);
-      ++stats_.windows;
-      stats_.committed_cycles += w;
-      remaining -= w;
-    }
-  }
-
-  WindowStats window_stats() const override { return stats_; }
-  const char* name() const noexcept override { return "par"; }
-
- private:
-  static unsigned resolve_participants(std::size_t shards, unsigned threads) {
-    const unsigned hw = resolve_engine_threads(threads);
-    return std::max(1u, std::min(hw, static_cast<unsigned>(shards)));
-  }
-
-  core::ShardContext& grid(std::size_t shard, Cycle row) {
-    return contexts_[shard * static_cast<std::size_t>(lookahead_) +
-                     static_cast<std::size_t>(row)];
-  }
-
-  /// One cycle after step_begin(): dispatch only shards with work (a
-  /// shard whose activity bytes are all zero steps to an empty context,
-  /// so skipping it — and its context at commit — changes nothing).
-  void step_cycle(core::Network& net) {
     const wh::Fabric& fab = net.fabric();
     active_.clear();
     for (std::size_t s = 0; s < ranges_.size(); ++s) {
@@ -129,8 +71,8 @@ class ParallelEngine final : public core::StepEngine {
     if (active_.size() <= 1) {
       if (!active_.empty()) {
         const std::size_t s = active_.front();
-        net.step_shard(ranges_[s].begin, ranges_[s].end, grid(s, 0));
-        active_ptrs_.push_back(&grid(s, 0));
+        net.step_shard(ranges_[s].begin, ranges_[s].end, contexts_[s]);
+        active_ptrs_.push_back(&contexts_[s]);
       }
       net.step_commit(active_ptrs_);
       return;
@@ -143,126 +85,25 @@ class ParallelEngine final : public core::StepEngine {
       // the outcome.
       for (std::size_t i = slot; i < active_.size(); i += team) {
         const std::size_t s = active_[i];
-        net.step_shard(ranges_[s].begin, ranges_[s].end, grid(s, 0));
+        net.step_shard(ranges_[s].begin, ranges_[s].end, contexts_[s]);
       }
     });
-    for (std::size_t s : active_) active_ptrs_.push_back(&grid(s, 0));
+    for (std::size_t s : active_) active_ptrs_.push_back(&contexts_[s]);
     net.step_commit(active_ptrs_);  // ascending shard order
   }
 
-  /// Nodes with a link into another shard. Only these can produce or
-  /// first absorb cross-shard transport; everything else needs at least
-  /// one extra link traversal.
-  void ensure_cut_map(const core::Network& net) {
-    if (!cut_.empty()) return;
-    const topo::KAryNCube& topo = net.topology();
-    cut_.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
-    for (const ShardRange& r : ranges_) {
-      for (NodeId n = r.begin; n < r.end; ++n) {
-        for (PortId p = 0; p < topo.num_ports(); ++p) {
-          const NodeId nb = topo.neighbor(n, p);
-          if (nb != kInvalidNode && (nb < r.begin || nb >= r.end)) {
-            cut_[n] = 1;
-            break;
-          }
-        }
-      }
-    }
+  const char* name() const noexcept override { return "par"; }
+
+ private:
+  static unsigned resolve_participants(std::size_t shards, unsigned threads) {
+    const unsigned hw = resolve_engine_threads(threads);
+    return std::max(1u, std::min(hw, static_cast<unsigned>(shards)));
   }
 
-  /// Longest window provably free of cross-shard interaction, from the
-  /// current activity bytes. All bounds are "earliest cycle a cross-shard
-  /// ring entry could be due, minus now": a busy cut router can move a
-  /// flit this cycle whose upstream credit is due next cycle (window 1);
-  /// a quiet cut node woken by a flit due at d first traverses its
-  /// switch at d + 2, so its earliest cross effect (that flit's credit)
-  /// is due d + 3; NI injections return no credits, so a pending
-  /// injection's earliest cross effect is a flit due at +2 + link
-  /// latency; interior activity needs a link traversal (+latency) before
-  /// a quiet cut node even wakes. Entries committed at the barrier are
-  /// pushed before the destination processes the barrier cycle, so a
-  /// bound that lands exactly on the window edge is still safe.
-  Cycle plan_window(const core::Network& net, Cycle remaining) {
-    if (!net.window_ready()) return 1;
-    const wh::Fabric& fab = net.fabric();
-    const Cycle t = net.now();
-    const Cycle lat = fab.link_latency();
-    Cycle w = std::min<Cycle>(lookahead_, remaining);
-    // Fault events mutate the sequential planes in step_begin, so the next
-    // one needs a barrier at its cycle (step_begin at t already applied
-    // events due <= t, hence next_fault > t).
-    const Cycle next_fault = net.next_fault_event();
-    if (next_fault != std::numeric_limits<Cycle>::max()) {
-      w = std::min(w, next_fault - t);
-    }
-    const Cycle first_send = net.next_scheduled_send();
-    if (first_send != std::numeric_limits<Cycle>::max()) {
-      // step_begin already offered sends due this cycle, so
-      // first_send > t. Early-offered flits first traverse a switch at
-      // their cycle + 2; without early offering the send itself needs a
-      // barrier at its cycle.
-      w = std::min(w, net.early_send_ok() ? first_send - t + 2 + lat
-                                          : first_send - t);
-    }
-    if (w <= 1) return 1;
-    bool interior_busy = false;
-    const NodeId n_nodes = static_cast<NodeId>(cut_.size());
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      const std::uint8_t busy = fab.node_busy(n);
-      if (busy == 0) continue;
-      if (cut_[n] == 0) {
-        interior_busy = true;
-        continue;
-      }
-      if ((busy & wh::kNodeBusyRouter) != 0) return 1;
-      if ((busy & wh::kNodeBusyNi) != 0) w = std::min(w, lat + 2);
-      if ((busy & wh::kNodeBusyInbox) != 0) {
-        const Cycle d = fab.earliest_flit_due(n);
-        // A queued credit alone cannot wake a quiet router, so only
-        // flit arrivals bound the window.
-        if (d != wh::kNoDueFlit) w = std::min(w, d - t + 3);
-      }
-      if (w <= 1) return 1;
-    }
-    if (interior_busy) w = std::min(w, lat + 3);
-    return std::max<Cycle>(w, 1);
-  }
-
-  void run_window(core::Network& net, Cycle w) {
-    const Cycle t = net.now();
-    const unsigned team = pool_.participants();
-    pool_.run([this, &net, t, w, team](unsigned slot) {
-      for (std::size_t s = slot; s < ranges_.size(); s += team) {
-        const ShardRange r = ranges_[s];
-        for (Cycle j = 0; j < w; ++j) {
-          // Local cycles beyond the first reset this shard's gate
-          // channels and absorb its own previous cycle's transport
-          // (cross-shard entries stay staged for the barrier).
-          if (j > 0) net.window_advance_local(r.begin, r.end, grid(s, j - 1));
-          net.step_window_shard(r.begin, r.end, grid(s, j), t + j);
-        }
-      }
-    });
-    window_ptrs_.clear();
-    for (Cycle j = 0; j < w; ++j) {
-      for (std::size_t s = 0; s < ranges_.size(); ++s) {
-        window_ptrs_.push_back(&grid(s, j));
-      }
-    }
-    net.step_commit_window(window_ptrs_, w);
-  }
-
-  Cycle lookahead_;
   std::vector<ShardRange> ranges_;
-  /// (shard, local cycle) context grid, shard-major; plain per-cycle
-  /// steps use column 0.
-  std::vector<core::ShardContext> contexts_;
-  std::vector<core::ShardContext*> context_ptrs_;
-  std::vector<core::ShardContext*> window_ptrs_;
+  std::vector<core::ShardContext> contexts_;  ///< one per shard
   std::vector<core::ShardContext*> active_ptrs_;
   std::vector<std::size_t> active_;
-  std::vector<std::uint8_t> cut_;
-  WindowStats stats_;
   CyclePool pool_;
 };
 
@@ -270,19 +111,9 @@ class ParallelEngine final : public core::StepEngine {
 
 std::unique_ptr<core::StepEngine> make_engine(const EngineConfig& config,
                                               std::int32_t num_nodes) {
-  if (config.lookahead < 1) {
-    throw std::invalid_argument("make_engine: lookahead must be >= 1");
-  }
-  if (!config.parallel()) {
-    if (config.lookahead > 1) {
-      throw std::invalid_argument(
-          "make_engine: lookahead requires the parallel engine");
-    }
-    return std::make_unique<SequentialEngine>();
-  }
-  return std::make_unique<ParallelEngine>(num_nodes,
-                                          config.resolve_shards(num_nodes),
-                                          config.threads, config.lookahead);
+  if (!config.parallel()) return std::make_unique<SequentialEngine>();
+  return std::make_unique<ParallelEngine>(
+      num_nodes, config.resolve_shards(num_nodes), config.threads);
 }
 
 }  // namespace wavesim::engine

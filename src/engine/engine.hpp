@@ -2,10 +2,10 @@
 //
 // ParallelEngine partitions the node array into contiguous shards and
 // runs Network::step_shard for all shards concurrently on a CyclePool,
-// with one barrier per cycle. Conservative synchronization with lookahead
-// = 1 link cycle: every cross-node interaction in the shard phase goes
-// through a DelayLine of latency >= 1, so cycle-t work never reads
-// another node's cycle-t writes and no rollback is ever needed. Shard
+// with one barrier per cycle. Conservative synchronization: every
+// cross-node interaction in the shard phase goes through a link of
+// latency >= 1, so cycle-t work never reads another node's cycle-t
+// writes and no rollback is ever needed. Shard
 // outboxes are committed in ascending node order, which makes the result
 // bit-identical to the sequential stepper for any shard and thread count
 // (see docs/ENGINE.md for the full argument).
@@ -37,11 +37,6 @@ struct EngineConfig {
   /// Parallel engine only: worker threads (including the caller). 0 =
   /// auto (min(shards, hardware threads)). Output is independent of this.
   unsigned threads = 0;
-  /// Parallel engine only: barrier lookahead in cycles (>= 1). With L > 1
-  /// the engine commits up to L cycles per synchronization whenever its
-  /// static analysis proves no cross-shard interaction can land inside
-  /// the window. Output is independent of this.
-  Cycle lookahead = 1;
 
   bool parallel() const noexcept { return kind == EngineKind::kPar; }
 
@@ -49,8 +44,8 @@ struct EngineConfig {
   std::int32_t resolve_shards(std::int32_t num_nodes) const;
 
   /// The `engine` object stamped into wavesim.run.v1 / wavesim.bench.v1 /
-  /// wavesim.sweep.v1: {"kind": "seq"} or {"kind": "par", "shards": N}
-  /// (plus "lookahead" when > 1). Pass the network's node count to record
+  /// wavesim.sweep.v1: {"kind": "seq"} or {"kind": "par", "shards": N}.
+  /// Pass the network's node count to record
   /// the resolved shard count; without it the requested count is recorded
   /// (0 = auto). Thread count is deliberately omitted — it never affects
   /// output. Byte-identity comparisons across engines must strip this one

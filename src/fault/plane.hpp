@@ -13,9 +13,8 @@
 // propagate, stale routes to time out, and the resulting withdrawals to
 // settle. While active, the DV layer ticks timeouts and sends periodic
 // advertisements; once dormant (window passed, no adverts in flight, no
-// pending updates) the plane costs one comparison per cycle, and the
-// parallel engine may again run lookahead windows (bounded by
-// next_event_at()). See docs/FAULTS.md.
+// pending updates) the plane costs one comparison per cycle. See
+// docs/FAULTS.md.
 #pragma once
 
 #include <cstdint>
@@ -71,14 +70,8 @@ class FaultPlane {
 
   /// No fault work pending right now: the activity window has passed and
   /// the DV layer is settled. Future timeline events do NOT make the
-  /// plane non-dormant -- the engine bounds lookahead with
-  /// next_event_at() instead.
+  /// plane non-dormant (see exhausted()).
   bool dormant() const noexcept { return !active_ && dv_.idle(); }
-  /// Cycle of the earliest unapplied timeline event (kCycleMax when the
-  /// schedule is exhausted).
-  Cycle next_event_at() const noexcept {
-    return next_ < timeline_.size() ? timeline_[next_].at : kCycleMax;
-  }
   /// True once every scheduled event has been applied.
   bool exhausted() const noexcept { return next_ >= timeline_.size(); }
 

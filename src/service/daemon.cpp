@@ -103,22 +103,14 @@ sim::JsonValue Daemon::handle_submit(const sim::JsonValue& request) {
   if (!(weight > 0.0)) return error_response("weight must be > 0");
 
   // Validate up front so a bad spec is refused at submit, not queued to
-  // fail later. runspec_from_json throws with the offending field named.
+  // fail later. These are the parsers the worker runs; they throw with
+  // the offending field named.
   if (kind == "run") {
     runspec_from_json(*spec);
   } else if (kind == "sweep") {
-    const sim::JsonValue* base = spec->find("base");
-    const sim::JsonValue* measures = spec->find("measures");
-    if (base == nullptr || measures == nullptr || !measures->is_array() ||
-        measures->size() == 0) {
-      return error_response(
-          "sweep spec needs 'base' (run spec) and 'measures' (array)");
-    }
-    runspec_from_json(*base);
+    sweep_spec_from_json(*spec);
   } else if (kind == "simcheck") {
-    if (const sim::JsonValue* c = spec->find("count")) {
-      if (c->as_int() < 1) return error_response("count must be >= 1");
-    }
+    simcheck_spec_from_json(*spec);
   } else {
     return error_response("kind must be run | sweep | simcheck");
   }

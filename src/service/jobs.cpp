@@ -46,20 +46,6 @@ sim::JsonValue run_result_json(snap::CheckpointableRun& run) {
       .set("stats", harness::stats_to_json(r.stats));
 }
 
-void check_known_keys(const sim::JsonValue& spec,
-                      std::initializer_list<const char*> known,
-                      const char* kind) {
-  for (const auto& [key, member] : spec.members()) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) ok = ok || key == k;
-    if (!ok) {
-      throw std::runtime_error(std::string("unknown ") + kind +
-                               " spec field '" + key + "'");
-    }
-  }
-}
-
 }  // namespace
 
 const char* to_string(JobState state) noexcept {
@@ -184,15 +170,8 @@ SliceOutcome JobRunner::step_sweep(Job& job,
                                    const std::function<bool()>& cancelled) {
   SliceOutcome out;
   try {
-    check_known_keys(job.spec, {"base", "measures"}, "sweep");
-    const sim::JsonValue* base = job.spec.find("base");
-    const sim::JsonValue* measures = job.spec.find("measures");
-    if (base == nullptr || measures == nullptr || !measures->is_array() ||
-        measures->size() == 0) {
-      throw std::runtime_error(
-          "sweep spec needs 'base' (run spec) and 'measures' (array)");
-    }
-    const snap::RunSpec spec = runspec_from_json(*base);
+    const SweepSpec sweep = sweep_spec_from_json(job.spec);
+    const snap::RunSpec& spec = sweep.base;
 
     // All points share the spec's warm prefix, so one warmup serves the
     // whole sweep: checkpoint at the warmup/measure boundary and start
@@ -206,14 +185,10 @@ SliceOutcome JobRunner::step_sweep(Job& job,
     const snap::Snapshot boundary = warm.checkpoint();
 
     sim::JsonValue points = sim::JsonValue::array();
-    for (std::size_t i = 0; i < measures->size(); ++i) {
+    for (const Cycle measure : sweep.measures) {
       if (cancelled()) return out;  // worker maps this to kCancelled
-      const std::int64_t measure = measures->at(i).as_int();
-      if (measure < 1) throw std::runtime_error("measures must be >= 1");
       snap::CheckpointableRun point(boundary);
-      point.rebind(static_cast<Cycle>(measure),
-                   40 * (spec.warmup + static_cast<Cycle>(measure)) +
-                       1'000'000);
+      point.rebind(measure, 40 * (spec.warmup + measure) + 1'000'000);
       while (!point.done()) {
         point.advance(std::numeric_limits<Cycle>::max());
       }
@@ -251,25 +226,7 @@ SliceOutcome JobRunner::step_sweep(Job& job,
 SliceOutcome JobRunner::step_simcheck(Job& job) {
   SliceOutcome out;
   try {
-    check_known_keys(job.spec,
-                     {"count", "base_seed", "faulty", "max_failures"},
-                     "simcheck");
-    check::SimcheckOptions options;
-    if (const sim::JsonValue* v = job.spec.find("count")) {
-      options.count = static_cast<std::size_t>(v->as_int());
-    } else {
-      options.count = 20;
-    }
-    if (const sim::JsonValue* v = job.spec.find("base_seed")) {
-      options.base_seed = static_cast<std::uint64_t>(v->as_int());
-    }
-    if (const sim::JsonValue* v = job.spec.find("faulty")) {
-      options.faulty = v->as_bool();
-    }
-    if (const sim::JsonValue* v = job.spec.find("max_failures")) {
-      options.max_failures = static_cast<std::size_t>(v->as_int());
-    }
-    if (options.count < 1) throw std::runtime_error("count must be >= 1");
+    check::SimcheckOptions options = simcheck_spec_from_json(job.spec);
     // One worker thread: parallelism belongs to the daemon's worker
     // pool, not inside a single job. No shrinking: service jobs report,
     // the CLI (simcheck --replay) investigates.

@@ -4,35 +4,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstring>
-#include <set>
 #include <stdexcept>
 
 namespace wavesim::service {
 
 namespace {
-
-std::string format_radices(const std::vector<std::int32_t>& radix) {
-  std::string out;
-  for (std::size_t i = 0; i < radix.size(); ++i) {
-    if (i > 0) out += 'x';
-    out += std::to_string(radix[i]);
-  }
-  return out;
-}
-
-std::vector<std::int32_t> parse_radices(const std::string& spec) {
-  std::vector<std::int32_t> radix;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t next = spec.find('x', pos);
-    radix.push_back(std::atoi(spec.substr(pos, next - pos).c_str()));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  return radix;
-}
 
 [[noreturn]] void bad_field(const std::string& key, const char* what) {
   throw std::runtime_error("spec field '" + key + "': " + what);
@@ -83,7 +64,65 @@ std::string get_string(const sim::JsonValue& obj, const std::string& key,
   return v->as_string();
 }
 
+/// A whole number >= `min` (and exactly representable as a double).
+std::int64_t whole_at_least(const sim::JsonValue& v, const std::string& key,
+                            std::int64_t min) {
+  const double x = v.is_number() ? v.as_number() : 0.0;
+  if (!v.is_number() || x != std::trunc(x) || x < static_cast<double>(min) ||
+      x > 9007199254740992.0) {  // 2^53
+    bad_field(key, min > 0 ? "expected an integer >= 1"
+                           : "expected a non-negative integer");
+  }
+  return static_cast<std::int64_t>(x);
+}
+
+/// Throws naming the first key of `value` outside `known`.
+void check_known_keys(const sim::JsonValue& value,
+                      std::initializer_list<const char*> known,
+                      const char* what) {
+  if (!value.is_object()) {
+    throw std::runtime_error(std::string(what) + " must be an object");
+  }
+  for (const auto& [key, member] : value.members()) {
+    (void)member;
+    bool ok = false;
+    for (const char* k : known) ok = ok || key == k;
+    if (!ok) {
+      throw std::runtime_error(std::string("unknown ") + what + " field '" +
+                               key + "'");
+    }
+  }
+}
+
 }  // namespace
+
+std::vector<std::int32_t> parse_radices(const std::string& text) {
+  std::vector<std::int32_t> radix;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t next = std::min(text.find('x', pos), text.size());
+    const char* first = text.data() + pos;
+    const char* last = text.data() + next;
+    std::int32_t value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (first == last || ec != std::errc() || ptr != last) {
+      throw std::invalid_argument("bad radix '" + std::string(first, last) +
+                                  "' in topology '" + text + "'");
+    }
+    radix.push_back(value);
+    if (next == text.size()) return radix;
+    pos = next + 1;
+  }
+}
+
+std::string format_radices(const std::vector<std::int32_t>& radix) {
+  std::string out;
+  for (std::size_t i = 0; i < radix.size(); ++i) {
+    if (i > 0) out += 'x';
+    out += std::to_string(radix[i]);
+  }
+  return out;
+}
 
 sim::JsonValue runspec_to_json(const snap::RunSpec& spec) {
   const sim::SimConfig& cfg = spec.config;
@@ -120,22 +159,21 @@ sim::JsonValue runspec_to_json(const snap::RunSpec& spec) {
 }
 
 snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
-  if (!value.is_object()) throw std::runtime_error("spec must be an object");
-  static const std::set<std::string> kKnown = {
-      "topo", "mesh", "protocol", "routing", "pattern", "vcs", "k", "m",
-      "cache", "replacement", "pcs_only", "virtual", "max_packet",
-      "fault_rate", "load", "length", "warmup", "measure", "drain_cap",
-      "seed", "storm_at", "storm_fraction", "storm_repair_after"};
-  for (const auto& [key, member] : value.members()) {
-    (void)member;
-    if (kKnown.count(key) == 0) {
-      throw std::runtime_error("unknown spec field '" + key + "'");
-    }
-  }
+  check_known_keys(
+      value,
+      {"topo", "mesh", "protocol", "routing", "pattern", "vcs", "k", "m",
+       "cache", "replacement", "pcs_only", "virtual", "max_packet",
+       "fault_rate", "load", "length", "warmup", "measure", "drain_cap",
+       "seed", "storm_at", "storm_fraction", "storm_repair_after"},
+      "spec");
 
   snap::RunSpec spec;
   sim::SimConfig& cfg = spec.config;
-  cfg.topology.radix = parse_radices(get_string(value, "topo", "8x8"));
+  try {
+    cfg.topology.radix = parse_radices(get_string(value, "topo", "8x8"));
+  } catch (const std::invalid_argument& e) {
+    bad_field("topo", e.what());
+  }
   cfg.topology.torus = !get_bool(value, "mesh", false);
 
   const std::string protocol = get_string(value, "protocol", "clrp");
@@ -215,6 +253,46 @@ snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
 
   cfg.validate();  // throws std::invalid_argument on a bad combination
   return spec;
+}
+
+SweepSpec sweep_spec_from_json(const sim::JsonValue& value) {
+  check_known_keys(value, {"base", "measures"}, "sweep spec");
+  const sim::JsonValue* base = value.find("base");
+  const sim::JsonValue* measures = value.find("measures");
+  if (base == nullptr || measures == nullptr || !measures->is_array() ||
+      measures->size() == 0) {
+    throw std::runtime_error(
+        "sweep spec needs 'base' (run spec) and 'measures' (array)");
+  }
+  SweepSpec sweep;
+  sweep.base = runspec_from_json(*base);
+  for (std::size_t i = 0; i < measures->size(); ++i) {
+    sweep.measures.push_back(
+        static_cast<Cycle>(whole_at_least(measures->at(i), "measures", 1)));
+  }
+  return sweep;
+}
+
+check::SimcheckOptions simcheck_spec_from_json(const sim::JsonValue& value) {
+  check_known_keys(value, {"count", "base_seed", "faulty", "max_failures"},
+                   "simcheck spec");
+  check::SimcheckOptions options;
+  options.count = 20;
+  if (const sim::JsonValue* v = value.find("count")) {
+    options.count = static_cast<std::size_t>(whole_at_least(*v, "count", 1));
+  }
+  if (const sim::JsonValue* v = value.find("base_seed")) {
+    options.base_seed =
+        static_cast<std::uint64_t>(whole_at_least(*v, "base_seed", 0));
+  }
+  options.faulty = get_bool(value, "faulty", options.faulty);
+  if (const sim::JsonValue* v = value.find("max_failures")) {
+    // 0 would stop before recording any failure: a failing batch would
+    // then report ok.
+    options.max_failures =
+        static_cast<std::size_t>(whole_at_least(*v, "max_failures", 1));
+  }
+  return options;
 }
 
 sim::JsonValue ok_response() {

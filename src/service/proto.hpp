@@ -18,7 +18,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "check/simcheck.hpp"
 #include "sim/json.hpp"
 #include "snap/runstate.hpp"
 
@@ -34,6 +36,30 @@ sim::JsonValue runspec_to_json(const snap::RunSpec& spec);
 /// value or an invalid configuration throws std::runtime_error naming
 /// the offending field (the daemon maps that to an error response).
 snap::RunSpec runspec_from_json(const sim::JsonValue& value);
+
+/// A sweep job spec: {"base": <run spec>, "measures": [M1, M2, ...]}.
+struct SweepSpec {
+  snap::RunSpec base;
+  std::vector<Cycle> measures;  ///< one sweep point each, all >= 1
+};
+
+/// Parse a sweep spec. Strict like runspec_from_json: an unknown key, a
+/// missing or empty "measures", or a measure that is not an integer
+/// >= 1 throws std::runtime_error naming the field. The daemon runs this
+/// at submit and again in the worker, so both see the same checks.
+SweepSpec sweep_spec_from_json(const sim::JsonValue& value);
+
+/// Parse a simcheck spec ({"count", "base_seed", "faulty",
+/// "max_failures"}, all optional; count defaults to 20). Strict, same
+/// error contract as sweep_spec_from_json.
+check::SimcheckOptions simcheck_spec_from_json(const sim::JsonValue& value);
+
+/// "RxC[xD..]" topology radices ("8x8", "4x4x4"). Each radix must be a
+/// whole decimal integer: an empty or junk token ("8x", "8x4z") throws
+/// std::invalid_argument naming it. Range checks are left to
+/// SimConfig::validate().
+std::vector<std::int32_t> parse_radices(const std::string& text);
+std::string format_radices(const std::vector<std::int32_t>& radix);
 
 sim::JsonValue ok_response();
 sim::JsonValue error_response(const std::string& message);

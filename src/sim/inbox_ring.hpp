@@ -3,10 +3,9 @@
 // The fabric keeps one ring per node and per traffic class (credits,
 // flits) instead of a global delay line: a node's arrivals are exactly
 // the due-ordered prefix of its ring, so stepping a node never scans
-// other nodes' traffic. Entries usually arrive already ordered (commits
-// run in ascending cycle order); the lookahead window commit can append
-// a bounded out-of-order tail, which push_ordered repairs with a short
-// backward insertion walk.
+// other nodes' traffic. Entries always arrive already ordered: commits
+// run in ascending cycle order and each traffic class has one fixed
+// latency, so push_back only checks the order.
 #pragma once
 
 #include <cstddef>
@@ -38,20 +37,16 @@ class InboxRing {
     --count_;
   }
 
-  /// Insert keeping `due` non-decreasing from front to back. Equal dues
-  /// keep insertion order (stable), so the ascending-(cycle, shard)
-  /// commit order is preserved for simultaneous arrivals.
-  void push_ordered(const T& value) {
-    if (count_ == buf_.size()) grow();
-    std::size_t pos = (head_ + count_) & mask_;
-    buf_[pos] = value;
-    ++count_;
-    while (pos != head_) {
-      const std::size_t prev = (pos + mask_) & mask_;  // pos - 1, wrapped
-      if (buf_[prev].due <= buf_[pos].due) break;
-      std::swap(buf_[prev], buf_[pos]);
-      pos = prev;
+  /// Append at the back. `due` must not be below the back entry's, so
+  /// the ring stays ordered front to back and equal dues keep commit
+  /// order; a decreasing `due` throws std::logic_error.
+  void push_back(const T& value) {
+    if (count_ != 0 && value.due < buf_[(head_ + count_ - 1) & mask_].due) {
+      throw std::logic_error("InboxRing::push_back: due would decrease");
     }
+    if (count_ == buf_.size()) grow();
+    buf_[(head_ + count_) & mask_] = value;
+    ++count_;
   }
 
   /// Serialize the logical FIFO content (snapshot/restore). Only the
@@ -94,9 +89,8 @@ class InboxRing {
     mask_ = cap - 1;
   }
 
-  // A ring belongs to one node: its owning shard pops (and pushes, for
-  // node-local traffic) during the shard phase; cross-shard pushes happen
-  // only in the commit phase. [shard: owned]
+  // A ring belongs to one node: its owning shard pops during the shard
+  // phase; pushes happen only in the commit phase. [shard: owned]
   std::vector<T> buf_;
   std::size_t mask_ = 0;  ///< capacity - 1 (power of two) [shard: owned]
   std::size_t head_ = 0;   // [shard: owned]

@@ -6,8 +6,8 @@
 //
 // The resumed run is bit-identical to an uninterrupted one: identical
 // ExperimentResult, identical run.v1 JSON. The restoring process may
-// install a different step engine (seq/par, any shard count or
-// lookahead) before continuing — results do not change, only wall time
+// install a different step engine (seq/par, any shard count) before
+// continuing — results do not change, only wall time
 // (core/step_engine.hpp's quiesce seam).
 //
 // Warm starting: every run whose spec shares warm_key() — same config,

@@ -12,9 +12,9 @@
 //
 // Guarantee (tests/test_snap.cpp): restore(snapshot(S)) followed by N
 // cycles is bit-identical to stepping S directly for N cycles — same
-// digests, same run.v1 JSON — across engines, shard counts and
-// lookahead windows, because Network::snap captures the full quiesced
-// state (see the seam contract in core/step_engine.hpp).
+// digests, same run.v1 JSON — across engines and shard counts, because
+// Network::snap captures the full quiesced state (see the seam contract
+// in core/step_engine.hpp).
 #pragma once
 
 #include <cstdint>

@@ -110,9 +110,8 @@ Cycle OpenLoopDriver::advance(Cycle max_cycles) {
       if (used >= max_cycles) break;
       // Batched driving: spans between watchdog polls go to the generator
       // in one run_batch each (identical message sequence to per-cycle
-      // ticks, but a lookahead engine can batch barriers inside a span).
-      // Polls land at phase-local multiples of kPollEvery no matter how
-      // the caller slices advance() calls.
+      // ticks). Polls land at phase-local multiples of kPollEvery no
+      // matter how the caller slices advance() calls.
       const Cycle span =
           std::min({kPollEvery - done_in_phase_ % kPollEvery,
                     total - done_in_phase_, max_cycles - used});

@@ -28,9 +28,9 @@ class OpenLoopGenerator {
   void tick();
 
   /// Equivalent to `cycles` tick() calls (identical RNG draw order and
-  /// message sequence), but offers the whole span up front via
-  /// Network::schedule_send and advances the simulation with one run()
-  /// call — the seam that lets a lookahead engine batch barriers.
+  /// message sequence), but draws the whole span up front into
+  /// Network::schedule_send and then advances the simulation with one
+  /// run() call.
   void run_batch(Cycle cycles);
 
   std::uint64_t offered_messages() const noexcept { return offered_; }

@@ -132,11 +132,11 @@ void Fabric::step_nodes(Cycle now, NodeId begin, NodeId end, ShardIo& io) {
 
 void Fabric::commit_cycle(Cycle now, const ShardIo& io) {
   for (const TimedCredit& tc : io.credits) {
-    credit_in_[tc.credit.node].push_ordered(tc);
+    credit_in_[tc.credit.node].push_back(tc);
     node_busy_[tc.credit.node] |= kNodeBusyInbox;
   }
   for (const TimedFlit& tf : io.flits) {
-    flit_in_[tf.flit.dest_node].push_ordered(tf);
+    flit_in_[tf.flit.dest_node].push_back(tf);
     node_busy_[tf.flit.dest_node] |= kNodeBusyInbox;
   }
   if (delivery_) {
@@ -152,30 +152,6 @@ void Fabric::commit_cycle(Cycle now, const ShardIo& io) {
                      static_cast<std::int64_t>(io.delivered) -
                      static_cast<std::int64_t>(io.hops);
   if (io.activity) last_activity_ = now;
-}
-
-void Fabric::commit_shard_local(NodeId begin, NodeId end, ShardIo& io) {
-  auto own = [&](NodeId n) { return n >= begin && n < end; };
-  std::size_t kept = 0;
-  for (TimedCredit& tc : io.credits) {
-    if (own(tc.credit.node)) {
-      credit_in_[tc.credit.node].push_ordered(tc);
-      node_busy_[tc.credit.node] |= kNodeBusyInbox;
-    } else {
-      io.credits[kept++] = tc;
-    }
-  }
-  io.credits.resize(kept);
-  kept = 0;
-  for (TimedFlit& tf : io.flits) {
-    if (own(tf.flit.dest_node)) {
-      flit_in_[tf.flit.dest_node].push_ordered(tf);
-      node_busy_[tf.flit.dest_node] |= kNodeBusyInbox;
-    } else {
-      io.flits[kept++] = tf;
-    }
-  }
-  io.flits.resize(kept);
 }
 
 void Fabric::step(Cycle now) {

@@ -3,8 +3,8 @@
 // router and the standalone wormhole baseline (k = 0).
 //
 // Transport is per-node: each node has a credit inbox ring and a flit
-// inbox ring ordered by due cycle, fed by the sequential commit phase (or,
-// inside a lookahead window, by the owning shard itself). A per-node
+// inbox ring ordered by due cycle, fed by the sequential commit phase. A
+// per-node
 // activity byte records whether the node has any work at all — buffered or
 // arriving flits, non-idle VCs, or pending NI injections — so the step
 // sweep skips idle nodes with a single byte load instead of running their
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -69,9 +68,6 @@ struct TimedFlit {
 inline constexpr std::uint8_t kNodeBusyRouter = 1;  ///< router not quiet
 inline constexpr std::uint8_t kNodeBusyInbox = 2;   ///< inbox ring nonempty
 inline constexpr std::uint8_t kNodeBusyNi = 4;      ///< NI has injections
-
-/// Sentinel for earliest_flit_due() when the flit inbox is empty.
-inline constexpr Cycle kNoDueFlit = std::numeric_limits<Cycle>::max();
 
 /// Per-shard outbox for one cycle's node-local work. Every cross-node
 /// effect of stepping nodes [begin, end) is buffered here instead of
@@ -158,14 +154,6 @@ class Fabric {
   /// here (in node order) when one is installed.
   void commit_cycle(Cycle now, const ShardIo& io);
 
-  // -- lookahead window support --------------------------------------------
-
-  /// Shard-local mid-window commit: move the entries of `io` destined to
-  /// nodes [begin, end) — the calling shard's own range — into their inbox
-  /// rings and drop them from `io`, leaving cross-shard entries for the
-  /// barrier commit. Owner-partitioned writes only.
-  void commit_shard_local(NodeId begin, NodeId end, ShardIo& io);
-
   /// The per-node activity byte (kNodeBusy* bits); 0 = stepping the node
   /// would be a no-op.
   std::uint8_t node_busy(NodeId node) const { return node_busy_[node]; }
@@ -183,11 +171,6 @@ class Fabric {
   }
   /// Any node of [begin, end) with a nonzero activity byte?
   bool any_work(NodeId begin, NodeId end) const;
-  /// Due cycle of the earliest queued flit arrival at `node`
-  /// (kNoDueFlit when none) — lookahead horizon input.
-  Cycle earliest_flit_due(NodeId node) const {
-    return flit_in_[node].empty() ? kNoDueFlit : flit_in_[node].front().due;
-  }
 
   // -- statistics / invariants -------------------------------------------
   std::uint64_t flits_delivered() const noexcept { return flits_delivered_; }
@@ -223,8 +206,8 @@ class Fabric {
   /// Claims are owner-partitioned over source channels. [shard: owned]
   LinkGate* gate_;  // [snap: skip] wiring; claim state is mid-step scratch
   bool gate_is_owned_;  // [shard: ro] [snap: skip] structural, fixed at construction
-  /// Per-node arrival rings. Pushed by the sequential commit (or by the
-  /// owning shard mid-window), popped by the owning shard. [shard: owned]
+  /// Per-node arrival rings. Pushed by the sequential commit, popped by
+  /// the owning shard. [shard: owned]
   std::vector<sim::InboxRing<TimedCredit>> credit_in_;
   /// [shard: owned]
   std::vector<sim::InboxRing<TimedFlit>> flit_in_;

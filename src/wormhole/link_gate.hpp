@@ -29,16 +29,6 @@ class ExclusiveLinkGate final : public LinkGate {
   /// Call at the start of every cycle.
   void reset() noexcept { std::fill(used_.begin(), used_.end(), 0); }
 
-  /// Reset only the channels of nodes [begin, end) — the owner-partitioned
-  /// per-cycle reset used inside a lookahead window, where each shard
-  /// clears its own claims between its local cycles (channel indices of a
-  /// contiguous node range are contiguous).
-  void reset_nodes(NodeId begin, NodeId end) noexcept {
-    const std::size_t lo = topology_->channel_index(begin, 0);
-    const std::size_t hi = topology_->channel_index(end, 0);
-    std::fill(used_.begin() + lo, used_.begin() + hi, 0);
-  }
-
   bool try_acquire(NodeId node, PortId port) override {
     auto& slot = used_[topology_->channel_index(node, port)];
     if (slot != 0) return false;
@@ -51,7 +41,7 @@ class ExclusiveLinkGate final : public LinkGate {
   }
 
  private:
-  /// Per-channel claims, owner-partitioned: a shard only acquires/resets
+  /// Per-channel claims, owner-partitioned: a shard only acquires
   /// channels leaving the nodes it owns. [shard: owned]
   std::vector<std::uint8_t> used_;
   const topo::KAryNCube* topology_;  // [shard: ro]

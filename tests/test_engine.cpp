@@ -132,17 +132,13 @@ TEST(EngineConfig, MakeEngineNeverReturnsNull) {
 
 // ----------------------------------------------------------- determinism
 
-const core::StepEngine* install_par(core::Simulation& sim, std::int32_t shards,
-                                    unsigned threads = 0, Cycle lookahead = 1) {
+void install_par(core::Simulation& sim, std::int32_t shards,
+                 unsigned threads = 0) {
   EngineConfig cfg;
   cfg.kind = EngineKind::kPar;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.lookahead = lookahead;
-  auto engine = make_engine(cfg, sim.topology().num_nodes());
-  const core::StepEngine* raw = engine.get();
-  sim.set_engine(std::move(engine));
-  return raw;
+  sim.set_engine(make_engine(cfg, sim.topology().num_nodes()));
 }
 
 /// Order-sensitive digest of the full instrumentation event stream — the
@@ -163,9 +159,9 @@ struct EventFingerprint {
 /// carries (minus the engine stamp, which intentionally differs): stats,
 /// drain/watchdog outcome, final cycle, plus the event fingerprint.
 std::string run_digest(const sim::SimConfig& config, std::int32_t shards,
-                       unsigned threads = 0, Cycle lookahead = 1) {
+                       unsigned threads = 0) {
   core::Simulation sim(config);
-  if (shards > 0) install_par(sim, shards, threads, lookahead);
+  if (shards > 0) install_par(sim, shards, threads);
   EventFingerprint fp;
   sim.set_event_sink([&](const core::Event& ev) { fp.feed(ev); });
   load::UniformTraffic pattern(sim.topology());
@@ -210,115 +206,61 @@ TEST(ParallelEngine, WormholeOnlyIdenticalAcrossShardCounts) {
   }
 }
 
-// ------------------------------------------------------------- lookahead
+// ------------------------------------------------ sparse and scheduled
 
-TEST(ParallelEngine, LookaheadIdenticalAcrossShardAndWindowSizes) {
-  sim::SimConfig config = sim::SimConfig::default_torus();
-  config.protocol.protocol = sim::ProtocolKind::kClrp;
-  const std::string sequential = run_digest(config, /*shards=*/0);
-  for (const std::int32_t shards : {1, 2, 8}) {
-    for (const Cycle lookahead : {Cycle{2}, Cycle{8}}) {
-      EXPECT_EQ(sequential,
-                run_digest(config, shards, /*threads=*/0, lookahead))
-          << "shards=" << shards << " lookahead=" << lookahead
-          << " diverged from the sequential stepper";
-    }
-  }
-}
-
-/// Like run_digest but without the event sink: an installed sink counts
-/// as instrumentation and disables the early-send fast path, which is
-/// exactly the path a sparse-traffic lookahead window must exercise.
-struct SparseOutcome {
-  std::string digest;
-  core::StepEngine::WindowStats windows;
-};
-
-SparseOutcome run_sparse(const sim::SimConfig& config, std::int32_t shards,
-                         Cycle lookahead) {
+/// Like run_digest but without the event sink, so the parallel engine
+/// runs exactly the code an unobserved run does.
+std::string run_sparse(const sim::SimConfig& config, std::int32_t shards) {
   core::Simulation sim(config);
-  const core::StepEngine* engine = nullptr;
-  if (shards > 0) engine = install_par(sim, shards, 0, lookahead);
+  if (shards > 0) install_par(sim, shards);
   load::UniformTraffic pattern(sim.topology());
   load::FixedSize sizes(16);
   const auto r = load::run_open_loop(sim, pattern, sizes,
                                      /*offered_load=*/0.005,
                                      /*warmup=*/200, /*measure=*/1000,
                                      /*drain_cap=*/100'000, /*seed=*/23);
-  SparseOutcome out;
-  out.digest = harness::stats_to_json(r.stats).dump(2) + "@cycle " +
-               std::to_string(sim.now());
-  if (engine != nullptr) out.windows = engine->window_stats();
-  return out;
+  return harness::stats_to_json(r.stats).dump(2) + "@cycle " +
+         std::to_string(sim.now());
 }
 
-TEST(ParallelEngine, LookaheadSparseWormholeFormsWindowsAndStaysIdentical) {
+TEST(ParallelEngine, SparseWormholeIdenticalToSequential) {
   const sim::SimConfig config = sim::SimConfig::wormhole_baseline();
-  const SparseOutcome sequential = run_sparse(config, /*shards=*/0, 1);
-  for (const Cycle lookahead : {Cycle{1}, Cycle{8}, Cycle{32}}) {
-    const SparseOutcome par = run_sparse(config, /*shards=*/4, lookahead);
-    EXPECT_EQ(sequential.digest, par.digest) << "lookahead=" << lookahead;
-    if (lookahead > 1) {
-      // Sparse traffic leaves idle spans the static analysis must prove:
-      // at least one barrier has to commit more than one cycle.
-      EXPECT_GT(par.windows.windows, 0u) << "lookahead=" << lookahead;
-      EXPECT_GT(par.windows.committed_cycles, par.windows.windows)
-          << "lookahead=" << lookahead
-          << ": every window committed exactly one cycle";
-    }
-  }
+  EXPECT_EQ(run_sparse(config, /*shards=*/0), run_sparse(config, 4));
 }
 
 TEST(ParallelEngine, IdleNodeWakesOnScheduledSendAtTheHorizon) {
   // A quiet 4x4 torus with two far-future scheduled sends: the engine
-  // amortizes the idle prefix into wide windows, then must wake and
-  // inject exactly at the scheduled cycle (the window plan is bounded by
-  // the first pending send). Node 1 goes idle again mid-run after its
-  // message drains, and the second send re-wakes the fabric.
+  // must wake and inject exactly at each scheduled cycle. Node 1 goes
+  // idle again mid-run after its message drains, and the second send
+  // re-wakes the fabric.
   sim::SimConfig config = sim::SimConfig::wormhole_baseline();
   config.topology.radix = {4, 4};
-  auto scenario = [&](std::int32_t shards, Cycle lookahead) {
+  auto scenario = [&](std::int32_t shards) {
     core::Simulation sim(config);
-    const core::StepEngine* engine = nullptr;
-    if (shards > 0) engine = install_par(sim, shards, 0, lookahead);
+    if (shards > 0) install_par(sim, shards);
     core::Network& net = sim.network();
     net.schedule_send(/*src=*/1, /*dest=*/13, /*length=*/32, /*at=*/40);
     net.schedule_send(/*src=*/2, /*dest=*/14, /*length=*/32, /*at=*/120);
     EXPECT_FALSE(net.quiescent()) << "pending scheduled sends must block";
     sim.run(300);
-    SparseOutcome out;
-    out.digest = harness::stats_to_json(sim.stats()).dump(2) + "@cycle " +
-                 std::to_string(sim.now());
-    if (engine != nullptr) out.windows = engine->window_stats();
     EXPECT_EQ(sim.stats().messages_delivered, 2u);
     EXPECT_TRUE(net.quiescent());
-    return out;
+    return harness::stats_to_json(sim.stats()).dump(2) + "@cycle " +
+           std::to_string(sim.now());
   };
-  const SparseOutcome sequential = scenario(0, 1);
-  for (const Cycle lookahead : {Cycle{2}, Cycle{16}}) {
-    const SparseOutcome par = scenario(4, lookahead);
-    EXPECT_EQ(sequential.digest, par.digest) << "lookahead=" << lookahead;
-    // The idle prefix before cycle 40 and the quiet gap before cycle 120
-    // must actually be amortized, not stepped cycle-by-cycle.
-    EXPECT_GT(par.windows.committed_cycles, par.windows.windows)
-        << "lookahead=" << lookahead;
-  }
+  EXPECT_EQ(scenario(0), scenario(4));
 }
 
-TEST(ParallelEngine, LookaheadIdenticalOnSimcheckScenarios) {
+TEST(ParallelEngine, IdenticalOnSimcheckScenarios) {
   // Three simcheck-generated scenarios (diverse protocol/topology/fault
   // draws) each run under the sequential stepper and under the parallel
-  // engine with L in {1, 2, 8}: the digest must never move.
+  // engine with 4 shards: the digest must never move.
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     const check::Scenario scenario = check::Scenario::generate(seed);
     const sim::SimConfig config = scenario.to_config();
-    const std::string sequential = run_digest(config, /*shards=*/0);
-    for (const Cycle lookahead : {Cycle{1}, Cycle{2}, Cycle{8}}) {
-      EXPECT_EQ(sequential,
-                run_digest(config, /*shards=*/4, /*threads=*/0, lookahead))
-          << scenario.label() << " (simcheck seed " << seed
-          << ") diverged at lookahead=" << lookahead;
-    }
+    EXPECT_EQ(run_digest(config, /*shards=*/0),
+              run_digest(config, /*shards=*/4))
+        << scenario.label() << " (simcheck seed " << seed << ") diverged";
   }
 }
 
@@ -338,25 +280,6 @@ TEST(ScheduleSend, ValidatesArgumentsAndBlocksQuiescence) {
   EXPECT_TRUE(sim.run_until_delivered(10'000));
   EXPECT_TRUE(net.quiescent());
   EXPECT_EQ(sim.stats().messages_delivered, 1u);
-}
-
-TEST(EngineConfig, LookaheadStampAndValidation) {
-  EngineConfig par;
-  par.kind = EngineKind::kPar;
-  par.shards = 3;
-  par.lookahead = 8;
-  EXPECT_EQ(par.to_json(64).dump(),
-            "{\"kind\":\"par\",\"shards\":3,\"lookahead\":8}");
-  par.lookahead = 1;  // default window is not stamped
-  EXPECT_EQ(par.to_json(64).dump(), "{\"kind\":\"par\",\"shards\":3}");
-  EngineConfig bad_seq;
-  bad_seq.lookahead = 4;
-  EXPECT_THROW(make_engine(bad_seq, 16), std::invalid_argument);
-  EngineConfig bad_window;
-  bad_window.kind = EngineKind::kPar;
-  bad_window.shards = 2;
-  bad_window.lookahead = 0;
-  EXPECT_THROW(make_engine(bad_window, 16), std::invalid_argument);
 }
 
 // ---------------------------------------------- partition-cut protocols

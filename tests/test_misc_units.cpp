@@ -1,9 +1,10 @@
-// Unit tests for small shared components: delay lines, the link gate,
-// the message log, and aggregate stat fields.
+// Unit tests for small shared components: delay lines, inbox rings, the
+// link gate, the message log, and aggregate stat fields.
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
 #include "sim/delay_line.hpp"
+#include "sim/inbox_ring.hpp"
 #include "wormhole/link_gate.hpp"
 
 namespace wavesim {
@@ -39,6 +40,22 @@ TEST(DelayLine, ZeroItemsNeverReady) {
   sim::DelayLine<int> line(1);
   EXPECT_FALSE(line.ready(1000));
   EXPECT_TRUE(line.empty());
+}
+
+TEST(InboxRing, AppendsInDueOrderAndRefusesADecreasingDue) {
+  struct Entry {
+    Cycle due;
+    int tag;
+  };
+  sim::InboxRing<Entry> ring;
+  for (int i = 0; i < 20; ++i) ring.push_back(Entry{Cycle(i / 2), i});
+  EXPECT_THROW(ring.push_back(Entry{3, -1}), std::logic_error);
+  EXPECT_EQ(ring.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(ring.front().tag, i);  // equal dues keep push order
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
 }
 
 TEST(LinkGate, OneClaimPerLinkPerCycle) {

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace wavesim::service {
 namespace {
@@ -63,6 +64,93 @@ TEST(ServiceProto, WrongTypesAndUnknownKeysAreRejected) {
   EXPECT_NE(error_of(R"({"measure": "long"})").find("'measure'"),
             std::string::npos);
   EXPECT_NE(error_of(R"({"frobnicate": 1})"), "");
+}
+
+TEST(ServiceProto, TopologyWithTrailingJunkIsRejectedByName) {
+  for (const char* topo :
+       {"8x4z", "8x", "x8", "", "8xx4", "+8x4", "99999999999x4"}) {
+    const std::string err =
+        error_of(std::string(R"({"topo": ")") + topo + "\"}");
+    EXPECT_NE(err.find("spec field 'topo'"), std::string::npos)
+        << topo << ": " << err;
+  }
+  EXPECT_EQ(parse(R"({"topo": "8x4"})").config.topology.radix,
+            (std::vector<std::int32_t>{8, 4}));
+  EXPECT_EQ(format_radices(parse_radices("4x4x4")), "4x4x4");
+}
+
+/// The error `parser` raises for `text`, or "" if it parses. The daemon
+/// runs the same parsers at submit, so this is the submit error reply.
+template <typename Parser>
+std::string error_from(Parser parser, const std::string& text) {
+  try {
+    parser(sim::JsonValue::parse(text));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string sweep_error_of(const std::string& text) {
+  return error_from(sweep_spec_from_json, text);
+}
+
+std::string simcheck_error_of(const std::string& text) {
+  return error_from(simcheck_spec_from_json, text);
+}
+
+TEST(ServiceProto, SweepSpecParsesBaseAndMeasures) {
+  const SweepSpec sweep = sweep_spec_from_json(
+      sim::JsonValue::parse(R"({"base": {"warmup": 5}, "measures": [7, 9]})"));
+  EXPECT_EQ(sweep.base.warmup, 5u);
+  EXPECT_EQ(sweep.measures, (std::vector<Cycle>{7, 9}));
+}
+
+TEST(ServiceProto, SweepUnknownKeyIsRejected) {
+  const std::string err =
+      sweep_error_of(R"({"base": {}, "measures": [5], "measure": [5]})");
+  EXPECT_NE(err.find("unknown sweep spec field 'measure'"), std::string::npos)
+      << err;
+}
+
+TEST(ServiceProto, SweepMeasuresMustBeIntegersAtLeastOne) {
+  for (const char* measures : {"[0]", "[5, 0]", "[-3]", "[2.5]", "[\"10\"]",
+                               "[true]"}) {
+    const std::string err = sweep_error_of(
+        std::string(R"({"base": {}, "measures": )") + measures + "}");
+    EXPECT_NE(err.find("spec field 'measures'"), std::string::npos)
+        << measures << ": " << err;
+  }
+  EXPECT_NE(sweep_error_of(R"({"base": {}, "measures": []})"), "");
+  EXPECT_NE(sweep_error_of(R"({"measures": [5]})"), "");
+  // The base is a run spec and gets the run-spec checks.
+  EXPECT_NE(sweep_error_of(R"({"base": {"topo": "8x4z"}, "measures": [5]})")
+                .find("spec field 'topo'"),
+            std::string::npos);
+}
+
+TEST(ServiceProto, SimcheckSpecIsCheckedWhole) {
+  const check::SimcheckOptions defaults =
+      simcheck_spec_from_json(sim::JsonValue::parse("{}"));
+  EXPECT_EQ(defaults.count, 20u);
+  const check::SimcheckOptions parsed = simcheck_spec_from_json(
+      sim::JsonValue::parse(R"({"count": 6, "faulty": true,
+                                 "base_seed": 9, "max_failures": 3})"));
+  EXPECT_EQ(parsed.count, 6u);
+  EXPECT_TRUE(parsed.faulty);
+  EXPECT_EQ(parsed.base_seed, 9u);
+  EXPECT_EQ(parsed.max_failures, 3u);
+  EXPECT_NE(simcheck_error_of(R"({"cuont": 6})")
+                .find("unknown simcheck spec field 'cuont'"),
+            std::string::npos);
+  EXPECT_NE(simcheck_error_of(R"({"count": 0})").find("'count'"),
+            std::string::npos);
+  EXPECT_NE(simcheck_error_of(R"({"max_failures": 0})").find("'max_failures'"),
+            std::string::npos);
+  EXPECT_NE(simcheck_error_of(R"({"max_failures": -1})").find("'max_failures'"),
+            std::string::npos);
+  EXPECT_NE(simcheck_error_of(R"({"faulty": 1})").find("'faulty'"),
+            std::string::npos);
 }
 
 TEST(ServiceProto, ErrorResponseCarriesOkFalseAndTheMessage) {

@@ -1,8 +1,7 @@
 // Deterministic checkpoint/restore (src/snap): restore(snapshot(S)) then
 // stepping N cycles must be bit-identical to stepping S directly — same
-// section bytes, same digests, same experiment results — across engines,
-// shard counts and lookahead windows, through probe setup, teardown and
-// fault storms.
+// section bytes, same digests, same experiment results — across engines
+// and shard counts, through probe setup, teardown and fault storms.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -62,12 +61,10 @@ snap::RunSpec storm_spec() {
 }
 
 std::unique_ptr<core::StepEngine> par_engine(std::int32_t nodes,
-                                             std::int32_t shards,
-                                             Cycle lookahead) {
+                                             std::int32_t shards) {
   engine::EngineConfig cfg;
   cfg.kind = engine::EngineKind::kPar;
   cfg.shards = shards;
-  cfg.lookahead = lookahead;
   return engine::make_engine(cfg, nodes);
 }
 
@@ -302,7 +299,7 @@ TEST(SnapRoundTrip, RestoreMidForceWaitMatchesUninterruptedRun) {
   check_round_trip(spec, cut);
 }
 
-// -- Engine / shard / lookahead matrix ---------------------------------------
+// -- Engine / shard matrix ---------------------------------------------------
 
 TEST(SnapEngines, RestoredRunContinuesUnderAnyEngine) {
   const snap::RunSpec spec = small_clrp_spec();
@@ -314,16 +311,10 @@ TEST(SnapEngines, RestoredRunContinuesUnderAnyEngine) {
   const std::uint64_t want = finish(seq_run);
   const load::ExperimentResult& want_result = seq_run.result();
 
-  struct Leg {
-    std::int32_t shards;
-    Cycle lookahead;
-  };
-  const std::vector<Leg> legs{{1, 1}, {2, 1}, {8, 1}, {2, 8}, {8, 8}};
-  for (const Leg& leg : legs) {
+  for (const std::int32_t shards : {1, 2, 8}) {
     snap::CheckpointableRun run(cut);
-    run.set_engine(par_engine(nodes, leg.shards, leg.lookahead));
-    EXPECT_EQ(finish(run), want)
-        << "shards=" << leg.shards << " lookahead=" << leg.lookahead;
+    run.set_engine(par_engine(nodes, shards));
+    EXPECT_EQ(finish(run), want) << "shards=" << shards;
     expect_same_result(run.result(), want_result);
   }
 }
@@ -333,7 +324,7 @@ TEST(SnapEngines, ParCheckpointRestoresUnderSeq) {
   const std::int32_t nodes = spec.config.num_nodes();
 
   snap::CheckpointableRun par_run(spec);
-  par_run.set_engine(par_engine(nodes, 4, 8));
+  par_run.set_engine(par_engine(nodes, 4));
   par_run.advance(1000);
   const snap::Snapshot cut = par_run.checkpoint();
   const std::uint64_t want = finish(par_run);

@@ -3,6 +3,8 @@
 // and hypercubes, with all invariants intact.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/simulation.hpp"
 #include "sim/rng.hpp"
 #include "verify/delivery.hpp"
@@ -21,6 +23,11 @@ struct TopoCase {
 std::string PrintCase(const ::testing::TestParamInfo<TopoCase>& info) {
   return info.param.name;
 }
+
+// gtest prints a parameter it cannot format as raw bytes, which include
+// the name pointer and the radix vector's heap address; ctest names made
+// by gtest_discover_tests would then change from build to build.
+void PrintTo(const TopoCase& param, std::ostream* os) { *os << param.name; }
 
 class TopologySweep : public ::testing::TestWithParam<TopoCase> {};
 

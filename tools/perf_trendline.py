@@ -40,8 +40,8 @@ def extract_points(doc: dict) -> dict[str, float]:
     """Flatten one bench export into {point-key: kcycles/s}.
 
     Keys are stable across runs so the baseline can be diffed by hand.
-    ENGINE exports yield ``seq``, ``par-s<shards>``,
-    ``wh-par-s<shards>-L<lookahead>``, ``fault-seq``/``fault-par-s<shards>``
+    ENGINE exports yield ``seq``, ``par-s<shards>``, ``wh-par-s<shards>``
+    (sparse wormhole leg), ``fault-seq``/``fault-par-s<shards>``
     (failure-storm legs); SNAP exports yield ``snap-plain``/``snap-armed``
     (checkpoint-armed step loop) and ``snap-warm`` (warm-started span).
     """
@@ -56,9 +56,9 @@ def extract_points(doc: dict) -> dict[str, float]:
     points: dict[str, float] = {"seq": float(extra["seq_kcycles_per_s"])}
     for p in extra["engine_points"]:
         points[f"par-s{p['shards']}"] = float(p["kcycles_per_s"])
-    for p in extra.get("lookahead_points", []):
-        key = f"wh-par-s{p['shards']}-L{p['lookahead']}"
-        points[key] = float(p["kcycles_per_s"])
+    wh = extra.get("wormhole_point")
+    if wh is not None:
+        points[f"wh-par-s{wh['shards']}"] = float(wh["kcycles_per_s"])
     for p in extra.get("fault_points", []):
         key = ("fault-seq" if p.get("shards", 0) == 0
                else f"fault-par-s{p['shards']}")

@@ -3,7 +3,7 @@
 invariants: bit-identical determinism and snapshot completeness.
 
 The repo enforces both invariants dynamically (digest sweeps over engines
-x shards x lookahead, `restore(snapshot(S))` equivalence in test_snap),
+x shards, `restore(snapshot(S))` equivalence in test_snap),
 but a dynamic sweep can only catch a forgotten field whose effect falls
 inside the tested window. wavelint closes that gap at lint time with
 three passes sharing one parsing infrastructure (member tables,
