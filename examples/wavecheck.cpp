@@ -23,19 +23,22 @@
 // Exit code: 0 all checks passed, 1 at least one violation, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/analyze.hpp"
 #include "check/bmc_replay.hpp"
+#include "cli_number.hpp"
 #include "model/bmc.hpp"
+#include "service/proto.hpp"
 
 namespace {
 
 using wavesim::analysis::CheckStatus;
 using wavesim::analysis::ConfigReport;
+using wavesim::cli::number;
 
 void usage(std::FILE* out) {
   std::fputs(
@@ -75,28 +78,6 @@ void usage(std::FILE* out) {
 [[noreturn]] void die(const std::string& why) {
   std::fprintf(stderr, "wavecheck: %s\n", why.c_str());
   std::exit(2);
-}
-
-bool parse_radix(const std::string& text, std::vector<std::int32_t>& out) {
-  out.clear();
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t used = 0;
-    int value = 0;
-    try {
-      value = std::stoi(text.substr(pos), &used);
-    } catch (const std::exception&) {
-      return false;
-    }
-    if (used == 0 || value < 2) return false;
-    out.push_back(value);
-    pos += used;
-    if (pos < text.size()) {
-      if (text[pos] != 'x') return false;
-      ++pos;
-    }
-  }
-  return !out.empty();
 }
 
 void print_rows(const std::vector<wavesim::analysis::CheckRow>& rows,
@@ -209,8 +190,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = value_of(i);
     } else if (arg == "--radix") {
-      if (!parse_radix(value_of(i), config.topology.radix)) {
-        die("bad --radix (want e.g. 8x8)");
+      try {
+        config.topology.radix = wavesim::service::parse_radices(value_of(i));
+      } catch (const std::invalid_argument& e) {
+        die(std::string("bad --radix: ") + e.what());
       }
     } else if (arg == "--torus") {
       config.topology.torus = true;
@@ -233,20 +216,24 @@ int main(int argc, char** argv) {
         die("unknown --variant");
       }
     } else if (arg == "--switches") {
-      config.router.wave_switches = std::atoi(value_of(i).c_str());
+      config.router.wave_switches =
+          number<std::int32_t>(arg, value_of(i).c_str());
     } else if (arg == "--vcs") {
-      config.router.wormhole_vcs = std::atoi(value_of(i).c_str());
+      config.router.wormhole_vcs =
+          number<std::int32_t>(arg, value_of(i).c_str());
     } else if (arg == "--misroutes") {
-      config.protocol.max_misroutes = std::atoi(value_of(i).c_str());
+      config.protocol.max_misroutes =
+          number<std::int32_t>(arg, value_of(i).c_str());
     } else if (arg == "--cache") {
-      config.protocol.circuit_cache_entries = std::atoi(value_of(i).c_str());
+      config.protocol.circuit_cache_entries =
+          number<std::int32_t>(arg, value_of(i).c_str());
     } else if (arg == "--bmc") {
       bmc = true;
     } else if (arg == "--bmc-states") {
-      bmc_options.max_states = std::atoll(value_of(i).c_str());
+      bmc_options.max_states = number<std::int64_t>(arg, value_of(i).c_str());
       bmc_budget_set = true;
     } else if (arg == "--bmc-depth") {
-      bmc_options.max_depth = std::atoi(value_of(i).c_str());
+      bmc_options.max_depth = number<std::int32_t>(arg, value_of(i).c_str());
       bmc_budget_set = true;
     } else if (arg == "--bmc-mutate-force-unacked") {
       bmc_mutate = true;

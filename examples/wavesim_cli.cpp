@@ -4,16 +4,12 @@
 //   $ ./wavesim_cli --topo 8x8 --protocol clrp --pattern working-set
 //                   --load 0.15 --length 64 --cycles 10000
 //   $ ./wavesim_cli --help
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
+#include "cli_number.hpp"
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
 #include "fault/schedule.hpp"
@@ -29,6 +25,7 @@
 namespace {
 
 using namespace wavesim;
+using cli::number;
 
 struct Options {
   std::string topo = "8x8";
@@ -112,25 +109,6 @@ void usage() {
       "                      flags come from the snapshot. The finished\n"
       "                      run is bit-identical to an uninterrupted one\n"
       "                      under any --engine/--shards\n");
-}
-
-/// Parse all of `text` as a T. Anything else -- trailing junk, a sign on
-/// an unsigned count, a value out of T's range, nan or inf -- is a usage
-/// error (exit 2), never a silently wrapped or defaulted value.
-template <typename T>
-T number(const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool finite = true;
-  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
-  if (ec != std::errc{} || ptr != end || ptr == text || !finite) {
-    std::fprintf(stderr, "error: %s expects a%s number (got '%s')\n",
-                 flag.c_str(),
-                 std::is_unsigned_v<T> ? " non-negative whole" : "", text);
-    std::exit(2);
-  }
-  return value;
 }
 
 bool parse(int argc, char** argv, Options& opt) {

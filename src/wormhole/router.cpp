@@ -1,16 +1,36 @@
 #include "wormhole/router.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "snap/archive.hpp"
 
 namespace wavesim::wh {
+namespace {
+
+void set_bit(std::uint64_t* set, std::int32_t slot) noexcept {
+  set[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+}
+
+void clear_bit(std::uint64_t* set, std::int32_t slot) noexcept {
+  set[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+}
+
+bool empty_set(const std::uint64_t* set, std::int32_t words) noexcept {
+  for (std::int32_t w = 0; w < words; ++w) {
+    if (set[w] != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Router::Router(const topo::KAryNCube& topology,
                const route::RoutingAlgorithm& routing, NodeId node,
                const RouterParams& params)
     : topology_(topology), routing_(routing), node_(node), params_(params),
       network_ports_(topology.num_ports()),
+      words_(mask_words((topology.num_ports() + 1) * params.num_vcs)),
       va_arbiter_((topology.num_ports() + 1) * params.num_vcs) {
   if (params.num_vcs < 1 || params.vc_buffer_depth < 1) {
     throw std::invalid_argument("Router: bad params");
@@ -32,10 +52,11 @@ Router::Router(const topo::KAryNCube& topology,
     out.credits = params_.vc_buffer_depth;
     outputs_.push_back(out);
   }
-  switch_arbiters_.reserve(network_ports_ + 1);
-  for (PortId p = 0; p <= network_ports_; ++p) {
-    switch_arbiters_.emplace_back(total_vcs);
-  }
+  // Every pointer starts at 0 and every set empty.
+  slot_words_.assign(
+      static_cast<std::size_t>(network_ports_ + 1) * (words_ + 1) +
+          2 * static_cast<std::size_t>(words_),
+      0);
 }
 
 void Router::check_port_vc(PortId port, VcId vc) const {
@@ -75,7 +96,14 @@ bool Router::can_accept(PortId port, VcId vc) const {
 
 void Router::receive(PortId port, VcId vc, const Flit& flit) {
   InputVc& in = input_vc_mut(port, vc);
-  if (in.state() == VcState::kIdle && in.empty()) ++route_pending_;
+  if (in.empty()) {
+    if (in.state() == VcState::kIdle) {
+      set_bit(pending_set(), flat(port, vc));
+      ++route_pending_;
+    } else if (in.state() == VcState::kActive) {
+      set_bit(request_set(in.out_port()), flat(port, vc));
+    }
+  }
   in.push(flit);
   ++occupancy_;
 }
@@ -99,14 +127,16 @@ bool Router::output_allocated(PortId out_port, VcId out_vc) const {
 void Router::switch_allocate(LinkGate& gate, std::vector<SwitchMove>& moves) {
   if (active_vcs_ == 0) return;  // no grant possible, arbiters unmoved
   const std::int32_t vcs = params_.num_vcs;
+  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
   for (PortId out_port = 0; out_port <= network_ports_; ++out_port) {
+    std::uint64_t* record = switch_record(out_port);
+    std::uint64_t* requests = record + 1;
+    if (empty_set(requests, words_)) continue;  // no grant, pointer unmoved
     const bool eject = out_port == local_port();
-    switch_arbiters_[out_port].grant_first([&](std::int32_t slot) {
+    std::int32_t pointer = static_cast<std::int32_t>(record[0]);
+    // Only requesters are offered: active, routed here and non-empty.
+    grant_round_robin(requests, slots, pointer, [&](std::int32_t slot) {
       InputVc& in = inputs_[slot];
-      if (in.state() != VcState::kActive || in.out_port() != out_port) {
-        return false;
-      }
-      if (in.empty()) return false;
       OutputVc& out = outputs_[flat(out_port, in.out_vc())];
       if (!eject && out.credits <= 0) return false;
       // One flit per physical link per cycle, shared with control VCs.
@@ -118,6 +148,7 @@ void Router::switch_allocate(LinkGate& gate, std::vector<SwitchMove>& moves) {
       move.out_vc = in.out_vc();
       move.flit = in.pop();
       --occupancy_;
+      if (in.empty()) clear_bit(requests, slot);
       move.eject = eject;
       if (!eject) --out.credits;
       if (move.flit.tail) {
@@ -125,13 +156,18 @@ void Router::switch_allocate(LinkGate& gate, std::vector<SwitchMove>& moves) {
         out.holder_port = kInvalidPort;
         out.holder_vc = kInvalidVc;
         in.release();
+        clear_bit(requests, slot);
         --active_vcs_;
         --nonidle_vcs_;
-        if (!in.empty()) ++route_pending_;  // next packet's head buffered
+        if (!in.empty()) {  // next packet's head buffered
+          set_bit(pending_set(), slot);
+          ++route_pending_;
+        }
       }
       moves.push_back(move);
       return true;
     });
+    record[0] = static_cast<std::uint64_t>(pointer);
   }
 }
 
@@ -143,7 +179,6 @@ std::vector<SwitchMove> Router::switch_allocate(LinkGate& gate) {
 
 bool Router::try_allocate_vc(std::int32_t slot) {
   InputVc& in = inputs_[slot];
-  if (in.state() != VcState::kRouting) return false;
   for (const auto& cand : in.candidates()) {
     if (!output_exists(cand.port)) continue;
     OutputVc& out = outputs_[flat(cand.port, cand.vc)];
@@ -152,6 +187,8 @@ bool Router::try_allocate_vc(std::int32_t slot) {
     out.holder_port = slot / params_.num_vcs;
     out.holder_vc = slot % params_.num_vcs;
     in.activate(cand.port, cand.vc);
+    clear_bit(routing_set(), slot);
+    if (!in.empty()) set_bit(request_set(cand.port), slot);
     --routing_vcs_;
     ++active_vcs_;
     return true;
@@ -161,25 +198,24 @@ bool Router::try_allocate_vc(std::int32_t slot) {
 
 void Router::vc_allocate() {
   if (routing_vcs_ == 0) return;  // no grant possible, arbiter unmoved
-  va_arbiter_.grant_first(
-      [&](std::int32_t slot) { return try_allocate_vc(slot); });
+  std::uint64_t* routing = routing_set();
+  const std::int32_t won = va_arbiter_.grant(
+      routing, [&](std::int32_t slot) { return try_allocate_vc(slot); });
   // A single grant per cycle would be too restrictive; sweep the remaining
-  // VCs once more in index order so independent outputs can be claimed in
-  // the same cycle (the arbiter above only rotates fairness for the first
-  // grant, which is the contended one).
-  if (routing_vcs_ == 0) return;
-  const std::int32_t total = static_cast<std::int32_t>(inputs_.size());
-  for (std::int32_t slot = 0; slot < total; ++slot) {
-    try_allocate_vc(slot);
-  }
+  // routing VCs once more in index order so independent outputs can be
+  // claimed in the same cycle (the arbiter above only rotates fairness for
+  // the first grant, which is the contended one). A failed attempt changes
+  // nothing, so when the grant found no winner the sweep would fail too.
+  if (won < 0 || routing_vcs_ == 0) return;
+  for_each_set_bit(routing, words_,
+                   [&](std::int32_t slot) { try_allocate_vc(slot); });
 }
 
 void Router::route_compute() {
   if (route_pending_ == 0) return;
-  const std::int32_t total = static_cast<std::int32_t>(inputs_.size());
-  for (std::int32_t slot = 0; slot < total; ++slot) {
+  std::uint64_t* pending = pending_set();
+  for_each_set_bit(pending, words_, [&](std::int32_t slot) {
     InputVc& in = inputs_[slot];
-    if (in.state() != VcState::kIdle || in.empty()) continue;
     const Flit& head = in.front();
     if (!head.head) {
       throw std::logic_error("Router: body flit at front of idle VC");
@@ -202,9 +238,54 @@ void Router::route_compute() {
       }
       in.start_routing(candidates.data(), candidates.size());
     }
+    clear_bit(pending, slot);
+    set_bit(routing_set(), slot);
     --route_pending_;
     ++routing_vcs_;
     ++nonidle_vcs_;
+  });
+}
+
+void Router::rebuild_slot_sets() {
+  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
+  for (PortId p = 0; p <= network_ports_; ++p) {
+    std::fill_n(request_set(p), words_, 0);
+  }
+  std::fill_n(routing_set(), 2 * words_, 0);
+  std::int64_t buffered = 0;
+  std::int32_t active = 0;
+  std::int32_t routing = 0;
+  std::int32_t pending = 0;
+  for (std::int32_t slot = 0; slot < slots; ++slot) {
+    const InputVc& in = inputs_[slot];
+    buffered += in.occupancy();
+    switch (in.state()) {
+      case VcState::kIdle:
+        if (!in.empty()) {
+          set_bit(pending_set(), slot);
+          ++pending;
+        }
+        break;
+      case VcState::kRouting:
+        set_bit(routing_set(), slot);
+        ++routing;
+        break;
+      case VcState::kActive:
+        if (in.out_port() < 0 || in.out_port() > network_ports_ ||
+            in.out_vc() < 0 || in.out_vc() >= params_.num_vcs) {
+          throw snap::ArchiveError("Router: active VC output out of range");
+        }
+        if (!in.empty()) set_bit(request_set(in.out_port()), slot);
+        ++active;
+        break;
+      default:
+        throw snap::ArchiveError("Router: unknown VC state");
+    }
+  }
+  if (buffered != occupancy_ || active != active_vcs_ ||
+      routing != routing_vcs_ || pending != route_pending_ ||
+      active + routing != nonidle_vcs_) {
+    throw snap::ArchiveError("Router: live-state counters disagree with VCs");
   }
 }
 
@@ -216,13 +297,22 @@ void Router::snap(snap::Archive& ar) {
     ar.pod(out.holder_vc);
     ar.pod(out.credits);
   }
-  for (RoundRobinArbiter& arb : switch_arbiters_) arb.snap(ar);
+  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
+  for (PortId p = 0; p <= network_ports_; ++p) {
+    std::int32_t pointer = static_cast<std::int32_t>(switch_record(p)[0]);
+    ar.pod(pointer);
+    if (pointer < 0 || pointer >= slots) {
+      throw snap::ArchiveError("Router: switch arbiter pointer out of range");
+    }
+    switch_record(p)[0] = static_cast<std::uint64_t>(pointer);
+  }
   va_arbiter_.snap(ar);
   ar.pod(occupancy_);
   ar.pod(nonidle_vcs_);
   ar.pod(active_vcs_);
   ar.pod(routing_vcs_);
   ar.pod(route_pending_);
+  if (ar.reading()) rebuild_slot_sets();
 }
 
 }  // namespace wavesim::wh

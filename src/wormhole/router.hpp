@@ -4,13 +4,32 @@
 // Fabric moves flits and credits between routers.
 //
 // Hot-path layout: input and output VCs live in flat [port * num_vcs + vc]
-// arrays and every input buffer is a fixed ring inside one per-router flit
-// arena, so a cycle of pipeline work touches a handful of contiguous
-// allocations and performs no heap allocation (route candidates for a new
-// head are the one per-packet exception, computed by the routing
-// algorithm). Live-state counters let each pipeline stage exit immediately
-// when it has no work, and quiet() lets the fabric skip the router
-// entirely.
+// arrays ("slots") and every input buffer is a fixed ring inside one
+// per-router flit arena, so a cycle of pipeline work touches a handful of
+// contiguous allocations and performs no heap allocation (route
+// candidates for a new head are the one per-packet exception, computed by
+// the routing algorithm).
+//
+// Each pipeline stage visits only the slots that want it, read from three
+// derived slot sets (bit sets of ceil(slots / 64) words, any VC count):
+//   request[out_port]  kActive, routed to out_port, non-empty -- the
+//                      switch allocator's requesters for that output;
+//                      set by receive() into an empty active VC and by
+//                      VC allocation (activate), cleared when pop() empties
+//                      the VC or a tail releases it;
+//   routing            kRouting -- VC allocation's requesters; set by
+//                      route computation (start_routing), cleared by
+//                      activate;
+//   pending            kIdle with a head buffered -- route computation's
+//                      work list; set by receive() into an empty idle VC
+//                      and by a tail release that leaves the next head
+//                      behind, cleared by start_routing.
+// The sets and the switch arbiter pointers share the router's one
+// slot-word allocation. Grants walk set bits in the same rotated order the
+// full scan used, so the grant sequence does not depend on them; snap()
+// rebuilds them from the VC states on restore. Live-state counters let
+// each stage exit immediately when it has no work, and quiet() lets the
+// fabric skip the router entirely.
 #pragma once
 
 #include <vector>
@@ -92,7 +111,8 @@ class Router {
 
   /// Serialize buffered flits, pipeline state, arbiter pointers, and the
   /// live-state counters (snapshot/restore). Structural layout (arena,
-  /// port/VC counts) comes from construction and is not serialized.
+  /// port/VC counts) comes from construction and is not serialized; the
+  /// slot sets are rebuilt from the restored VC states.
   void snap(snap::Archive& ar);
 
  private:
@@ -113,11 +133,28 @@ class Router {
   bool output_exists(PortId port) const;
   bool try_allocate_vc(std::int32_t slot);
 
+  /// Output port p's record in slot_words_: [arbiter pointer][request[p]].
+  std::uint64_t* switch_record(PortId port) noexcept {
+    return slot_words_.data() + port * (words_ + 1);
+  }
+  std::uint64_t* request_set(PortId port) noexcept {
+    return switch_record(port) + 1;
+  }
+  std::uint64_t* routing_set() noexcept {
+    return switch_record(network_ports_ + 1);
+  }
+  std::uint64_t* pending_set() noexcept { return routing_set() + words_; }
+  /// Recompute the slot sets from the VC states (restore) and check the
+  /// restored live-state counters against them.
+  void rebuild_slot_sets();
+
   const topo::KAryNCube& topology_;
   const route::RoutingAlgorithm& routing_;
   NodeId node_;  // [snap: skip] identity, fixed at construction
-  RouterParams params_;  // [snap: skip] config, fixed at construction
-  std::int32_t network_ports_;  // [snap: skip] derived from topology
+  // Fixed at construction; snap() reads both to lay out and check the
+  // restored slot sets.
+  RouterParams params_;
+  std::int32_t network_ports_;  ///< derived from topology
 
   /// Backing store for every input VC ring: VC (port, vc) owns the slice
   /// [flat(port, vc) * depth, (flat(port, vc) + 1) * depth).
@@ -128,8 +165,13 @@ class Router {
   std::vector<InputVc> inputs_;
   /// [flat(port, vc)], port in [0, network_ports_] (last = ejection).
   std::vector<OutputVc> outputs_;
-  std::vector<RoundRobinArbiter> switch_arbiters_;  ///< one per output port
-  RoundRobinArbiter va_arbiter_;                    ///< over all input VCs
+  /// 64-bit words per slot set: mask_words(slots).
+  std::int32_t words_;
+  /// One record per output port (see switch_record()), then the routing
+  /// and pending sets. The pointers are serialized; the sets are derived
+  /// state, rebuilt by snap() on restore.
+  std::vector<std::uint64_t> slot_words_;
+  RoundRobinArbiter va_arbiter_;  ///< over all input VCs
 
   // Live-state counters (maintained by the mutators above; see quiet()).
   std::int32_t occupancy_ = 0;      ///< buffered flits across all inputs

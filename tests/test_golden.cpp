@@ -5,7 +5,13 @@
 // the same commit and say why.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/simulation.hpp"
+#include "snap/runstate.hpp"
 #include "workload/generator.hpp"
 
 namespace wavesim {
@@ -40,6 +46,116 @@ TEST(Golden, ClrpWorkingSetScenario) {
   EXPECT_EQ(s.release_requests, 359u);
   EXPECT_EQ(s.teardowns, 350u);
 }
+
+// Wormhole router goldens: saturating runs whose full-state checkpoint
+// digests (router buffers, VC states, credits and every round-robin
+// pointer included) are pinned mid-run and at the end. Any change to the
+// order in which the router grants the switch, allocates VCs or computes
+// routes moves these digests; the constants were recorded with the
+// full-scan router the slot-set router replaced. Offered loads are past
+// saturation, so the cases cover credit stalls, VC allocation contention,
+// 1- and 2-word slot sets (w=16 on a 2-D torus is 80 input slots, w=10 on
+// a 3-D torus 70) and, in the CLRP case, wormhole fallbacks whose switch
+// grants are denied by control flits holding the link.
+struct RouterGoldenCase {
+  std::string name;
+  snap::RunSpec spec;
+  Cycle cut;                   ///< cycle of the mid-run checkpoint
+  std::uint64_t mid_digest;    ///< checkpoint digest at `cut`
+  std::uint64_t final_digest;  ///< checkpoint digest once done()
+};
+
+void PrintTo(const RouterGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+snap::RunSpec saturating(std::vector<std::int32_t> radix, bool torus,
+                         sim::RoutingKind routing, std::int32_t vcs,
+                         double load) {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::wormhole_baseline();
+  spec.config.topology.radix = std::move(radix);
+  spec.config.topology.torus = torus;
+  spec.config.router.routing = routing;
+  spec.config.router.wormhole_vcs = vcs;
+  spec.pattern = "uniform";
+  spec.message_flits = 16;
+  spec.offered_load = load;
+  spec.warmup = 200;
+  spec.measure = 800;
+  spec.drain_cap = 100'000;
+  spec.seed = 11;
+  return spec;
+}
+
+snap::RunSpec clrp_short_fallback() {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::default_torus();
+  spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  spec.config.router.wave_switches = 2;
+  spec.pattern = "uniform";
+  spec.message_flits = 6;
+  spec.offered_load = 0.30;
+  spec.warmup = 200;
+  spec.measure = 800;
+  spec.drain_cap = 100'000;
+  spec.seed = 13;
+  return spec;
+}
+
+class RouterGolden : public ::testing::TestWithParam<RouterGoldenCase> {};
+
+TEST_P(RouterGolden, CheckpointDigestsMatchRecorded) {
+  const RouterGoldenCase& c = GetParam();
+  snap::CheckpointableRun run(c.spec);
+  ASSERT_EQ(run.advance(c.cut), c.cut);
+  const std::uint64_t mid = run.checkpoint().digest();
+  while (!run.done()) run.advance(1'000'000);
+  const std::uint64_t end = run.checkpoint().digest();
+  EXPECT_TRUE(run.result().drained);
+  EXPECT_EQ(mid, c.mid_digest) << std::hex << "0x" << mid;
+  EXPECT_EQ(end, c.final_digest) << std::hex << "0x" << end;
+}
+
+using sim::RoutingKind;
+
+INSTANTIATE_TEST_SUITE_P(
+    Saturating, RouterGolden,
+    ::testing::Values(
+        RouterGoldenCase{"torus8x8_dor_w2",
+                         saturating({8, 8}, true, RoutingKind::kDimensionOrder,
+                                    2, 0.60),
+                         700, 0xf957d7ac0ea6cf96,
+                         0xd6eb9f93d279755},
+        RouterGoldenCase{"torus8x8_duato_w4",
+                         saturating({8, 8}, true, RoutingKind::kDuatoAdaptive,
+                                    4, 0.70),
+                         700, 0x8df18076d55c4738,
+                         0x2565737454fca75e},
+        RouterGoldenCase{"torus4x4x4_dor_w3",
+                         saturating({4, 4, 4}, true,
+                                    RoutingKind::kDimensionOrder, 3, 0.60),
+                         700, 0x6cbd5576f041c0ba,
+                         0xdc6c220ab17e3068},
+        RouterGoldenCase{"mesh8x8_negfirst_w2",
+                         saturating({8, 8}, false, RoutingKind::kNegativeFirst,
+                                    2, 0.50),
+                         700, 0x38629df9deac124a,
+                         0xc83ec24e6d84107},
+        RouterGoldenCase{"torus8x8_duato_w16",
+                         saturating({8, 8}, true, RoutingKind::kDuatoAdaptive,
+                                    16, 0.80),
+                         700, 0x777a819d85d60e6a,
+                         0x2170e17d394ed87a},
+        RouterGoldenCase{"torus4x4x4_dor_w10",
+                         saturating({4, 4, 4}, true,
+                                    RoutingKind::kDimensionOrder, 10, 0.80),
+                         700, 0x76ab2b6145468363,
+                         0x9408831f4edf91d7},
+        RouterGoldenCase{"torus8x8_clrp_k2_short_fallback",
+                         clrp_short_fallback(), 700, 0x460ebad226ea9ef1,
+                         0x1528094101ed9a3f}),
+    [](const ::testing::TestParamInfo<RouterGoldenCase>& param) {
+      return param.param.name;
+    });
 
 }  // namespace
 }  // namespace wavesim

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/network.hpp"
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
 #include "snap/runstate.hpp"
@@ -57,6 +58,25 @@ snap::RunSpec storm_spec() {
   spec.measure = 1500;
   spec.drain_cap = 100'000;
   spec.seed = 5;
+  return spec;
+}
+
+/// Pure wormhole (k=0) 8x8 torus past saturation with Duato routing: at
+/// the cut, routers hold VCs waiting for VC allocation, VCs streaming
+/// through the switch (some stalled on credits) and idle VCs, so every
+/// router slot set must be rebuilt on restore.
+snap::RunSpec saturated_wormhole_spec(std::int32_t vcs) {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::wormhole_baseline();
+  spec.config.router.routing = sim::RoutingKind::kDuatoAdaptive;
+  spec.config.router.wormhole_vcs = vcs;
+  spec.pattern = "uniform";
+  spec.message_flits = 16;
+  spec.offered_load = vcs > 8 ? 0.8 : 0.6;
+  spec.warmup = 300;
+  spec.measure = 900;
+  spec.drain_cap = 100'000;
+  spec.seed = 11;
   return spec;
 }
 
@@ -261,6 +281,43 @@ TEST(SnapRoundTrip, FaultStormMidStorm) {
 
 TEST(SnapRoundTrip, FaultStormDuringRepair) {
   check_round_trip(storm_spec(), 1700);
+}
+
+/// The cut must leave router VCs routing and active, or a restore that
+/// forgot a slot set would not diverge.
+void expect_routing_and_active_vcs_at(const snap::RunSpec& spec, Cycle cut) {
+  snap::CheckpointableRun run(spec);
+  run.advance(cut);
+  const wh::Fabric& fabric = run.sim().network().fabric();
+  std::int32_t routing = 0;
+  std::int32_t active = 0;
+  std::int32_t idle = 0;
+  for (NodeId n = 0; n < run.sim().topology().num_nodes(); ++n) {
+    const wh::Router& r = fabric.router(n);
+    for (PortId p = 0; p <= r.num_network_ports(); ++p) {
+      for (VcId v = 0; v < r.num_vcs(); ++v) {
+        switch (r.input_vc(p, v).state()) {
+          case wh::VcState::kIdle: ++idle; break;
+          case wh::VcState::kRouting: ++routing; break;
+          case wh::VcState::kActive: ++active; break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(idle, 0);
+  EXPECT_GT(routing, 0);
+  EXPECT_GT(active, 0);
+}
+
+TEST(SnapRoundTrip, SaturatedWormholeDuatoW3MidMeasure) {
+  expect_routing_and_active_vcs_at(saturated_wormhole_spec(3), 700);
+  check_round_trip(saturated_wormhole_spec(3), 700);
+}
+
+TEST(SnapRoundTrip, SaturatedWormholeDuatoW16MidMeasure) {
+  // 80 input slots per router: two-word slot sets.
+  expect_routing_and_active_vcs_at(saturated_wormhole_spec(16), 700);
+  check_round_trip(saturated_wormhole_spec(16), 700);
 }
 
 TEST(SnapRoundTrip, DensePerCycleCutsCoverProbeAndTeardownWindows) {

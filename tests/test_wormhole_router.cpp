@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "routing/dor.hpp"
 
 namespace wavesim::wh {
@@ -17,14 +19,14 @@ TEST(RoundRobinArbiter, RejectsBadSize) {
 
 TEST(RoundRobinArbiter, GrantsSingleRequester) {
   RoundRobinArbiter arb(4);
-  std::vector<std::uint8_t> req{0, 0, 1, 0};
+  const std::uint64_t req[] = {0b0100};
   EXPECT_EQ(arb.grant(req), 2);
   EXPECT_EQ(arb.grant(req), 2);
 }
 
 TEST(RoundRobinArbiter, RotatesAmongRequesters) {
   RoundRobinArbiter arb(3);
-  std::vector<std::uint8_t> req{1, 1, 1};
+  const std::uint64_t req[] = {0b111};
   EXPECT_EQ(arb.grant(req), 0);
   EXPECT_EQ(arb.grant(req), 1);
   EXPECT_EQ(arb.grant(req), 2);
@@ -33,22 +35,69 @@ TEST(RoundRobinArbiter, RotatesAmongRequesters) {
 
 TEST(RoundRobinArbiter, NoRequestersReturnsMinusOne) {
   RoundRobinArbiter arb(2);
-  std::vector<std::uint8_t> req{0, 0};
+  const std::uint64_t req[] = {0};
   EXPECT_EQ(arb.grant(req), -1);
+  EXPECT_EQ(arb.pointer(), 0);
 }
 
 TEST(RoundRobinArbiter, WidthMismatchThrows) {
-  RoundRobinArbiter arb(2);
-  std::vector<std::uint8_t> req{1};
+  RoundRobinArbiter arb(65);  // two words
+  const std::uint64_t req[] = {1};
   EXPECT_THROW(arb.grant(req), std::invalid_argument);
 }
 
 TEST(RoundRobinArbiter, SkippedRequesterServedNext) {
   RoundRobinArbiter arb(3);
-  std::vector<std::uint8_t> both{1, 0, 1};
+  const std::uint64_t both[] = {0b101};
   EXPECT_EQ(arb.grant(both), 0);
   EXPECT_EQ(arb.grant(both), 2);
   EXPECT_EQ(arb.grant(both), 0);
+}
+
+// Differential check of the mask grant against the rotated full scan it
+// replaced: same slots offered in the same order, same winner, same new
+// pointer, across word boundaries and with a predicate that turns some
+// offers down (as credits and the link gate do in switch allocation).
+TEST(RoundRobinArbiter, MaskGrantMatchesRotatedScan) {
+  std::mt19937_64 rng(20261017);
+  for (std::int32_t size = 1; size <= 130; ++size) {
+    const std::int32_t words = mask_words(size);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::uint64_t> mask(words, 0);
+      std::vector<bool> refuse(size);
+      const std::uint64_t eighths = rng() % 9;  // empty .. full masks
+      for (std::int32_t i = 0; i < size; ++i) {
+        if (rng() % 8 < eighths) mask[i / 64] |= std::uint64_t{1} << (i % 64);
+        refuse[i] = rng() % 3 == 0;
+      }
+      const std::int32_t start = static_cast<std::int32_t>(rng() % size);
+
+      // Reference: rotated scan over every slot, skipping non-requesters.
+      std::vector<std::int32_t> want_offers;
+      std::int32_t want = -1;
+      std::int32_t want_pointer = start;
+      for (std::int32_t n = 0; n < size && want < 0; ++n) {
+        const std::int32_t i = (start + n) % size;
+        if ((mask[i / 64] >> (i % 64) & 1) == 0) continue;
+        want_offers.push_back(i);
+        if (!refuse[i]) {
+          want = i;
+          want_pointer = (i + 1) % size;
+        }
+      }
+
+      std::vector<std::int32_t> offers;
+      std::int32_t pointer = start;
+      const std::int32_t got = grant_round_robin(
+          mask.data(), size, pointer, [&](std::int32_t i) {
+            offers.push_back(i);
+            return !refuse[i];
+          });
+      ASSERT_EQ(got, want) << "size " << size << " trial " << trial;
+      ASSERT_EQ(pointer, want_pointer) << "size " << size;
+      ASSERT_EQ(offers, want_offers) << "size " << size;
+    }
+  }
 }
 
 TEST(InputVc, PushPopFifo) {
