@@ -13,6 +13,7 @@
 #include <string>
 
 #include "check/simcheck.hpp"
+#include "cli_number.hpp"
 #include "harness/sweep.hpp"
 #include "sim/json.hpp"
 
@@ -53,10 +54,6 @@ void usage() {
       "                      verify it reproduces bit-identically\n");
 }
 
-std::uint64_t parse_u64(const char* text) {
-  return std::strtoull(text, nullptr, 0);  // base 0: decimal or 0x-hex
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -70,13 +67,13 @@ bool parse(int argc, char** argv, Options& opt) {
     if (arg == "--help" || arg == "-h") {
       return false;
     } else if (arg == "--seed") {
-      opt.seed = parse_u64(need(i));
+      opt.seed = cli::seed(arg, need(i));
     } else if (arg == "--count") {
-      opt.count = static_cast<std::size_t>(parse_u64(need(i)));
+      opt.count = cli::number<std::size_t>(arg, need(i));
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::atoi(need(i)));
+      opt.threads = cli::number<unsigned>(arg, need(i));
     } else if (arg == "--max-failures") {
-      opt.max_failures = static_cast<std::size_t>(parse_u64(need(i)));
+      opt.max_failures = cli::number<std::size_t>(arg, need(i));
     } else if (arg == "--no-shrink") {
       opt.shrink = false;
     } else if (arg == "--faulty") {
@@ -87,7 +84,7 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.json_path = need(i);
     } else if (arg == "--one") {
       opt.one = true;
-      opt.one_seed = parse_u64(need(i));
+      opt.one_seed = cli::seed(arg, need(i));
     } else if (arg == "--replay") {
       opt.replay_path = need(i);
     } else {

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_number.hpp"
 #include "service/daemon.hpp"
 
 namespace {
@@ -54,11 +55,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--state-dir") {
       opt.state_dir = need(i);
     } else if (arg == "--workers") {
-      opt.workers = std::atoi(need(i));
+      opt.workers = cli::number<int>(arg, need(i));
     } else if (arg == "--queue-cap") {
-      opt.queue_cap = static_cast<std::size_t>(std::atoll(need(i)));
+      opt.queue_cap = cli::number<std::size_t>(arg, need(i));
     } else if (arg == "--slice-cycles") {
-      opt.slice_cycles = std::strtoull(need(i), nullptr, 10);
+      opt.slice_cycles = cli::number<Cycle>(arg, need(i));
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
       return 2;

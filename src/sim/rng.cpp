@@ -4,14 +4,6 @@
 
 namespace wavesim::sim {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
@@ -24,23 +16,25 @@ std::uint64_t hash_mix(std::uint64_t value) noexcept {
   return splitmix64(value);
 }
 
+Bernoulli::Bernoulli(double p) noexcept {
+  if (p <= 0.0) return;  // never; no draw
+  if (p >= 1.0) {        // always; no draw
+    threshold_ = 1;
+    return;
+  }
+  // 0 < p < 1 puts the threshold in [1, 2^53 - 1]. A NaN p draws against
+  // threshold 0 and so always fails, like uniform01() < NaN.
+  draws_ = true;
+  if (!std::isnan(p)) {
+    threshold_ = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   // Never allow the all-zero state xoshiro cannot leave.
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
@@ -64,11 +58,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (hi <= lo) return lo;
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::uniform01() noexcept {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::chance(double p) noexcept {

@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -15,11 +16,15 @@ OpenLoopGenerator::OpenLoopGenerator(core::Simulation& sim,
                                      sim::Rng rng)
     : sim_(sim), pattern_(pattern), sizes_(sizes),
       load_(offered_flits_per_node_cycle),
-      p_message_(offered_flits_per_node_cycle / sizes.mean()), rng_(rng) {
+      offer_(offered_flits_per_node_cycle / sizes.mean()), rng_(rng) {
+  // NaN passes both range checks below, so it is refused by name.
+  if (!std::isfinite(load_)) {
+    throw std::invalid_argument("OpenLoopGenerator: load is not finite");
+  }
   if (load_ < 0.0) {
     throw std::invalid_argument("OpenLoopGenerator: negative load");
   }
-  if (p_message_ > 1.0) {
+  if (load_ / sizes.mean() > 1.0) {
     throw std::invalid_argument(
         "OpenLoopGenerator: load exceeds one message per node per cycle");
   }
@@ -27,8 +32,10 @@ OpenLoopGenerator::OpenLoopGenerator(core::Simulation& sim,
 
 void OpenLoopGenerator::tick() {
   const std::int32_t n = sim_.topology().num_nodes();
-  for (NodeId src = 0; src < n; ++src) {
-    if (!rng_.chance(p_message_)) continue;
+  // One chance(offer_) per node in node order; failures() runs the draws
+  // of the nodes that offer nothing in one register-resident loop.
+  for (NodeId src = rng_.failures(offer_, n); src < n;
+       src += 1 + rng_.failures(offer_, n - src - 1)) {
     const NodeId dest = pattern_.pick(src, rng_);
     sim_.send(src, dest, sizes_.sample(rng_));
     ++offered_;
@@ -44,8 +51,8 @@ void OpenLoopGenerator::run_batch(Cycle cycles) {
   // `cycles` times (the draws depend only on the generator's own RNG, so
   // pre-drawing cannot diverge from interleaved drawing).
   for (Cycle j = 0; j < cycles; ++j) {
-    for (NodeId src = 0; src < n; ++src) {
-      if (!rng_.chance(p_message_)) continue;
+    for (NodeId src = rng_.failures(offer_, n); src < n;
+         src += 1 + rng_.failures(offer_, n - src - 1)) {
       const NodeId dest = pattern_.pick(src, rng_);
       net.schedule_send(src, dest, sizes_.sample(rng_), base + j);
       ++offered_;

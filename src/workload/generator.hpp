@@ -44,8 +44,9 @@ class OpenLoopGenerator {
   core::Simulation& sim_;
   TrafficPattern& pattern_;
   SizeDist& sizes_;
-  double load_;       // [snap: skip] config, fixed at construction
-  double p_message_;  // [snap: skip] derived from config at construction
+  double load_;  // [snap: skip] config, fixed at construction
+  /// Each node offers a message each cycle with p = load / mean length.
+  sim::Bernoulli offer_;  // [snap: skip] derived from config at construction
   sim::Rng rng_;
   std::uint64_t offered_ = 0;
 };

@@ -161,13 +161,6 @@ void Fabric::step(Cycle now) {
   commit_cycle(now, scratch_io_);
 }
 
-bool Fabric::any_work(NodeId begin, NodeId end) const {
-  for (NodeId n = begin; n < end; ++n) {
-    if (node_busy_[n] != 0) return true;
-  }
-  return false;
-}
-
 double Fabric::max_link_utilization(Cycle elapsed) const {
   if (elapsed == 0) return 0.0;
   std::uint64_t peak = 0;

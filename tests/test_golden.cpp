@@ -157,5 +157,82 @@ INSTANTIATE_TEST_SUITE_P(
       return param.param.name;
     });
 
+// Idle-fabric injection goldens: open-loop CLRP runs whose full-state
+// checkpoint digests (generator RNG state, offered counts, activity bytes
+// and every router included) are pinned mid-run and at the end. At load
+// 0.05 with 64-flit messages every message rides a circuit, so the
+// wormhole plane is idle on most cycles and the per-node Bernoulli draw
+// is most of the generator's work. The two edge loads pin the draw
+// count: p = 0 (load 0) and p = 1 (load equal to the message length)
+// must consume no draw at all. The constants were recorded before the
+// threshold draw and the idle-range early exit in Network::step_shard.
+snap::RunSpec clrp_idle(double load, bool pcs_only) {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::default_torus();
+  spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  spec.config.protocol.pcs_only = pcs_only;
+  spec.config.router.wave_switches = 2;
+  spec.pattern = "uniform";
+  spec.message_flits = 64;
+  spec.offered_load = load;
+  spec.warmup = 500;
+  spec.measure = 4000;
+  spec.drain_cap = 100'000;
+  spec.seed = 17;
+  return spec;
+}
+
+/// p = 1: every node offers a message on every cycle, far past
+/// saturation, so the run is kept short and ends at its drain cap.
+snap::RunSpec clrp_every_cycle() {
+  snap::RunSpec spec = clrp_idle(/*load=*/64.0, /*pcs_only=*/false);
+  spec.warmup = 40;
+  spec.measure = 80;
+  spec.drain_cap = 400;
+  return spec;
+}
+
+struct InjectionGoldenCase {
+  std::string name;
+  snap::RunSpec spec;
+  Cycle cut;                   ///< cycle of the mid-run checkpoint
+  std::uint64_t mid_digest;    ///< checkpoint digest at `cut`
+  std::uint64_t final_digest;  ///< checkpoint digest once done()
+  std::uint64_t offered;       ///< messages offered over the whole run
+};
+
+void PrintTo(const InjectionGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class InjectionGolden : public ::testing::TestWithParam<InjectionGoldenCase> {};
+
+TEST_P(InjectionGolden, CheckpointDigestsMatchRecorded) {
+  const InjectionGoldenCase& c = GetParam();
+  snap::CheckpointableRun run(c.spec);
+  ASSERT_EQ(run.advance(c.cut), c.cut);
+  const std::uint64_t mid = run.checkpoint().digest();
+  while (!run.done()) run.advance(1'000'000);
+  const std::uint64_t end = run.checkpoint().digest();
+  EXPECT_EQ(mid, c.mid_digest) << std::hex << "0x" << mid;
+  EXPECT_EQ(end, c.final_digest) << std::hex << "0x" << end;
+  EXPECT_EQ(run.sim().stats().messages_offered, c.offered);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IdleFabric, InjectionGolden,
+    ::testing::Values(
+        InjectionGoldenCase{"torus8x8_clrp_k2_load005",
+                            clrp_idle(0.05, false), 2000,
+                            0x5147ac9dee795e6c, 0xe0edf9312ebec335, 226},
+        InjectionGoldenCase{"torus8x8_clrp_k2_pcs_only_load005",
+                            clrp_idle(0.05, true), 2000,
+                            0x8f67bfb8d19e8bc4, 0xb8adaa63dd4d992, 226},
+        InjectionGoldenCase{"torus8x8_clrp_k2_load0", clrp_idle(0.0, false),
+                            2000, 0xb905be2e60f29e60, 0xf902959d78e47c28, 0},
+        InjectionGoldenCase{"torus8x8_clrp_k2_p1", clrp_every_cycle(), 60,
+                            0xb46e7b756ac07c9e, 0xd6d0fc966b62be16, 7680}),
+    [](const ::testing::TestParamInfo<InjectionGoldenCase>& param) {
+      return param.param.name;
+    });
+
 }  // namespace
 }  // namespace wavesim

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,26 @@ TEST(SnapRestore, RejectsConfigMismatch) {
   other.protocol.circuit_cache_entries += 1;
   core::Simulation sim(other);
   EXPECT_THROW(snap::restore_simulation(snap, sim), snap::ArchiveError);
+}
+
+// The runspec section is external input: a load whose bytes decode to NaN
+// must fail the restore with a typed error, not resume a run that offers
+// nothing.
+TEST(SnapRestore, RejectsNonFiniteLoad) {
+  snap::CheckpointableRun run(small_clrp_spec());
+  run.advance(64);
+  snap::Snapshot snap = run.checkpoint();
+  snap::RunSpec spec;
+  {
+    snap::Archive ar = snap::Archive::reader(snap.section("runspec"));
+    snap::snap_runspec(ar, spec);
+  }
+  spec.offered_load = std::numeric_limits<double>::quiet_NaN();
+  snap::Archive w = snap::Archive::writer();
+  snap::snap_runspec(w, spec);
+  snap.set("runspec", w.take_bytes());
+  const snap::Snapshot decoded = snap::Snapshot::decode(snap.encode());
+  EXPECT_THROW(snap::CheckpointableRun{decoded}, std::invalid_argument);
 }
 
 // -- Round-trip determinism across scenarios and phases ----------------------

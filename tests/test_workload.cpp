@@ -2,6 +2,7 @@
 // open-loop generator's offered load, and trace replay.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "workload/generator.hpp"
@@ -160,6 +161,24 @@ TEST(Generator, RejectsOverload) {
   FixedSize sizes(4);
   EXPECT_THROW(OpenLoopGenerator(sim, pattern, sizes, 8.0, sim::Rng{1}),
                std::invalid_argument);
+}
+
+// NaN fails both `load < 0` and `p > 1`; it must be refused, not run as
+// a load that offers nothing.
+TEST(Generator, RejectsNonFiniteLoad) {
+  sim::SimConfig cfg;
+  cfg.topology.radix = {4, 4};
+  cfg.protocol.protocol = sim::ProtocolKind::kWormholeOnly;
+  cfg.router.wave_switches = 0;
+  core::Simulation sim(cfg);
+  UniformTraffic pattern(sim.topology());
+  FixedSize sizes(4);
+  for (const double load : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(OpenLoopGenerator(sim, pattern, sizes, load, sim::Rng{1}),
+                 std::invalid_argument)
+        << load;
+  }
 }
 
 TEST(Generator, RunOpenLoopMeasuresOnlyWindow) {
