@@ -234,5 +234,119 @@ INSTANTIATE_TEST_SUITE_P(
       return param.param.name;
     });
 
+// MB-m step goldens: CLRP runs whose probe decisions exercise every
+// input of the decision step -- mesh edge ports, 6-port nodes with
+// three-way offset ties, statically faulty channels, links failing and
+// recovering mid-run, and k=1 saturation (Force waits, release requests
+// and misroutes). Each pins the mid-run and final checkpoint digests and
+// the control-plane counters; a run restored from the mid-run checkpoint
+// must reach the same final digest. The constants were recorded with the
+// per-port view and ordered-scan decide the status bitmasks replaced.
+struct MbmGoldenCase {
+  std::string name;
+  snap::RunSpec spec;
+  Cycle cut;                   ///< cycle of the mid-run checkpoint
+  std::uint64_t mid_digest;    ///< checkpoint digest at `cut`
+  std::uint64_t final_digest;  ///< checkpoint digest once done()
+  std::uint64_t probes_launched;
+  std::uint64_t probe_advances;
+  std::uint64_t probe_backtracks;
+  std::uint64_t probe_misroutes;
+  std::uint64_t force_waits;
+  std::uint64_t release_requests;
+};
+
+void PrintTo(const MbmGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+snap::RunSpec clrp_mbm(std::vector<std::int32_t> radix, bool torus,
+                       std::int32_t switches, std::int32_t flits,
+                       double load) {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::default_torus();
+  spec.config.topology.radix = std::move(radix);
+  spec.config.topology.torus = torus;
+  spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  spec.config.router.wave_switches = switches;
+  spec.pattern = "uniform";
+  spec.message_flits = flits;
+  spec.offered_load = load;
+  spec.warmup = 300;
+  spec.measure = 1500;
+  spec.drain_cap = 100'000;
+  spec.seed = 29;
+  return spec;
+}
+
+snap::RunSpec clrp_static_faults() {
+  snap::RunSpec spec = clrp_mbm({8, 8}, true, 2, 32, 0.10);
+  spec.config.faults.link_fault_rate = 0.15;
+  return spec;
+}
+
+snap::RunSpec clrp_fault_schedule() {
+  snap::RunSpec spec = clrp_mbm({8, 8}, true, 2, 32, 0.10);
+  using sim::FaultEventKind;
+  spec.config.faults.events = {{400, FaultEventKind::kLinkDown, 9, 0},
+                               {450, FaultEventKind::kLinkDown, 27, 2},
+                               {900, FaultEventKind::kLinkUp, 9, 0},
+                               {1300, FaultEventKind::kLinkUp, 27, 2}};
+  spec.config.faults.storm.at = 600;
+  spec.config.faults.storm.fraction = 0.2;
+  spec.config.faults.storm.repair_after = 500;
+  return spec;
+}
+
+class MbmGolden : public ::testing::TestWithParam<MbmGoldenCase> {};
+
+TEST_P(MbmGolden, CheckpointDigestsAndCountsMatchRecorded) {
+  const MbmGoldenCase& c = GetParam();
+  snap::CheckpointableRun run(c.spec);
+  ASSERT_EQ(run.advance(c.cut), c.cut);
+  const snap::Snapshot at_cut = run.checkpoint();
+  while (!run.done()) run.advance(1'000'000);
+  const std::uint64_t end = run.checkpoint().digest();
+  EXPECT_TRUE(run.result().drained);
+  EXPECT_EQ(at_cut.digest(), c.mid_digest) << std::hex << "0x"
+                                           << at_cut.digest();
+  EXPECT_EQ(end, c.final_digest) << std::hex << "0x" << end;
+  const auto& pcs = run.sim().network().control_plane()->stats();
+  EXPECT_EQ(pcs.probes_launched, c.probes_launched);
+  EXPECT_EQ(pcs.probe_advances, c.probe_advances);
+  EXPECT_EQ(pcs.probe_backtracks, c.probe_backtracks);
+  EXPECT_EQ(pcs.probe_misroutes, c.probe_misroutes);
+  EXPECT_EQ(pcs.force_waits, c.force_waits);
+  EXPECT_EQ(pcs.release_requests_sent, c.release_requests);
+
+  // Restore leg: the register masks are not serialized, so this only
+  // matches if loading rebuilds them from the per-channel registers.
+  snap::CheckpointableRun restored(snap::Snapshot::decode(at_cut.encode()));
+  while (!restored.done()) restored.advance(1'000'000);
+  EXPECT_EQ(restored.checkpoint().digest(), end);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProbeStep, MbmGolden,
+    ::testing::Values(
+        MbmGoldenCase{"mesh8x8_clrp_k2", clrp_mbm({8, 8}, false, 2, 32, 0.10),
+                      900, 0x9cc95658e19f86aa, 0x25f8c020ff1a5587, 762, 6724,
+                      4303, 1830, 4724, 377},
+        MbmGoldenCase{"torus4x4x4_clrp_k2",
+                      clrp_mbm({4, 4, 4}, true, 2, 32, 0.10), 900,
+                      0x5128df8e50a97470, 0xec9fbe0f440ae0b3, 658, 5043, 3588,
+                      2035, 1697, 215},
+        MbmGoldenCase{"torus8x8_clrp_k2_static_faults", clrp_static_faults(),
+                      900, 0x29c9d5281749870b, 0xa5bf69dd96bd4aa7, 770, 6561,
+                      4559, 2095, 3642, 363},
+        MbmGoldenCase{"torus8x8_clrp_k2_fault_schedule", clrp_fault_schedule(),
+                      900, 0x685ed480a50c2052, 0x849f228ff266a727, 664, 5025,
+                      3169, 1513, 2770, 274},
+        MbmGoldenCase{"torus8x8_clrp_k1_saturating",
+                      clrp_mbm({8, 8}, true, 1, 8, 0.40), 900,
+                      0xdeaab0f428705888, 0xa8b63ccc5f9f5771, 10865, 28861,
+                      25434, 11221, 56211, 5703}),
+    [](const ::testing::TestParamInfo<MbmGoldenCase>& param) {
+      return param.param.name;
+    });
+
 }  // namespace
 }  // namespace wavesim
