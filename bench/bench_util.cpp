@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "cli_number.hpp"
 #include "harness/runner.hpp"
 #include "sim/build_info.hpp"
 
@@ -173,7 +174,7 @@ bool Cli::parse(int argc, char** argv) {
     } else if (const IntFlag* f = find_int_flag(arg); f != nullptr) {
       const char* v = need(i);
       if (v == nullptr) return false;
-      *f->target = std::strtoll(v, nullptr, 10);
+      *f->target = cli::number<std::int64_t>(arg, v);
     } else if (arg == "--json") {
       const char* v = need(i);
       if (v == nullptr) return false;
@@ -189,17 +190,11 @@ bool Cli::parse(int argc, char** argv) {
     } else if (arg == "--sample-every") {
       const char* v = need(i);
       if (v == nullptr) return false;
-      sample_every_ = std::strtoll(v, nullptr, 10);
+      sample_every_ = cli::number<Cycle>(arg, v);
     } else if (arg == "--threads") {
       const char* v = need(i);
       if (v == nullptr) return false;
-      const long parsed = std::strtol(v, nullptr, 10);
-      if (parsed < 0) {
-        std::fprintf(stderr, "%s: --threads must be >= 0\n", experiment_.c_str());
-        exit_code_ = 2;
-        return false;
-      }
-      threads_ = static_cast<unsigned>(parsed);
+      threads_ = cli::number<unsigned>(arg, v);
     } else if (arg == "--quick") {
       quick_ = true;
     } else if (arg == "--engine" || arg.rfind("--engine=", 0) == 0) {
@@ -222,14 +217,14 @@ bool Cli::parse(int argc, char** argv) {
     } else if (arg == "--shards") {
       const char* v = need(i);
       if (v == nullptr) return false;
-      const long parsed = std::strtol(v, nullptr, 10);
+      const auto parsed = cli::number<std::int32_t>(arg, v);
       if (parsed < 1) {
         std::fprintf(stderr, "%s: --shards must be >= 1 (got %s)\n",
                      experiment_.c_str(), v);
         exit_code_ = 2;
         return false;
       }
-      engine_.shards = static_cast<std::int32_t>(parsed);
+      engine_.shards = parsed;
     } else {
       std::fprintf(stderr, "%s: unknown flag %s (try --help)\n",
                    experiment_.c_str(), arg.c_str());
@@ -262,8 +257,7 @@ std::unique_ptr<obs::Observer> Cli::observe(core::Simulation& sim) const {
   obs::ObserverOptions options;
   options.trace = !trace_path_.empty();
   options.metrics = !metrics_path_.empty();
-  options.sample_every =
-      sample_every_ > 0 ? static_cast<Cycle>(sample_every_) : 0;
+  options.sample_every = sample_every_;
   return std::make_unique<obs::Observer>(sim, options);
 }
 

@@ -137,7 +137,7 @@ class Cli {
   std::string json_path_;
   std::string trace_path_;
   std::string metrics_path_;
-  std::int64_t sample_every_ = 0;
+  Cycle sample_every_ = 0;
   bool observability_written_ = false;
   engine::EngineConfig engine_;
   mutable bool engine_installed_ = false;

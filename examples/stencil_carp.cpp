@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cli_number.hpp"
 #include "core/simulation.hpp"
 #include "workload/trace.hpp"
 
@@ -44,7 +45,13 @@ Row run_one(const char* name, sim::ProtocolKind protocol,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::int32_t iterations = argc > 1 ? std::atoi(argv[1]) : 6;
+  const std::int32_t iterations =
+      argc > 1 ? cli::number<std::int32_t>("iterations", argv[1]) : 6;
+  if (iterations < 1) {
+    std::fprintf(stderr, "error: iterations must be >= 1 (got %d)\n",
+                 iterations);
+    return 2;
+  }
   topo::KAryNCube topo({8, 8}, true);
   const Cycle per_iter = 300;
   const std::int32_t halo = 64;

@@ -331,6 +331,7 @@ int main(int argc, char** argv) {
                   static_cast<std::int64_t>(bmc_options.max_depth));
       section.set("budgets", std::move(budgets));
       std::int64_t states = 0;
+      std::int64_t transitions = 0;
       std::size_t rows_violation = 0;
       std::size_t bounded_out = 0;
       bool replays_agreed = true;
@@ -365,6 +366,7 @@ int main(int argc, char** argv) {
         entry.set("replay", std::move(replay));
         configs.push_back(std::move(entry));
         states += report.states;
+        transitions += report.transitions;
         rows_violation += report.count(CheckStatus::kViolation);
         bounded_out += report.count(CheckStatus::kBoundedOut);
         replays_agreed = replays_agreed && replays[i].agreed;
@@ -374,6 +376,7 @@ int main(int argc, char** argv) {
       totals.set("configs",
                  static_cast<std::int64_t>(bmc_reports.size()));
       totals.set("states", states);
+      totals.set("transitions", transitions);
       totals.set("rows_violation",
                  static_cast<std::int64_t>(rows_violation));
       totals.set("rows_bounded_out",

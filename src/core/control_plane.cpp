@@ -28,6 +28,10 @@ ControlPlane::ControlPlane(const topo::KAryNCube& topology,
   if (topology.num_ports() > pcs::kMaxPorts) {
     throw std::invalid_argument("ControlPlane: too many ports per node");
   }
+  link_masks_.reserve(static_cast<std::size_t>(topology.num_nodes()));
+  for (NodeId n = 0; n < topology.num_nodes(); ++n) {
+    link_masks_.push_back(pcs::link_mask(topology, n));
+  }
 }
 
 void ControlPlane::mark_faulty(NodeId node, std::int32_t switch_index,
@@ -281,39 +285,6 @@ void ControlPlane::start_teardown(CircuitId circuit) {
   ++stats_.teardowns_started;
 }
 
-std::span<const pcs::PortView> ControlPlane::build_view(
-    const ActiveProbe& ap, const pcs::SwitchRegisters& regs) {
-  const std::span<const NodeId> neighbors = topology_.neighbor_row(ap.node);
-  const std::uint32_t searched = history_.mask(ap.history, ap.node);
-  const PortId ports = topology_.num_ports();
-  std::array<pcs::PortView, pcs::kMaxPorts>& view = view_;
-  for (PortId p = 0; p < ports; ++p) {
-    view[p] = pcs::PortView::kUnusable;
-    if (neighbors[p] == kInvalidNode) continue;
-    if ((searched >> p) & 1u) continue;
-    switch (regs.status(p)) {
-      case pcs::ChannelStatus::kFree:
-        view[p] = pcs::PortView::kAvailable;
-        break;
-      case pcs::ChannelStatus::kReservedByProbe:
-        view[p] = pcs::PortView::kBusyPending;
-        break;
-      case pcs::ChannelStatus::kBusyCircuit:
-        // Commit and Ack-Returned travel together in this implementation,
-        // so a busy channel is an established circuit's channel; it may
-        // also belong to a circuit already being torn down, in which case
-        // the wait below resolves when the teardown frees it.
-        view[p] = regs.ack_returned(p) ? pcs::PortView::kBusyEstablished
-                                       : pcs::PortView::kBusyPending;
-        break;
-      case pcs::ChannelStatus::kFaulty:
-        break;  // stays kUnusable
-    }
-  }
-  return std::span<const pcs::PortView>(view.data(),
-                                        static_cast<std::size_t>(ports));
-}
-
 void ControlPlane::finish_probe_success(ActiveProbe& ap, Cycle now) {
   // Convert the probe into an ack flit that walks back to the source,
   // committing each reserved pair and setting Ack-Returned on the way.
@@ -403,7 +374,7 @@ void ControlPlane::step_probe(ActiveProbe& ap, Cycle now) {
     return;
   }
 
-  const std::span<const pcs::PortView> view = build_view(ap, here);
+  const pcs::MbmView view = build_view(ap, here);
   const auto decision =
       pcs::decide(topology_, ap.node, ap.probe.dest, view, ap.arrival_port,
                   ap.probe.misroutes, params_.max_misroutes, ap.probe.force,
@@ -450,8 +421,7 @@ void ControlPlane::step_probe(ActiveProbe& ap, Cycle now) {
       ++stats_.force_waits;
       ap.waiting = true;
       ap.wait_port = decision.port;
-      ap.wait_was_acked =
-          view[decision.port] == pcs::PortView::kBusyEstablished;
+      ap.wait_was_acked = ((view.established >> decision.port) & 1u) != 0;
       ap.parked_version = here.version();
       request_release(ap, decision.port, now);
       return;

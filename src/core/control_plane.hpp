@@ -17,9 +17,7 @@
 //    established the probe backtracks even with Force set.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -234,8 +232,14 @@ class ControlPlane {
 
   static constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
 
-  std::span<const pcs::PortView> build_view(const ActiveProbe& ap,
-                                            const pcs::SwitchRegisters& regs);
+  /// The probe's MB-m view of `regs`, its bank at its current node. A
+  /// busy channel may belong to a circuit already being torn down; a wait
+  /// on it resolves when the teardown frees it.
+  pcs::MbmView build_view(const ActiveProbe& ap,
+                          const pcs::SwitchRegisters& regs) const {
+    return pcs::view_of(regs, link_masks_[static_cast<std::size_t>(ap.node)] &
+                                  ~history_.mask(ap.history, ap.node));
+  }
   void step_probe(ActiveProbe& ap, Cycle now);
   void finish_probe_success(ActiveProbe& ap, Cycle now);
   void fail_probe(ActiveProbe& ap);
@@ -270,9 +274,8 @@ class ControlPlane {
   std::vector<ProbeResult> drained_results_;  // [snap: skip] already dispatched
   std::vector<ReleaseDemand> drained_demands_;  // [snap: skip] already dispatched
   std::vector<TeardownDone> drained_teardowns_;  // [snap: skip] already dispatched
-  /// Hot-path scratch, reused across probes/cycles (never read across
-  /// calls): the MB-m port view.
-  std::array<pcs::PortView, pcs::kMaxPorts> view_;  // [snap: skip] dead between calls
+  /// Per node: the ports that lead to a neighbor (pcs::link_mask).
+  std::vector<std::uint32_t> link_masks_;  // [snap: skip] derived from the topology at construction
   std::uint64_t decisions_ = 0;  // [snap: skip] host diagnostic, see decisions()
   /// Channels statically faulted at init, per (node, switch, port):
   /// restore_link must not heal them. Empty until the first mark_faulty.

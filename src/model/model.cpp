@@ -115,26 +115,26 @@ ProtocolModel::Attempt ProtocolModel::attempt_of(const JobState& j,
   return att;
 }
 
-std::vector<pcs::PortView> ProtocolModel::build_view(const State& s,
-                                                     const JobState& j,
-                                                     std::int32_t sw) const {
-  std::vector<pcs::PortView> view(
-      static_cast<std::size_t>(topology_.num_ports()));
+pcs::MbmView ProtocolModel::build_view(const State& s, const JobState& j,
+                                       std::int32_t sw) const {
+  pcs::MbmView view;
   for (PortId p = 0; p < topology_.num_ports(); ++p) {
-    if (!topology_.has_neighbor(j.node, p) ||
-        (j.history[static_cast<std::size_t>(j.node)] >> p) & 1) {
-      view[p] = pcs::PortView::kUnusable;
-      continue;
-    }
     const std::uint8_t c = s.channel[channel_slot(j.node, sw, p)];
+    const std::uint32_t bit = 1u << p;
     if (c == kFree) {
-      view[p] = pcs::PortView::kAvailable;
+      view.available |= bit;
     } else if (is_acked(c)) {
-      view[p] = pcs::PortView::kBusyEstablished;
+      view.established |= bit;
     } else {
-      view[p] = pcs::PortView::kBusyPending;
+      view.pending |= bit;
     }
   }
+  const std::uint32_t usable =
+      pcs::link_mask(topology_, j.node) &
+      ~std::uint32_t{j.history[static_cast<std::size_t>(j.node)]};
+  view.available &= usable;
+  view.established &= usable;
+  view.pending &= usable;
   return view;
 }
 
@@ -155,10 +155,9 @@ bool ProtocolModel::apply_decision(Successor& out, const State& s,
     throw std::logic_error("model: probing job with exhausted sequencer");
   }
   const std::int32_t sw = att.switch_index;
-  const auto view = build_view(s, j, sw);
   const pcs::MbmDecision decision = pcs::decide(
-      topology_, j.node, job.dest, view, j.arrival_port, j.misroutes,
-      config_.protocol.max_misroutes, att.force,
+      topology_, j.node, job.dest, build_view(s, j, sw), j.arrival_port,
+      j.misroutes, config_.protocol.max_misroutes, att.force,
       config_.protocol.mutate_force_unacked);
 
   std::ostringstream text;

@@ -16,9 +16,9 @@
 //    kFree / kReservedByProbe / kBusyCircuit(+ack_returned); a circuit's
 //    hops commit Reserved -> Acked one hop per ack step, dest -> src, like
 //    the travelling ack flit;
-//  * probe views map exactly as ControlPlane::build_view does (Reserved ->
-//    kBusyPending, Acked -> kBusyEstablished, history/mesh-edge ->
-//    kUnusable);
+//  * probe views are the same MbmView masks ControlPlane::build_view
+//    builds (Free -> available, Acked -> established, Reserved -> pending,
+//    history/mesh-edge -> in no mask);
 //  * attempts reconstruct the concrete SetupSequencer (same variant
 //    semantics, same (sum of coords) mod k InitialSwitch staggering);
 //  * Force-wait parks the job and demands a release from the owner, which
@@ -173,8 +173,8 @@ class ProtocolModel {
     bool exhausted = false;
   };
   Attempt attempt_of(const JobState& j, NodeId src) const;
-  std::vector<pcs::PortView> build_view(const State& s, const JobState& j,
-                                        std::int32_t sw) const;
+  pcs::MbmView build_view(const State& s, const JobState& j,
+                          std::int32_t sw) const;
   std::int32_t cache_used(const State& s, NodeId src) const;
   /// Apply one MB-m decision to job `ji` of `s` (shared by kProbe/kWait).
   /// Returns false if the decision changes nothing (step not enabled).

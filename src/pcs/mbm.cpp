@@ -1,118 +1,136 @@
 #include "pcs/mbm.hpp"
 
 #include <array>
-#include <cmath>
+#include <bit>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace wavesim::pcs {
 
 namespace {
 
-/// Fixed-capacity minimal-port list (at most one port per dimension).
-/// Keeps decide() free of per-step heap allocation.
+/// The minimal ports toward a destination (at most one per dimension) as
+/// a mask, with the remaining |offset| along each dimension.
 struct MinimalPorts {
-  std::array<PortId, kMaxPorts> ports;
-  std::int32_t count = 0;
+  std::uint32_t mask = 0;
+  std::array<std::int32_t, kMaxPorts / 2> reach;  ///< valid where mask is set
 
-  bool contains(PortId p) const noexcept {
-    for (std::int32_t i = 0; i < count; ++i) {
-      if (ports[i] == p) return true;
+  /// The port of `candidates` (a subset of mask) with the largest reach,
+  /// ties to the lower port; kInvalidPort when `candidates` is empty.
+  PortId best(std::uint32_t candidates) const noexcept {
+    PortId pick = kInvalidPort;
+    std::int32_t far = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const PortId p = std::countr_zero(candidates);
+      const std::int32_t r = reach[static_cast<std::size_t>(
+          topo::KAryNCube::dim_of(p))];
+      if (r > far) {
+        far = r;
+        pick = p;
+      }
     }
-    return false;
+    return pick;
   }
 };
 
-MinimalPorts collect_minimal(const topo::KAryNCube& topology, NodeId node,
-                             NodeId dest) {
+MinimalPorts minimal_ports(const topo::KAryNCube& topology, NodeId node,
+                           NodeId dest) {
   const std::span<const std::int32_t> from = topology.coord_row(node);
   const std::span<const std::int32_t> to = topology.coord_row(dest);
-  // Sorted by (-|offset|, port). The keys are unique (one port per
-  // dimension) and few, so an insertion sort yields std::sort's order.
-  std::array<std::pair<std::int32_t, PortId>, kMaxPorts> scored;
-  std::int32_t n = 0;
+  MinimalPorts out;
   for (std::int32_t d = 0; d < topology.num_dims(); ++d) {
     const std::int32_t off = topology.wrap_offset(to[d] - from[d], d);
     if (off == 0) continue;
-    const std::pair<std::int32_t, PortId> key{
-        -std::abs(off), topo::KAryNCube::port_of(d, off > 0)};
-    std::int32_t i = n++;
-    for (; i > 0 && key < scored[i - 1]; --i) scored[i] = scored[i - 1];
-    scored[i] = key;
+    out.mask |= 1u << topo::KAryNCube::port_of(d, off > 0);
+    out.reach[static_cast<std::size_t>(d)] = std::abs(off);
   }
-  MinimalPorts out;
-  out.count = n;
-  for (std::int32_t i = 0; i < n; ++i) out.ports[i] = scored[i].second;
   return out;
 }
 
 }  // namespace
 
+std::uint32_t link_mask(const topo::KAryNCube& topology, NodeId node) {
+  const std::span<const NodeId> neighbors = topology.neighbor_row(node);
+  std::uint32_t mask = 0;
+  for (PortId p = 0; p < topology.num_ports(); ++p) {
+    if (neighbors[p] != kInvalidNode) mask |= 1u << p;
+  }
+  return mask;
+}
+
+MbmView view_of(const topo::KAryNCube& topology,
+                std::span<const PortView> view) {
+  if (static_cast<std::int32_t>(view.size()) != topology.num_ports()) {
+    throw std::invalid_argument("mbm::view_of: view size mismatch");
+  }
+  MbmView out;
+  for (std::size_t p = 0; p < view.size(); ++p) {
+    const std::uint32_t bit = 1u << p;
+    out.available |= view[p] == PortView::kAvailable ? bit : 0u;
+    out.established |= view[p] == PortView::kBusyEstablished ? bit : 0u;
+    out.pending |= view[p] == PortView::kBusyPending ? bit : 0u;
+  }
+  return out;
+}
+
 std::vector<PortId> ordered_minimal_ports(const topo::KAryNCube& topology,
                                           NodeId node, NodeId dest) {
-  const MinimalPorts minimal = collect_minimal(topology, node, dest);
-  return std::vector<PortId>(minimal.ports.begin(),
-                             minimal.ports.begin() + minimal.count);
+  const MinimalPorts minimal = minimal_ports(topology, node, dest);
+  std::vector<PortId> out;
+  for (std::uint32_t left = minimal.mask; left != 0;) {
+    const PortId p = minimal.best(left);
+    out.push_back(p);
+    left &= ~(1u << p);
+  }
+  return out;
 }
 
 MbmDecision decide(const topo::KAryNCube& topology, NodeId node, NodeId dest,
-                   std::span<const PortView> view, PortId arrival_port,
+                   const MbmView& view, PortId arrival_port,
                    std::int32_t misroutes, std::int32_t max_misroutes,
                    bool force, bool mutate_force_unacked) {
-  if (static_cast<std::int32_t>(view.size()) != topology.num_ports()) {
-    throw std::invalid_argument("mbm::decide: view size mismatch");
-  }
   if (node == dest) {
     return MbmDecision{MbmAction::kDeliver, kInvalidPort, false};
   }
 
-  const MinimalPorts minimal = collect_minimal(topology, node, dest);
+  const MinimalPorts minimal = minimal_ports(topology, node, dest);
 
   // Seeded bug: treat still-establishing channels as waitable too. This is
   // exactly what the Theorem-1 proof forbids; the BMC and fsck I7 must both
   // catch it (docs/TESTING.md mutation table).
-  const auto waitable = [mutate_force_unacked](PortView v) {
-    return v == PortView::kBusyEstablished ||
-           (mutate_force_unacked && v == PortView::kBusyPending);
-  };
+  const std::uint32_t waitable =
+      view.established | (mutate_force_unacked ? view.pending : 0u);
 
   // 1. A free minimal channel pair.
-  for (std::int32_t i = 0; i < minimal.count; ++i) {
-    const PortId p = minimal.ports[i];
-    if (view[p] == PortView::kAvailable) {
-      return MbmDecision{MbmAction::kAdvance, p, false};
-    }
+  if (const std::uint32_t free_minimal = view.available & minimal.mask) {
+    return MbmDecision{MbmAction::kAdvance, minimal.best(free_minimal), false};
   }
   // 2. Force mode: wait for a minimal channel held by an *established*
-  //    circuit (CLRP will tear it down). Never wait on kBusyPending.
+  //    circuit (CLRP will tear it down). Never wait on a pending one.
   if (force) {
-    for (std::int32_t i = 0; i < minimal.count; ++i) {
-      const PortId p = minimal.ports[i];
-      if (waitable(view[p])) {
-        return MbmDecision{MbmAction::kWaitForce, p, false};
-      }
+    if (const std::uint32_t held = waitable & minimal.mask) {
+      return MbmDecision{MbmAction::kWaitForce, minimal.best(held), false};
     }
   }
-  // 3. Misroute through any other free pair (never straight back where we
-  //    came from: the reverse hop is what backtracking is for).
+  // 3. Misroute through any other free pair, lowest port first. Never
+  //    straight back where we came from: input port q of a node faces the
+  //    neighbor in direction q, so the output link back toward the
+  //    previous node is port q itself, and the reverse hop is what
+  //    backtracking is for.
   if (misroutes < max_misroutes) {
-    for (PortId p = 0; p < topology.num_ports(); ++p) {
-      if (view[p] != PortView::kAvailable) continue;
-      // Input port q of a node faces the neighbor in direction q, so the
-      // output link back toward the previous node is port q itself.
-      if (p == arrival_port) continue;
-      // Minimal ports were already rejected above.
-      if (minimal.contains(p)) continue;
-      return MbmDecision{MbmAction::kAdvance, p, true};
+    const std::uint32_t back = arrival_port >= 0 ? 1u << arrival_port : 0u;
+    const std::uint32_t detour = ~minimal.mask & ~back;
+    if (const std::uint32_t free_detour = view.available & detour) {
+      return MbmDecision{MbmAction::kAdvance, std::countr_zero(free_detour),
+                         true};
     }
     // A Force probe may also wait on a non-minimal established circuit if
-    // that is the only way forward within the misroute budget.
+    // that is the only way forward within the misroute budget; advancing
+    // there after the wait consumes a misroute credit.
     if (force) {
-      for (PortId p = 0; p < topology.num_ports(); ++p) {
-        if (!waitable(view[p])) continue;
-        if (p == arrival_port) continue;
-        if (minimal.contains(p)) continue;
-        // Advancing here after the wait will consume a misroute credit.
-        return MbmDecision{MbmAction::kWaitForce, p, true};
+      if (const std::uint32_t held = waitable & detour) {
+        return MbmDecision{MbmAction::kWaitForce, std::countr_zero(held),
+                           true};
       }
     }
   }

@@ -1,10 +1,16 @@
 // MB-m: misrouting backtracking probe routing with at most m misroutes
 // (Gaughan & Yalamanchili, used by the paper for circuit setup).
 //
-// decide() is a pure function over the probe's local view of one node:
-// given per-port availability, the history mask and the misroute budget it
-// returns what the probe does this step. The control plane executes the
-// decision (reserving channels, parking Force probes, moving flits).
+// The step is word-level, like the routing control unit of paper Fig. 3:
+// a probe's view of one node is three port masks (MbmView) built from the
+// status registers' port masks, the node's link mask and the History
+// Store's searched-port mask. decide() is a pure function of that view,
+// the misroute budget and the Force bit; it returns what the probe does
+// this step. The control plane (ControlPlane::build_view) and the bounded
+// model checker (ProtocolModel::build_view) both build an MbmView and call
+// the same decide(), so the runtime and the model share one copy of the
+// decision logic. The control plane executes the decision (reserving
+// channels, parking Force probes, moving flits).
 #pragma once
 
 #include <cstdint>
@@ -12,16 +18,40 @@
 #include <vector>
 
 #include "pcs/probe.hpp"
+#include "pcs/registers.hpp"
 #include "topology/topology.hpp"
 
 namespace wavesim::pcs {
 
-/// Most output ports a node may have: the History Store keeps one bit per
-/// port in a 32-bit mask, and views are fixed arrays of this size.
-inline constexpr std::int32_t kMaxPorts = 32;
+/// A probe's view of the output ports of one node (bit p = port p). A port
+/// in none of the three masks is unusable: faulty, already searched
+/// (history), or off the mesh edge.
+struct MbmView {
+  std::uint32_t available = 0;    ///< free pair, selectable
+  std::uint32_t established = 0;  ///< owned by a circuit whose ack has returned
+  std::uint32_t pending = 0;  ///< owned by a probe or a circuit awaiting ack
+
+  friend bool operator==(const MbmView&, const MbmView&) = default;
+};
+
+/// Ports of `node` that lead to a neighbor (all ports on a torus; a mesh
+/// edge node lacks the ports that would leave the mesh).
+std::uint32_t link_mask(const topo::KAryNCube& topology, NodeId node);
+
+/// The view of a register bank restricted to the `usable` ports (link
+/// mask minus searched ports). A reserved channel, or a busy one whose ack
+/// has not returned, belongs to a circuit still being established.
+inline MbmView view_of(const SwitchRegisters& regs,
+                       std::uint32_t usable) noexcept {
+  const std::uint32_t busy = regs.busy_mask();
+  const std::uint32_t acked = regs.ack_mask();
+  return MbmView{regs.free_mask() & usable, busy & acked & usable,
+                 (regs.reserved_mask() | (busy & ~acked)) & usable};
+}
 
 /// Availability of the (control, data) channel pair behind one output port
-/// as seen by a probe.
+/// as seen by a probe: the per-port form of MbmView, for tests and callers
+/// that describe a view port by port.
 enum class PortView : std::uint8_t {
   kAvailable,        ///< free pair, selectable
   kBusyEstablished,  ///< owned by a circuit whose ack has returned
@@ -46,30 +76,48 @@ struct MbmDecision {
 
 /// One probe-routing step at `node`.
 ///
-/// Preference order (minimal ports sorted by largest remaining offset):
+/// Preference order (among minimal ports, the one with the largest
+/// remaining |offset| wins, ties to the lower port):
 ///   1. minimal available port                         -> advance
 ///   2. [force] minimal port busy w/ established circuit -> wait (tear down)
 ///   3. available misroute port, if misroutes < m      -> advance (misroute)
 ///   4. otherwise                                      -> backtrack
-/// Matching the paper: a Force probe never waits on a channel that belongs
-/// to a circuit still being established -- it backtracks instead, which is
-/// the linchpin of the Theorem-1 deadlock-freedom argument.
+/// Misroute candidates are available & ~minimal & ~arrival; the lowest
+/// port wins. Matching the paper: a Force probe never waits on a channel
+/// that belongs to a circuit still being established -- it backtracks
+/// instead, which is the linchpin of the Theorem-1 deadlock-freedom
+/// argument.
 ///
-/// `view[p]` must already fold in history, faults and mesh edges
-/// (kUnusable); `view` holds exactly one entry per port. `arrival_port` is the input port the probe occupies at
-/// `node` (kInvalidPort at the source); its opposite direction is excluded
-/// from misroute candidates.
+/// `view` must already fold in history, faults and mesh edges.
+/// `arrival_port` is the input port the probe occupies at `node`
+/// (kInvalidPort at the source); its opposite direction is excluded from
+/// misroute candidates.
 ///
 /// `mutate_force_unacked` is the WAVESIM_MUTATE_FORCE_UNACKED seeded bug
-/// (docs/TESTING.md): a Force probe also waits on kBusyPending channels,
+/// (docs/TESTING.md): a Force probe also waits on pending channels,
 /// exactly the behavior Theorem 1 forbids. Runtime-plumbed (not an #ifdef
 /// here) so the bounded model checker and the concrete control plane share
 /// one switch and the model-vs-runtime agreement contract can be tested in
 /// a normal build.
 MbmDecision decide(const topo::KAryNCube& topology, NodeId node, NodeId dest,
-                   std::span<const PortView> view, PortId arrival_port,
+                   const MbmView& view, PortId arrival_port,
                    std::int32_t misroutes, std::int32_t max_misroutes,
                    bool force, bool mutate_force_unacked = false);
+
+/// The MbmView of a per-port view; `view` holds exactly one entry per
+/// port of `topology` (std::invalid_argument otherwise).
+MbmView view_of(const topo::KAryNCube& topology,
+                std::span<const PortView> view);
+
+/// decide() over a per-port view: view_of() then the mask decide().
+inline MbmDecision decide(const topo::KAryNCube& topology, NodeId node,
+                          NodeId dest, std::span<const PortView> view,
+                          PortId arrival_port, std::int32_t misroutes,
+                          std::int32_t max_misroutes, bool force,
+                          bool mutate_force_unacked = false) {
+  return decide(topology, node, dest, view_of(topology, view), arrival_port,
+                misroutes, max_misroutes, force, mutate_force_unacked);
+}
 
 /// Minimal ports toward dest ordered by descending remaining offset
 /// magnitude (ties by port index). Exposed for tests.

@@ -17,8 +17,21 @@ const char* to_string(ChannelStatus status) noexcept {
 }
 
 SwitchRegisters::SwitchRegisters(std::int32_t num_ports) : out_(num_ports) {
-  if (num_ports < 1) {
-    throw std::invalid_argument("SwitchRegisters: num_ports < 1");
+  if (num_ports < 1 || num_ports > kMaxPorts) {
+    throw std::invalid_argument("SwitchRegisters: num_ports out of [1, 32]");
+  }
+  rebuild_masks();
+}
+
+void SwitchRegisters::rebuild_masks() noexcept {
+  free_ = reserved_ = busy_ = acked_ = 0;
+  for (PortId p = 0; p < num_ports(); ++p) {
+    const OutChannel& ch = out_[p];
+    const std::uint32_t bit = 1u << p;
+    if (ch.status == ChannelStatus::kFree) free_ |= bit;
+    if (ch.status == ChannelStatus::kReservedByProbe) reserved_ |= bit;
+    if (ch.status == ChannelStatus::kBusyCircuit) busy_ |= bit;
+    if (ch.ack_returned) acked_ |= bit;
   }
 }
 
@@ -41,6 +54,9 @@ void SwitchRegisters::reserve(PortId out_port, ProbeId probe, PortId in_port) {
   ch.circuit = kInvalidCircuit;
   ch.ack_returned = false;
   ch.in_port = in_port;
+  free_ &= ~(1u << out_port);
+  reserved_ |= 1u << out_port;
+  acked_ &= ~(1u << out_port);
 }
 
 void SwitchRegisters::release_reservation(PortId out_port) {
@@ -49,6 +65,8 @@ void SwitchRegisters::release_reservation(PortId out_port) {
     throw std::logic_error("release_reservation on non-reserved channel");
   }
   ch = OutChannel{};
+  reserved_ &= ~(1u << out_port);
+  free_ |= 1u << out_port;
 }
 
 void SwitchRegisters::commit(PortId out_port, CircuitId circuit) {
@@ -59,6 +77,8 @@ void SwitchRegisters::commit(PortId out_port, CircuitId circuit) {
   ch.status = ChannelStatus::kBusyCircuit;
   ch.probe = kInvalidProbe;
   ch.circuit = circuit;
+  reserved_ &= ~(1u << out_port);
+  busy_ |= 1u << out_port;
 }
 
 void SwitchRegisters::mark_ack_returned(PortId out_port) {
@@ -67,6 +87,7 @@ void SwitchRegisters::mark_ack_returned(PortId out_port) {
     throw std::logic_error("mark_ack_returned on non-circuit channel");
   }
   ch.ack_returned = true;
+  acked_ |= 1u << out_port;
 }
 
 void SwitchRegisters::release_circuit(PortId out_port) {
@@ -75,6 +96,9 @@ void SwitchRegisters::release_circuit(PortId out_port) {
     throw std::logic_error("release_circuit on non-circuit channel");
   }
   ch = OutChannel{};
+  busy_ &= ~(1u << out_port);
+  acked_ &= ~(1u << out_port);
+  free_ |= 1u << out_port;
 }
 
 void SwitchRegisters::mark_faulty(PortId out_port) {
@@ -84,6 +108,7 @@ void SwitchRegisters::mark_faulty(PortId out_port) {
   }
   ch = OutChannel{};
   ch.status = ChannelStatus::kFaulty;
+  free_ &= ~(1u << out_port);
 }
 
 void SwitchRegisters::clear_faulty(PortId out_port) {
@@ -92,6 +117,7 @@ void SwitchRegisters::clear_faulty(PortId out_port) {
     throw std::logic_error("clear_faulty on non-faulty channel");
   }
   ch = OutChannel{};
+  free_ |= 1u << out_port;
 }
 
 PortId SwitchRegisters::direct_map(PortId in_port) const {
@@ -141,6 +167,7 @@ void SwitchRegisters::snap(snap::Archive& ar) {
     ar.pod(ch.ack_returned);
     ar.pod(ch.in_port);
   }
+  if (ar.reading()) rebuild_masks();
 }
 
 void RegisterFile::snap(snap::Archive& ar) {

@@ -5,6 +5,13 @@
 // paired data channel are reserved together, so a single status covers the
 // pair), the direct and reverse mappings between input and output channels
 // of the circuits/probes crossing the node, and the Ack-Returned bit.
+//
+// Each bank also keeps the status and Ack-Returned bits as 32-bit port
+// masks (bit p = output port p): free, reserved, busy and ack-returned; a
+// faulty port is in none of the first three. The probe's MB-m step reads
+// only these words (pcs/mbm.hpp). Every mutator updates the masks with the
+// per-channel registers, and a snapshot load rebuilds them from those
+// registers, so the masks are derived state and never serialized.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,10 @@ class Archive;
 }  // namespace wavesim::snap
 
 namespace wavesim::pcs {
+
+/// Most output ports a node may have: status, history and view masks
+/// keep one bit per port in 32-bit words.
+inline constexpr std::int32_t kMaxPorts = 32;
 
 /// Pseudo-port used in mappings for circuits that start (input side) or
 /// terminate (output side) at this node.
@@ -51,6 +62,12 @@ class SwitchRegisters {
   bool ack_returned(PortId out_port) const {
     return out_.at(out_port).ack_returned;
   }
+
+  /// Port masks of the status and Ack-Returned registers (bit p = port p).
+  std::uint32_t free_mask() const noexcept { return free_; }
+  std::uint32_t reserved_mask() const noexcept { return reserved_; }
+  std::uint32_t busy_mask() const noexcept { return busy_; }
+  std::uint32_t ack_mask() const noexcept { return acked_; }
 
   /// Mutation counter: bumped by every call below that changes a channel,
   /// so an unchanged value means an unchanged bank (a parked Force probe
@@ -93,8 +110,15 @@ class SwitchRegisters {
 
   const OutChannel& at(PortId out_port) const;
   OutChannel& at(PortId out_port);
+  /// Recompute every port mask from the per-channel registers.
+  void rebuild_masks() noexcept;
 
   std::vector<OutChannel> out_;
+  /// Port masks derived from out_: not written, rebuilt when snap() reads.
+  std::uint32_t free_ = 0;
+  std::uint32_t reserved_ = 0;
+  std::uint32_t busy_ = 0;
+  std::uint32_t acked_ = 0;
   std::uint64_t version_ = 0;  // [snap: skip] host-side change detector; a restore discards every decision cached against it
 };
 

@@ -2,6 +2,10 @@
 // store, and the MB-m decision function.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <utility>
+
 #include "pcs/history.hpp"
 #include "sim/rng.hpp"
 #include "pcs/mbm.hpp"
@@ -141,6 +145,92 @@ TEST(SwitchRegisters, VersionCountsEveryMutation) {
   EXPECT_TRUE(bumped());
   regs.clear_faulty(3);
   EXPECT_TRUE(bumped());
+}
+
+// Masks recomputed from the per-channel registers: the reference every
+// maintained mask must equal.
+MbmView masks_from_status(const SwitchRegisters& regs) {
+  std::uint32_t free = 0, reserved = 0, busy = 0, acked = 0;
+  for (PortId p = 0; p < regs.num_ports(); ++p) {
+    const std::uint32_t bit = 1u << p;
+    if (regs.status(p) == ChannelStatus::kFree) free |= bit;
+    if (regs.status(p) == ChannelStatus::kReservedByProbe) reserved |= bit;
+    if (regs.status(p) == ChannelStatus::kBusyCircuit) busy |= bit;
+    if (regs.ack_returned(p)) acked |= bit;
+  }
+  EXPECT_EQ(regs.free_mask(), free);
+  EXPECT_EQ(regs.reserved_mask(), reserved);
+  EXPECT_EQ(regs.busy_mask(), busy);
+  EXPECT_EQ(regs.ack_mask(), acked);
+  return view_of(regs, ~0u);
+}
+
+TEST(SwitchRegisters, MasksTrackEveryMutationAndSurviveASnapRoundTrip) {
+  wavesim::sim::Rng rng{77};
+  for (const std::int32_t ports : {4, 6, 32}) {
+    SwitchRegisters regs(ports);
+    masks_from_status(regs);
+    for (int op = 0; op < 4000; ++op) {
+      const auto p = static_cast<PortId>(rng.next_below(ports));
+      switch (regs.status(p)) {
+        case ChannelStatus::kFree:
+          if (rng.chance(0.8)) {
+            regs.reserve(p, op, kLocalEndpoint);
+          } else {
+            regs.mark_faulty(p);
+          }
+          break;
+        case ChannelStatus::kReservedByProbe:
+          if (rng.chance(0.5)) {
+            regs.commit(p, op);
+          } else {
+            regs.release_reservation(p);
+          }
+          break;
+        case ChannelStatus::kBusyCircuit:
+          if (!regs.ack_returned(p) && rng.chance(0.7)) {
+            regs.mark_ack_returned(p);
+          } else {
+            regs.release_circuit(p);
+          }
+          break;
+        case ChannelStatus::kFaulty:
+          regs.clear_faulty(p);
+          break;
+      }
+      const MbmView live = masks_from_status(regs);
+      if (op % 97 != 0) continue;
+      auto ar = snap::Archive::writer();
+      regs.snap(ar);
+      SwitchRegisters back(ports);
+      auto rd = snap::Archive::reader(ar.bytes());
+      back.snap(rd);
+      EXPECT_EQ(masks_from_status(back), live);
+      EXPECT_EQ(back.free_mask(), regs.free_mask());
+      EXPECT_EQ(back.reserved_mask(), regs.reserved_mask());
+      EXPECT_EQ(back.busy_mask(), regs.busy_mask());
+      EXPECT_EQ(back.ack_mask(), regs.ack_mask());
+    }
+  }
+}
+
+TEST(SwitchRegisters, ViewFoldsAckIntoEstablishedAndPending) {
+  SwitchRegisters regs(6);
+  regs.reserve(0, 1, kLocalEndpoint);  // pending: probe
+  regs.reserve(1, 2, kLocalEndpoint);
+  regs.commit(1, 7);                   // pending: awaiting ack
+  regs.reserve(2, 3, kLocalEndpoint);
+  regs.commit(2, 8);
+  regs.mark_ack_returned(2);           // established
+  regs.mark_faulty(3);                 // in no mask
+  const MbmView all = view_of(regs, ~0u);
+  EXPECT_EQ(all.available, 0b110000u);
+  EXPECT_EQ(all.established, 0b000100u);
+  EXPECT_EQ(all.pending, 0b000011u);
+  const MbmView some = view_of(regs, 0b010101u);
+  EXPECT_EQ(some.available, 0b010000u);
+  EXPECT_EQ(some.established, 0b000100u);
+  EXPECT_EQ(some.pending, 0b000001u);
 }
 
 // ------------------------------------------------------------------ history
@@ -466,6 +556,139 @@ TEST_F(MbmTest, PropertyFuzzOverRandomViews) {
         break;
     }
   }
+}
+
+// The ordered-scan decide() the mask decide() replaced, kept verbatim in
+// behavior as the oracle of the equivalence test below: minimal ports
+// insertion-sorted by (-|offset|, port), then port-by-port scans.
+MbmDecision oracle_decide(const KAryNCube& topology, NodeId node, NodeId dest,
+                          const std::vector<PortView>& view,
+                          PortId arrival_port, std::int32_t misroutes,
+                          std::int32_t max_misroutes, bool force,
+                          bool mutate_force_unacked) {
+  if (node == dest) return MbmDecision{MbmAction::kDeliver, kInvalidPort, false};
+  const std::span<const std::int32_t> from = topology.coord_row(node);
+  const std::span<const std::int32_t> to = topology.coord_row(dest);
+  std::array<std::pair<std::int32_t, PortId>, kMaxPorts> scored;
+  std::int32_t n = 0;
+  for (std::int32_t d = 0; d < topology.num_dims(); ++d) {
+    const std::int32_t off = topology.wrap_offset(to[d] - from[d], d);
+    if (off == 0) continue;
+    const std::pair<std::int32_t, PortId> key{-std::abs(off),
+                                              KAryNCube::port_of(d, off > 0)};
+    std::int32_t i = n++;
+    for (; i > 0 && key < scored[i - 1]; --i) scored[i] = scored[i - 1];
+    scored[i] = key;
+  }
+  const auto is_minimal = [&](PortId p) {
+    for (std::int32_t i = 0; i < n; ++i) {
+      if (scored[i].second == p) return true;
+    }
+    return false;
+  };
+  const auto waitable = [mutate_force_unacked](PortView v) {
+    return v == PortView::kBusyEstablished ||
+           (mutate_force_unacked && v == PortView::kBusyPending);
+  };
+  for (std::int32_t i = 0; i < n; ++i) {
+    const PortId p = scored[i].second;
+    if (view[p] == PortView::kAvailable) {
+      return MbmDecision{MbmAction::kAdvance, p, false};
+    }
+  }
+  if (force) {
+    for (std::int32_t i = 0; i < n; ++i) {
+      const PortId p = scored[i].second;
+      if (waitable(view[p])) return MbmDecision{MbmAction::kWaitForce, p, false};
+    }
+  }
+  if (misroutes < max_misroutes) {
+    for (PortId p = 0; p < topology.num_ports(); ++p) {
+      if (view[p] != PortView::kAvailable || p == arrival_port ||
+          is_minimal(p)) {
+        continue;
+      }
+      return MbmDecision{MbmAction::kAdvance, p, true};
+    }
+    if (force) {
+      for (PortId p = 0; p < topology.num_ports(); ++p) {
+        if (!waitable(view[p]) || p == arrival_port || is_minimal(p)) continue;
+        return MbmDecision{MbmAction::kWaitForce, p, true};
+      }
+    }
+  }
+  return MbmDecision{MbmAction::kBacktrack, kInvalidPort, false};
+}
+
+// Every view of every port over the four port states, every arrival port
+// (and none), every misroute count up to m, Force and the seeded bug on
+// and off, toward every destination from several sources: the mask
+// decide() must return exactly the ordered-scan oracle's decision. The
+// topologies cover a 4-port torus, a 4-port mesh (edge nodes) and a
+// 6-port torus (three-way |offset| ties).
+TEST(MbmEquivalence, MaskDecideMatchesTheOrderedScanOnEveryView) {
+  constexpr std::int32_t kMaxMisroutes = 2;
+  const auto states = {PortView::kAvailable, PortView::kBusyEstablished,
+                       PortView::kBusyPending, PortView::kUnusable};
+  struct Case {
+    KAryNCube topology;
+    std::vector<topo::Coord> sources;
+  };
+  const std::vector<Case> cases = {
+      {KAryNCube({6, 6}, true), {{0, 0}, {2, 3}}},
+      {KAryNCube({5, 5}, false), {{0, 0}, {2, 0}, {2, 2}, {4, 4}}},
+      {KAryNCube({4, 4, 4}, true), {{0, 0, 0}, {1, 2, 3}}},
+  };
+  std::uint64_t checked = 0;
+  for (const Case& c : cases) {
+    const KAryNCube& t = c.topology;
+    const std::int32_t ports = t.num_ports();
+    std::uint32_t views = 1;
+    for (std::int32_t p = 0; p < ports; ++p) views *= 4;
+    std::vector<PortView> view(static_cast<std::size_t>(ports));
+    for (const topo::Coord& at : c.sources) {
+      const NodeId node = t.node_of(at);
+      for (NodeId dest = 0; dest < t.num_nodes(); ++dest) {
+        for (std::uint32_t code = 0; code < views; ++code) {
+          for (std::int32_t p = 0; p < ports; ++p) {
+            view[p] = *(states.begin() + ((code >> (2 * p)) & 3u));
+          }
+          const MbmView masks = view_of(t, view);
+          for (PortId arrival = kInvalidPort; arrival < ports; ++arrival) {
+            for (std::int32_t used = 0; used <= kMaxMisroutes; ++used) {
+              for (const int flags : {0, 1, 2, 3}) {
+                const bool force = (flags & 1) != 0;
+                const bool mutate = (flags & 2) != 0;
+                const MbmDecision want =
+                    oracle_decide(t, node, dest, view, arrival, used,
+                                  kMaxMisroutes, force, mutate);
+                const MbmDecision got =
+                    decide(t, node, dest, masks, arrival, used, kMaxMisroutes,
+                           force, mutate);
+                ++checked;
+                if (got == want) continue;
+                FAIL() << "node " << node << " dest " << dest << " view "
+                       << code << " arrival " << arrival << " misroutes "
+                       << used << " force " << force << " mutate " << mutate
+                       << ": port " << got.port << " vs " << want.port;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(MbmEquivalence, LinkMaskDropsMeshEdgePorts) {
+  const KAryNCube mesh({4, 4}, false);
+  EXPECT_EQ(link_mask(mesh, mesh.node_of({0, 0})),
+            (1u << KAryNCube::port_of(0, true)) |
+                (1u << KAryNCube::port_of(1, true)));
+  EXPECT_EQ(link_mask(mesh, mesh.node_of({1, 2})), 0b1111u);
+  const KAryNCube torus({4, 4, 4}, true);
+  EXPECT_EQ(link_mask(torus, 0), 0b111111u);
 }
 
 TEST(ControlKindNames, AllDistinct) {
