@@ -18,8 +18,9 @@ using namespace wavesim;
 void BM_MbmDecide(benchmark::State& state) {
   topo::KAryNCube topo({8, 8}, true);
   // Port 0 held by a circuit still being established, the rest free.
-  const pcs::MbmView view{/*available=*/0b1110, /*established=*/0,
-                          /*pending=*/0b0001};
+  pcs::MbmView view{/*available=*/0b1110, /*established=*/0,
+                    /*pending=*/0b0001};
+  benchmark::DoNotOptimize(view);
   NodeId node = 0;
   for (auto _ : state) {
     auto d = pcs::decide(topo, node, 27, view, kInvalidPort, 0, 2, false);

@@ -13,7 +13,7 @@ namespace {
 /// a mask, with the remaining |offset| along each dimension.
 struct MinimalPorts {
   std::uint32_t mask = 0;
-  std::array<std::int32_t, kMaxPorts / 2> reach;  ///< valid where mask is set
+  std::array<std::int32_t, kMaxPorts / 2> reach{};  ///< |offset| per dimension
 
   /// The port of `candidates` (a subset of mask) with the largest reach,
   /// ties to the lower port; kInvalidPort when `candidates` is empty.
