@@ -560,7 +560,9 @@ MbmDecision oracle_decide(const KAryNCube& topology, NodeId node, NodeId dest,
                           PortId arrival_port, std::int32_t misroutes,
                           std::int32_t max_misroutes, bool force,
                           bool mutate_force_unacked) {
-  if (node == dest) return MbmDecision{MbmAction::kDeliver, kInvalidPort, false};
+  if (node == dest) {
+    return MbmDecision{MbmAction::kDeliver, kInvalidPort, false};
+  }
   const std::span<const std::int32_t> from = topology.coord_row(node);
   const std::span<const std::int32_t> to = topology.coord_row(dest);
   std::array<std::pair<std::int32_t, PortId>, kMaxPorts> scored;
@@ -593,7 +595,9 @@ MbmDecision oracle_decide(const KAryNCube& topology, NodeId node, NodeId dest,
   if (force) {
     for (std::int32_t i = 0; i < n; ++i) {
       const PortId p = scored[i].second;
-      if (waitable(view[p])) return MbmDecision{MbmAction::kWaitForce, p, false};
+      if (waitable(view[p])) {
+        return MbmDecision{MbmAction::kWaitForce, p, false};
+      }
     }
   }
   if (misroutes < max_misroutes) {
