@@ -19,7 +19,9 @@ ControlPlane::ControlPlane(const topo::KAryNCube& topology,
                            const ControlPlaneParams& params,
                            const Instrumentation* instrumentation)
     : topology_(topology), circuits_(circuits), gate_(gate), params_(params),
-      instr_(instrumentation), registers_(topology, params.num_switches),
+      instr_(instrumentation),
+      registers_(topology.num_nodes(), topology.num_ports(),
+                 params.num_switches),
       history_(topology.num_nodes()) {
   if (params.num_switches < 1 || params.max_misroutes < 0 ||
       params.hop_cycles < 1) {

@@ -42,11 +42,14 @@ Network::Network(const sim::SimConfig& config)
                                                    rng_.fork());
     }
   }
+  const auto vcs = static_cast<std::size_t>(config_.router.wormhole_vcs);
+  streams_.resize(static_cast<std::size_t>(topology_.num_nodes()) * vcs);
   interfaces_.reserve(topology_.num_nodes());
   for (NodeId n = 0; n < topology_.num_nodes(); ++n) {
-    interfaces_.push_back(std::make_unique<NodeInterface>(
+    interfaces_.emplace_back(
         n, config_, topology_, log_, circuits_, fabric_, control_.get(),
-        data_.get(), fault_.get(), instrumentation_, rng_.fork()));
+        data_.get(), fault_.get(), instrumentation_, rng_.fork(),
+        std::span(streams_).subspan(static_cast<std::size_t>(n) * vcs, vcs));
   }
   sim::log_info("network up: ", topology_.num_nodes(), " nodes, ",
                 sim::to_string(config_.protocol.protocol), ", routing ",
@@ -94,7 +97,7 @@ MessageId Network::dispatch_send(NodeId src, NodeId dest,
                                  std::int32_t length) {
   const MessageId id = log_.create(src, dest, length, now_);
   instrumentation_.emit(now_, EventKind::kSubmitted, src, id);
-  interfaces_[src]->submit(id, now_);
+  interfaces_[src].submit(id, now_);
   return id;
 }
 
@@ -133,26 +136,26 @@ void Network::offer_due_sends() {
 
 bool Network::establish_circuit(NodeId src, NodeId dest,
                                 std::int32_t max_message_flits) {
-  return interfaces_.at(src)->establish_circuit(dest, now_, max_message_flits);
+  return interfaces_.at(src).establish_circuit(dest, now_, max_message_flits);
 }
 
 void Network::release_circuit(NodeId src, NodeId dest) {
-  interfaces_.at(src)->release_circuit(dest, now_);
+  interfaces_.at(src).release_circuit(dest, now_);
 }
 
 void Network::dispatch_events() {
   if (control_ != nullptr) {
     for (const auto& result : control_->take_probe_results()) {
-      interfaces_[result.src]->on_probe_result(result, now_);
+      interfaces_[result.src].on_probe_result(result, now_);
     }
     for (const auto& demand : control_->take_release_demands()) {
-      interfaces_[demand.src]->on_release_demand(demand, now_);
+      interfaces_[demand.src].on_release_demand(demand, now_);
     }
     control_->take_teardowns_done();  // informational only
   }
   if (data_ != nullptr) {
     for (const auto& done : data_->take_completed()) {
-      interfaces_[done.src]->on_transfer_done(done, now_);
+      interfaces_[done.src].on_transfer_done(done, now_);
       ++delivered_msgs_;  // each TransferDone marks exactly one message
     }
   }
@@ -167,7 +170,7 @@ void Network::step_faults() {
       for (const KilledCircuit& k :
            control_->fail_link(change.node, change.port)) {
         const MessageId aborted = data_->abort_transfer(k.circuit);
-        interfaces_[k.src]->on_circuit_killed(k.circuit, k.dest, aborted,
+        interfaces_[k.src].on_circuit_killed(k.circuit, k.dest, aborted,
                                               now_);
       }
     } else {
@@ -196,7 +199,7 @@ void Network::step_begin() {
   if (data_ != nullptr) data_->step(now_);
   dispatch_events();
   if (config_.protocol.pcs_only) {
-    for (auto& ni : interfaces_) ni->pump_retries(now_);
+    for (auto& ni : interfaces_) ni.pump_retries(now_);
   }
   fabric_.begin_cycle(now_);
 }
@@ -210,7 +213,7 @@ void Network::step_shard(NodeId begin, NodeId end, ShardContext& ctx) {
   for (NodeId n = begin; n < end; ++n) {
     // pump_streams on an interface with nothing pending is a no-op; the
     // fabric's activity byte makes the skip a single byte test.
-    if (fabric_.ni_work(n)) interfaces_[n]->pump_streams(now_, ctx.io);
+    if (fabric_.ni_work(n)) interfaces_[n].pump_streams(now_, ctx.io);
   }
   fabric_.step_nodes(now_, begin, end, ctx.io);
   // Reassembly by count: packets of a segmented message may interleave
@@ -282,7 +285,7 @@ void Network::snap(snap::Archive& ar) {
   if (fault_ != nullptr) fault_->snap(ar);
   fabric_.snap(ar);
   log_.snap(ar);
-  for (auto& iface : interfaces_) iface->snap(ar);
+  for (auto& iface : interfaces_) iface.snap(ar);
   rng_.snap(ar);
   // Only the not-yet-offered suffix of the scheduled-send queue is state;
   // restore re-bases the head at zero.

@@ -102,9 +102,9 @@ class Network {
   DataPlane* data_plane() noexcept { return data_.get(); }
   const DataPlane* data_plane() const noexcept { return data_.get(); }
   const CircuitTable& circuits() const noexcept { return circuits_; }
-  NodeInterface& interface(NodeId node) { return *interfaces_.at(node); }
+  NodeInterface& interface(NodeId node) { return interfaces_.at(node); }
   const NodeInterface& interface(NodeId node) const {
-    return *interfaces_.at(node);
+    return interfaces_.at(node);
   }
 
   /// Every offered message delivered, all planes drained, the fault
@@ -179,7 +179,12 @@ class Network {
   /// Reassembly counters are per message, and a message ejects at exactly
   /// one node, hence one shard. [shard: owned]
   MessageLog log_;
-  std::vector<std::unique_ptr<NodeInterface>> interfaces_;  // [shard: owned]
+  /// Every interface's wormhole injection streams, [node][vc]; interface
+  /// n holds a span of its row. [shard: owned] [snap: skip] serialized
+  /// per node through NodeInterface::snap.
+  std::vector<NodeInterface::Stream> streams_;
+  /// By value, [node]. [shard: owned]
+  std::vector<NodeInterface> interfaces_;
   sim::Rng rng_;  // [shard: seq]
   /// For the sequential step(). [shard: seq] [snap: skip] mid-step
   /// scratch, dead at the quiesce seam.

@@ -28,13 +28,13 @@ NodeInterface::NodeInterface(NodeId node, const sim::SimConfig& config,
                              ControlPlane* control, DataPlane* data,
                              const fault::FaultPlane* fault,
                              const Instrumentation& instrumentation,
-                             sim::Rng rng)
+                             sim::Rng rng, std::span<Stream> streams)
     : node_(node), config_(config), topology_(topology), log_(log),
       circuits_(circuits), fabric_(fabric), control_(control), data_(data),
       fault_(fault), instr_(instrumentation),
       cache_(config.protocol.circuit_cache_entries,
              config.protocol.replacement, rng),
-      streams_(config.router.wormhole_vcs) {
+      streams_(streams) {
   if ((control_ == nullptr) != (data_ == nullptr)) {
     throw std::invalid_argument(
         "NodeInterface: control and data planes must both exist or neither");
@@ -43,7 +43,7 @@ NodeInterface::NodeInterface(NodeId node, const sim::SimConfig& config,
 
 std::int32_t NodeInterface::initial_switch() const {
   std::int32_t sum = 0;
-  for (auto c : topology_.coord_of(node_)) sum += c;
+  for (auto c : topology_.coord_row(node_)) sum += c;
   return sum % control_->num_switches();
 }
 
@@ -149,7 +149,7 @@ bool NodeInterface::start_setup(NodeId dest, SetupSequencer::Mode mode,
     // The victim is established and idle (pick_victim guarantees it);
     // tear its circuit down and recycle anything parked behind it.
     DestState& vds = dest_state(evicted->dest);
-    std::deque<MessageId> orphans = std::move(vds.queue);
+    sim::Ring<MessageId> orphans = std::move(vds.queue);
     vds = DestState{};
     instr_.emit(now, EventKind::kEvicted, node_, kInvalidMessage,
                 evicted->circuit);
@@ -206,9 +206,9 @@ void NodeInterface::abandon_setup(NodeId dest, DestState& ds, Cycle now) {
     ds.retry_at = now + kPcsRetryBackoff;
     return;
   }
-  std::deque<MessageId> orphans = std::move(ds.queue);
-  for (MessageId id : orphans) {
-    send_wormhole(id, MessageMode::kWormholeFallback, now);
+  sim::Ring<MessageId> orphans = std::move(ds.queue);
+  for (; !orphans.empty(); orphans.pop_front()) {
+    send_wormhole(orphans.front(), MessageMode::kWormholeFallback, now);
   }
 }
 
@@ -249,8 +249,8 @@ void NodeInterface::teardown_now(NodeId dest, CacheEntry& entry, Cycle now) {
   control_->start_teardown(circuit);
 }
 
-void NodeInterface::requeue(std::deque<MessageId> msgs, Cycle now) {
-  for (MessageId id : msgs) submit(id, now);
+void NodeInterface::requeue(sim::Ring<MessageId> msgs, Cycle now) {
+  for (; !msgs.empty(); msgs.pop_front()) submit(msgs.front(), now);
 }
 
 bool NodeInterface::establish_circuit(NodeId dest, Cycle now,
@@ -348,7 +348,7 @@ void NodeInterface::on_release_demand(const ReleaseDemand& demand, Cycle now) {
     ds.release_urgent = true;
     return;
   }
-  std::deque<MessageId> orphans = std::move(ds.queue);
+  sim::Ring<MessageId> orphans = std::move(ds.queue);
   ds.release_urgent = false;
   ds.release_when_drained = false;
   instr_.emit(now, EventKind::kForceTeardown, node_, kInvalidMessage,
@@ -371,7 +371,7 @@ void NodeInterface::on_transfer_done(const TransferDone& done, Cycle now) {
   entry->in_use = false;
   if (ds.release_urgent) {
     ds.release_urgent = false;
-    std::deque<MessageId> orphans = std::move(ds.queue);
+    sim::Ring<MessageId> orphans = std::move(ds.queue);
     ds.release_when_drained = false;
     instr_.emit(now, EventKind::kForceTeardown, node_, kInvalidMessage,
                 done.circuit);
@@ -405,7 +405,7 @@ void NodeInterface::on_circuit_killed(CircuitId circuit, NodeId dest,
   ds.release_urgent = false;
   ds.release_when_drained = false;
   circuits_.retire(circuit);
-  std::deque<MessageId> orphans = std::move(ds.queue);
+  sim::Ring<MessageId> orphans = std::move(ds.queue);
   if (aborted != kInvalidMessage) {
     // The in-flight message lost its circuit mid-transfer: resend it whole
     // over S0 (circuit flits never touch wormhole reassembly counters, so
@@ -476,7 +476,7 @@ void NodeInterface::pump_streams(Cycle now, wh::ShardIo& io) {
 void NodeInterface::snap(snap::Archive& ar) {
   cache_.snap(ar);
   const auto snap_dest_state = [](snap::Archive& a, DestState& ds) {
-    a.deq(ds.queue, [](snap::Archive& b, MessageId& id) { b.pod(id); });
+    ds.queue.snap(a, [](snap::Archive& b, MessageId& id) { b.pod(id); });
     bool has_setup = ds.setup.has_value();
     a.pod(has_setup);
     if (has_setup) {
@@ -522,11 +522,18 @@ void NodeInterface::snap(snap::Archive& ar) {
     a.pod(p.msg_length);
     a.pod(p.created);
   };
-  ar.deq(wormhole_pending_, snap_packet);
-  ar.vec(streams_, [&](snap::Archive& a, Stream& s) {
-    snap_packet(a, s.pkt);
-    a.pod(s.sent);
-  });
+  wormhole_pending_.snap(ar, snap_packet);
+  // Length-prefixed like a vector; the length is structural (one stream
+  // per wormhole VC) and must match on restore.
+  std::uint64_t n = streams_.size();
+  ar.pod(n);
+  if (n != streams_.size()) {
+    throw snap::ArchiveError("NodeInterface: snapshot stream count differs");
+  }
+  for (Stream& s : streams_) {
+    snap_packet(ar, s.pkt);
+    ar.pod(s.sent);
+  }
   ar.pod(stats_.circuit_messages);
   ar.pod(stats_.wormhole_messages);
   ar.pod(stats_.fallback_messages);

@@ -3,9 +3,9 @@
 // into S0 injection buffers, and reacts to control/data-plane events.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "core/circuit_cache.hpp"
 #include "core/control_plane.hpp"
@@ -15,6 +15,7 @@
 #include "core/protocols.hpp"
 #include "fault/plane.hpp"
 #include "sim/config.hpp"
+#include "sim/ring.hpp"
 #include "wormhole/fabric.hpp"
 
 namespace wavesim::snap {
@@ -25,14 +26,34 @@ namespace wavesim::core {
 
 class NodeInterface {
  public:
+  /// Wormhole injection: pending packets and one active stream per VC.
+  /// Without segmentation a packet is the whole message; with it, packets
+  /// of one message may stream on several VCs concurrently.
+  struct Packet {
+    MessageId msg = kInvalidMessage;
+    NodeId dest = kInvalidNode;
+    std::int32_t start = 0;       ///< message-relative seq of first flit
+    std::int32_t count = 0;       ///< flits in this packet
+    std::int32_t msg_length = 0;
+    Cycle created = 0;
+  };
+  struct Stream {
+    Packet pkt;
+    std::int32_t sent = 0;
+    bool active() const noexcept { return pkt.msg != kInvalidMessage; }
+  };
+
   /// `fault` is the network's fault plane (nullptr when the run has no
   /// dynamic fault schedule); the interface only reads reachability.
+  /// `streams` is this node's slice of the network's stream array, one
+  /// idle Stream per wormhole VC.
   NodeInterface(NodeId node, const sim::SimConfig& config,
                 const topo::KAryNCube& topology, MessageLog& log,
                 CircuitTable& circuits, wh::Fabric& fabric,
                 ControlPlane* control, DataPlane* data,
                 const fault::FaultPlane* fault,
-                const Instrumentation& instrumentation, sim::Rng rng);
+                const Instrumentation& instrumentation, sim::Rng rng,
+                std::span<Stream> streams);
 
   NodeId node() const noexcept { return node_; }
 
@@ -94,7 +115,7 @@ class NodeInterface {
 
  private:
   struct DestState {
-    std::deque<MessageId> queue;  ///< waiting for setup outcome / circuit slot
+    sim::Ring<MessageId> queue;  ///< waiting for setup outcome / circuit slot
     std::optional<SetupSequencer> setup;
     bool release_urgent = false;   ///< CLRP demand: stop after current message
     bool release_when_drained = false;  ///< CARP: release once queue empties
@@ -124,7 +145,7 @@ class NodeInterface {
   /// Invalidate the entry and send the teardown flit (circuit idle).
   void teardown_now(NodeId dest, CacheEntry& entry, Cycle now);
   /// Resubmit messages (used when a circuit goes away under a queue).
-  void requeue(std::deque<MessageId> msgs, Cycle now);
+  void requeue(sim::Ring<MessageId> msgs, Cycle now);
   void send_wormhole(MessageId id, MessageMode mode, Cycle now);
 
   // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py).
@@ -146,24 +167,9 @@ class NodeInterface {
 
   std::map<NodeId, DestState> dests_;  // [shard: seq]
 
-  /// Wormhole injection: pending packets and one active stream per VC.
-  /// Without segmentation a packet is the whole message; with it, packets
-  /// of one message may stream on several VCs concurrently.
-  struct Packet {
-    MessageId msg = kInvalidMessage;
-    NodeId dest = kInvalidNode;
-    std::int32_t start = 0;       ///< message-relative seq of first flit
-    std::int32_t count = 0;       ///< flits in this packet
-    std::int32_t msg_length = 0;
-    Cycle created = 0;
-  };
-  struct Stream {
-    Packet pkt;
-    std::int32_t sent = 0;
-    bool active() const noexcept { return pkt.msg != kInvalidMessage; }
-  };
-  std::deque<Packet> wormhole_pending_;  // [shard: owned]
-  std::vector<Stream> streams_;          // [shard: owned]
+  sim::Ring<Packet> wormhole_pending_;  // [shard: owned]
+  /// This node's slice of the network's stream array, [vc]. [shard: owned]
+  std::span<Stream> streams_;
 
   Stats stats_;  // [shard: seq]
 };

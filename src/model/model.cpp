@@ -79,7 +79,7 @@ ProtocolModel::ProtocolModel(const sim::SimConfig& config,
 
 std::int32_t ProtocolModel::initial_switch(NodeId node) const {
   std::int32_t sum = 0;
-  for (auto c : topology_.coord_of(node)) sum += c;
+  for (auto c : topology_.coord_row(node)) sum += c;
   return sum % num_switches();
 }
 

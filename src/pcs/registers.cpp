@@ -16,10 +16,8 @@ const char* to_string(ChannelStatus status) noexcept {
   return "?";
 }
 
-SwitchRegisters::SwitchRegisters(std::int32_t num_ports) : out_(num_ports) {
-  if (num_ports < 1 || num_ports > kMaxPorts) {
-    throw std::invalid_argument("SwitchRegisters: num_ports out of [1, 32]");
-  }
+SwitchRegisters::SwitchRegisters(OutChannel* channels, std::int32_t num_ports)
+    : out_(channels), num_ports_(num_ports) {
   rebuild_masks();
 }
 
@@ -35,13 +33,9 @@ void SwitchRegisters::rebuild_masks() noexcept {
   }
 }
 
-const SwitchRegisters::OutChannel& SwitchRegisters::at(PortId out_port) const {
-  return out_.at(out_port);
-}
-
-SwitchRegisters::OutChannel& SwitchRegisters::at(PortId out_port) {
+OutChannel& SwitchRegisters::at(PortId out_port) {
   ++version_;  // only the mutators below take a writable channel
-  return out_.at(out_port);
+  return out_[checked(out_port)];
 }
 
 void SwitchRegisters::reserve(PortId out_port, ProbeId probe, PortId in_port) {
@@ -141,26 +135,30 @@ PortId SwitchRegisters::reverse_map(PortId out_port) const {
 
 std::int32_t SwitchRegisters::count(ChannelStatus status_value) const {
   std::int32_t n = 0;
-  for (const auto& ch : out_) n += ch.status == status_value ? 1 : 0;
+  for (PortId p = 0; p < num_ports_; ++p) {
+    n += out_[p].status == status_value ? 1 : 0;
+  }
   return n;
 }
 
-RegisterFile::RegisterFile(const topo::KAryNCube& topology,
+RegisterFile::RegisterFile(std::int32_t num_nodes, std::int32_t num_ports,
                            std::int32_t num_switches)
     : num_switches_(num_switches) {
-  if (num_switches < 1) {
-    throw std::invalid_argument("RegisterFile: num_switches < 1");
+  if (num_nodes < 1 || num_switches < 1 || num_ports < 1 ||
+      num_ports > kMaxPorts) {
+    throw std::invalid_argument("RegisterFile: bad dimensions");
   }
-  regs_.reserve(static_cast<std::size_t>(topology.num_nodes()) * num_switches);
-  for (NodeId n = 0; n < topology.num_nodes(); ++n) {
-    for (std::int32_t s = 0; s < num_switches; ++s) {
-      regs_.emplace_back(topology.num_ports());
-    }
+  const std::size_t banks = static_cast<std::size_t>(num_nodes) * num_switches;
+  channels_.resize(banks * static_cast<std::size_t>(num_ports));
+  banks_.reserve(banks);
+  for (std::size_t b = 0; b < banks; ++b) {
+    banks_.emplace_back(channels_.data() + b * num_ports, num_ports);
   }
 }
 
 void SwitchRegisters::snap(snap::Archive& ar) {
-  for (OutChannel& ch : out_) {
+  for (PortId p = 0; p < num_ports_; ++p) {
+    OutChannel& ch = out_[p];
     ar.pod(ch.status);
     ar.pod(ch.probe);
     ar.pod(ch.circuit);
@@ -171,7 +169,7 @@ void SwitchRegisters::snap(snap::Archive& ar) {
 }
 
 void RegisterFile::snap(snap::Archive& ar) {
-  for (SwitchRegisters& regs : regs_) regs.snap(ar);
+  for (SwitchRegisters& regs : banks_) regs.snap(ar);
 }
 
 }  // namespace wavesim::pcs

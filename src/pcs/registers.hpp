@@ -12,13 +12,19 @@
 // only these words (pcs/mbm.hpp). Every mutator updates the masks with the
 // per-channel registers, and a snapshot load rebuilds them from those
 // registers, so the masks are derived state and never serialized.
+//
+// Layout: like the unit's fixed-size register arrays, the RegisterFile
+// holds every channel's registers in one [node][switch][port] array and
+// one SwitchRegisters record (masks, version, and a pointer to its
+// num_ports channels) per (node, switch) bank, in a second array: two
+// allocations for the whole network, none per bank.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/types.hpp"
-#include "topology/topology.hpp"
 
 namespace wavesim::snap {
 class Archive;
@@ -43,24 +49,38 @@ enum class ChannelStatus : std::uint8_t {
 
 const char* to_string(ChannelStatus status) noexcept;
 
-/// Registers of one (node, wave switch) pair.
+/// Registers of one output channel pair.
+struct OutChannel {
+  ChannelStatus status = ChannelStatus::kFree;
+  ProbeId probe = kInvalidProbe;
+  CircuitId circuit = kInvalidCircuit;
+  bool ack_returned = false;
+  PortId in_port = kInvalidPort;  ///< reverse mapping
+};
+
+/// Registers of one (node, wave switch) pair: the bank's masks and
+/// version, over num_ports channels held by the owning RegisterFile.
 class SwitchRegisters {
  public:
-  explicit SwitchRegisters(std::int32_t num_ports);
+  /// A bank over `num_ports` channels at `channels`; built by
+  /// RegisterFile, which owns the channel array.
+  SwitchRegisters(OutChannel* channels, std::int32_t num_ports);
+  // A copy would alias the channels but not the masks.
+  SwitchRegisters(const SwitchRegisters&) = delete;
+  SwitchRegisters& operator=(const SwitchRegisters&) = delete;
+  SwitchRegisters(SwitchRegisters&&) noexcept = default;
 
-  std::int32_t num_ports() const noexcept {
-    return static_cast<std::int32_t>(out_.size());
-  }
+  std::int32_t num_ports() const noexcept { return num_ports_; }
 
   // Hot-path queries (probe stepping reads these per port per cycle);
-  // inline, with the vector's own bounds check.
-  ChannelStatus status(PortId out_port) const { return out_.at(out_port).status; }
-  ProbeId reserving_probe(PortId out_port) const { return out_.at(out_port).probe; }
+  // inline, bounds-checked.
+  ChannelStatus status(PortId out_port) const { return at(out_port).status; }
+  ProbeId reserving_probe(PortId out_port) const { return at(out_port).probe; }
   CircuitId owning_circuit(PortId out_port) const {
-    return out_.at(out_port).circuit;
+    return at(out_port).circuit;
   }
   bool ack_returned(PortId out_port) const {
-    return out_.at(out_port).ack_returned;
+    return at(out_port).ack_returned;
   }
 
   /// Port masks of the status and Ack-Returned registers (bit p = port p).
@@ -100,20 +120,20 @@ class SwitchRegisters {
   void snap(snap::Archive& ar);
 
  private:
-  struct OutChannel {
-    ChannelStatus status = ChannelStatus::kFree;
-    ProbeId probe = kInvalidProbe;
-    CircuitId circuit = kInvalidCircuit;
-    bool ack_returned = false;
-    PortId in_port = kInvalidPort;  ///< reverse mapping
-  };
-
-  const OutChannel& at(PortId out_port) const;
+  PortId checked(PortId out_port) const {
+    if (out_port < 0 || out_port >= num_ports_) {
+      throw std::out_of_range("SwitchRegisters: port out of range");
+    }
+    return out_port;
+  }
+  const OutChannel& at(PortId out_port) const { return out_[checked(out_port)]; }
   OutChannel& at(PortId out_port);
   /// Recompute every port mask from the per-channel registers.
   void rebuild_masks() noexcept;
 
-  std::vector<OutChannel> out_;
+  /// This bank's slice of RegisterFile::channels_.
+  OutChannel* out_;
+  std::int32_t num_ports_;
   /// Port masks derived from out_: not written, rebuilt when snap() reads.
   std::uint32_t free_ = 0;
   std::uint32_t reserved_ = 0;
@@ -125,24 +145,37 @@ class SwitchRegisters {
 /// All PCS registers of the network: [node][switch_index].
 class RegisterFile {
  public:
-  RegisterFile(const topo::KAryNCube& topology, std::int32_t num_switches);
+  RegisterFile(std::int32_t num_nodes, std::int32_t num_ports,
+               std::int32_t num_switches);
 
   std::int32_t num_switches() const noexcept { return num_switches_; }
   SwitchRegisters& at(NodeId node, std::int32_t switch_index) {
-    return regs_.at(static_cast<std::size_t>(node) * num_switches_ +
-                    switch_index);
+    return banks_.at(bank_index(node, switch_index));
   }
   const SwitchRegisters& at(NodeId node, std::int32_t switch_index) const {
-    return regs_.at(static_cast<std::size_t>(node) * num_switches_ +
-                    switch_index);
+    return banks_.at(bank_index(node, switch_index));
   }
 
   /// Serialize all (node, switch) register banks (snapshot/restore).
   void snap(snap::Archive& ar);
 
  private:
-  std::int32_t num_switches_;  // [snap: skip] derived from config at construction
-  std::vector<SwitchRegisters> regs_;  // node-major
+  std::size_t bank_index(NodeId node, std::int32_t switch_index) const {
+    if (switch_index < 0 || switch_index >= num_switches_) {
+      throw std::out_of_range("RegisterFile: switch out of range");
+    }
+    return static_cast<std::size_t>(node) * num_switches_ + switch_index;
+  }
+
+  // The control plane runs in the sequential phase only.
+  /// [shard: seq] [snap: skip] derived from config at construction
+  std::int32_t num_switches_;
+  /// [node][switch][port], node-major. [shard: seq] [snap: skip]
+  /// structural backing store; each bank's snap() serializes its slice.
+  std::vector<OutChannel> channels_;
+  /// [node][switch], node-major; bank b addresses channels_ from
+  /// b * num_ports. [shard: seq]
+  std::vector<SwitchRegisters> banks_;
 };
 
 }  // namespace wavesim::pcs

@@ -27,8 +27,8 @@ std::int32_t torus_vc_class(const topo::KAryNCube& topology, NodeId node,
   (void)positive;
   return 0;
 #else
-  const std::int32_t c = topology.coord_of(node)[dim];
-  const std::int32_t t = topology.coord_of(dest)[dim];
+  const std::int32_t c = topology.coord_row(node)[dim];
+  const std::int32_t t = topology.coord_row(dest)[dim];
   // Class 1 on the pre-wraparound segment, class 0 once the remaining
   // segment no longer crosses the dateline. c == t cannot occur while this
   // dimension is still being routed.

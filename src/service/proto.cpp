@@ -9,35 +9,19 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace wavesim::service {
 
 namespace {
 
-[[noreturn]] void bad_field(const std::string& key, const char* what) {
+[[noreturn]] void bad_field(const std::string& key, const std::string& what) {
   throw std::runtime_error("spec field '" + key + "': " + what);
 }
 
 const sim::JsonValue* get(const sim::JsonValue& obj, const std::string& key) {
   return obj.find(key);
-}
-
-std::int64_t get_int(const sim::JsonValue& obj, const std::string& key,
-                     std::int64_t fallback) {
-  const sim::JsonValue* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) bad_field(key, "expected a number");
-  return v->as_int();
-}
-
-/// A cycle count: an integer that must not be negative (a negative value
-/// would wrap to an effectively endless unsigned Cycle).
-Cycle get_cycles(const sim::JsonValue& obj, const std::string& key,
-                 std::int64_t fallback) {
-  const std::int64_t v = get_int(obj, key, fallback);
-  if (v < 0) bad_field(key, "expected a non-negative cycle count");
-  return static_cast<Cycle>(v);
 }
 
 double get_double(const sim::JsonValue& obj, const std::string& key,
@@ -64,16 +48,33 @@ std::string get_string(const sim::JsonValue& obj, const std::string& key,
   return v->as_string();
 }
 
-/// A whole number >= `min` (and exactly representable as a double).
-std::int64_t whole_at_least(const sim::JsonValue& v, const std::string& key,
-                            std::int64_t min) {
+/// Largest integer every double below it represents exactly (2^53).
+constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
+
+/// A whole number in [min, max] (and exactly representable as a double).
+std::int64_t whole_in(const sim::JsonValue& v, const std::string& key,
+                      std::int64_t min, std::int64_t max = kMaxExact) {
   const double x = v.is_number() ? v.as_number() : 0.0;
   if (!v.is_number() || x != std::trunc(x) || x < static_cast<double>(min) ||
-      x > 9007199254740992.0) {  // 2^53
-    bad_field(key, min > 0 ? "expected an integer >= 1"
-                           : "expected a non-negative integer");
+      x > static_cast<double>(max)) {
+    bad_field(key, "expected an integer in [" + std::to_string(min) + ", " +
+                       std::to_string(max) + "]");
   }
   return static_cast<std::int64_t>(x);
+}
+
+/// An integer field of type T: a whole number within T's range (capped
+/// at +-2^53), never truncated or wrapped. Unsigned types (Cycle, the
+/// seed) therefore reject negative values.
+template <typename T>
+T get_whole(const sim::JsonValue& obj, const std::string& key, T fallback) {
+  const sim::JsonValue* v = get(obj, key);
+  if (v == nullptr) return fallback;
+  using Limits = std::numeric_limits<T>;
+  const auto max = static_cast<std::int64_t>(
+      std::min<std::uint64_t>(Limits::max(), kMaxExact));
+  return static_cast<T>(
+      whole_in(*v, key, std::max<std::int64_t>(Limits::min(), -kMaxExact), max));
 }
 
 /// Throws naming the first key of `value` outside `known`.
@@ -213,39 +214,36 @@ snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
     bad_field("replacement", "expected lru | lfu | fifo | random");
   }
 
-  cfg.router.wormhole_vcs =
-      static_cast<std::int32_t>(get_int(value, "vcs", 2));
-  const std::int32_t k = static_cast<std::int32_t>(get_int(value, "k", 2));
+  cfg.router.wormhole_vcs = get_whole<std::int32_t>(value, "vcs", 2);
+  const auto k = get_whole<std::int32_t>(value, "k", 2);
   cfg.router.wave_switches = protocol == "wormhole" ? 0 : k;
-  cfg.protocol.max_misroutes =
-      static_cast<std::int32_t>(get_int(value, "m", 2));
+  cfg.protocol.max_misroutes = get_whole<std::int32_t>(value, "m", 2);
   cfg.protocol.circuit_cache_entries =
-      static_cast<std::int32_t>(get_int(value, "cache", 8));
+      get_whole<std::int32_t>(value, "cache", 8);
   cfg.protocol.pcs_only = get_bool(value, "pcs_only", false);
   cfg.router.virtual_circuits = get_bool(value, "virtual", false);
   cfg.protocol.max_packet_flits =
-      static_cast<std::int32_t>(get_int(value, "max_packet", 0));
+      get_whole<std::int32_t>(value, "max_packet", 0);
   cfg.faults.link_fault_rate = get_double(value, "fault_rate", 0.0);
 
   spec.pattern = get_string(value, "pattern", "uniform");
   spec.offered_load = get_double(value, "load", 0.10);
-  spec.message_flits = static_cast<std::int32_t>(get_int(value, "length", 64));
-  spec.warmup = get_cycles(value, "warmup", 2000);
-  spec.measure = get_cycles(value, "measure", 10000);
+  spec.message_flits = get_whole<std::int32_t>(value, "length", 64);
+  spec.warmup = get_whole<Cycle>(value, "warmup", 2000);
+  spec.measure = get_whole<Cycle>(value, "measure", 10000);
   // Same default cap formula as wavesim_cli, so a job without an
   // explicit drain_cap is the run the CLI would execute.
-  spec.drain_cap = get_cycles(
-      value, "drain_cap",
-      static_cast<std::int64_t>(40 * (spec.warmup + spec.measure) +
-                                1'000'000));
-  spec.seed = static_cast<std::uint64_t>(get_int(value, "seed", 1));
+  spec.drain_cap = get_whole<Cycle>(value, "drain_cap",
+                                    40 * (spec.warmup + spec.measure) +
+                                        1'000'000);
+  spec.seed = get_whole<std::uint64_t>(value, "seed", 1);
 
-  const std::int64_t storm_at = get_int(value, "storm_at", 0);
+  const auto storm_at = get_whole<Cycle>(value, "storm_at", 0);
   if (storm_at > 0) {
-    cfg.faults.storm.at = static_cast<Cycle>(storm_at);
+    cfg.faults.storm.at = storm_at;
     cfg.faults.storm.fraction = get_double(value, "storm_fraction", 0.10);
     cfg.faults.storm.repair_after =
-        get_cycles(value, "storm_repair_after", 0);
+        get_whole<Cycle>(value, "storm_repair_after", 0);
   } else if (get(value, "storm_fraction") != nullptr ||
              get(value, "storm_repair_after") != nullptr) {
     bad_field("storm_fraction", "requires storm_at > 0");
@@ -268,7 +266,7 @@ SweepSpec sweep_spec_from_json(const sim::JsonValue& value) {
   sweep.base = runspec_from_json(*base);
   for (std::size_t i = 0; i < measures->size(); ++i) {
     sweep.measures.push_back(
-        static_cast<Cycle>(whole_at_least(measures->at(i), "measures", 1)));
+        static_cast<Cycle>(whole_in(measures->at(i), "measures", 1)));
   }
   return sweep;
 }
@@ -279,18 +277,18 @@ check::SimcheckOptions simcheck_spec_from_json(const sim::JsonValue& value) {
   check::SimcheckOptions options;
   options.count = 20;
   if (const sim::JsonValue* v = value.find("count")) {
-    options.count = static_cast<std::size_t>(whole_at_least(*v, "count", 1));
+    options.count = static_cast<std::size_t>(whole_in(*v, "count", 1));
   }
   if (const sim::JsonValue* v = value.find("base_seed")) {
     options.base_seed =
-        static_cast<std::uint64_t>(whole_at_least(*v, "base_seed", 0));
+        static_cast<std::uint64_t>(whole_in(*v, "base_seed", 0));
   }
   options.faulty = get_bool(value, "faulty", options.faulty);
   if (const sim::JsonValue* v = value.find("max_failures")) {
     // 0 would stop before recording any failure: a failing batch would
     // then report ok.
     options.max_failures =
-        static_cast<std::size_t>(whole_at_least(*v, "max_failures", 1));
+        static_cast<std::size_t>(whole_in(*v, "max_failures", 1));
   }
   return options;
 }

@@ -141,6 +141,15 @@ class Archive {
     for (auto& e : v) fn(*this, e);
   }
 
+  /// Element counts beyond any plausible simulation state mean a corrupt
+  /// or hostile snapshot; containers reading a count call this before
+  /// they allocate for it.
+  void check_len(std::uint64_t n) const {
+    if (n > (1ull << 32)) {
+      throw ArchiveError("snapshot archive length out of range");
+    }
+  }
+
   /// Deque of anything, same shape as vec().
   template <typename T, typename Fn>
   void deq(std::deque<T>& v, Fn&& fn) {
@@ -160,13 +169,6 @@ class Archive {
   void need(std::size_t n) const {
     if (bytes_.size() - pos_ < n) {
       throw ArchiveError("snapshot archive truncated");
-    }
-  }
-  // Element counts beyond any plausible simulation state mean a corrupt
-  // or hostile snapshot; fail before resize() tries to allocate it.
-  void check_len(std::uint64_t n) const {
-    if (n > (1ull << 32)) {
-      throw ArchiveError("snapshot archive length out of range");
     }
   }
 

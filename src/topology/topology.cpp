@@ -1,5 +1,6 @@
 #include "topology/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -20,25 +21,33 @@ KAryNCube::KAryNCube(std::vector<std::int32_t> radix, bool torus)
     }
   }
   num_nodes_ = static_cast<std::int32_t>(n);
-  coords_.reserve(num_nodes_);
-  coord_flat_.reserve(static_cast<std::size_t>(num_nodes_) * radix_.size());
-  for (NodeId id = 0; id < num_nodes_; ++id) {
-    coords_.push_back(delinearize(id, radix_));
-    coord_flat_.insert(coord_flat_.end(), coords_.back().begin(),
-                       coords_.back().end());
-  }
-  neighbors_.resize(static_cast<std::size_t>(num_channels()), kInvalidNode);
-  for (NodeId id = 0; id < num_nodes_; ++id) {
-    for (PortId port = 0; port < num_ports(); ++port) {
-      const std::int32_t d = dim_of(port);
-      Coord c = coords_[id];
-      std::int32_t v = c[d] + (is_positive(port) ? 1 : -1);
-      if (v < 0 || v >= radix_[d]) {
-        if (!torus_) continue;  // mesh boundary: stays kInvalidNode
-        v = (v + radix_[d]) % radix_[d];
+  const std::int32_t dims = num_dims();
+  const std::int32_t ports = num_ports();
+  coord_flat_.resize(static_cast<std::size_t>(num_nodes_) * dims);
+  neighbors_.resize(static_cast<std::size_t>(num_channels()));
+  // Walk the nodes in id order with an odometer over the coordinates
+  // (dimension 0 fastest, as linearize()).
+  std::int32_t* coord = coord_flat_.data();
+  NodeId* next = neighbors_.data();
+  for (NodeId id = 0; id < num_nodes_; ++id, coord += dims, next += ports) {
+    if (id > 0) {
+      std::copy_n(coord - dims, dims, coord);
+      for (std::int32_t d = 0; d < dims && ++coord[d] == radix_[d]; ++d) {
+        coord[d] = 0;
       }
-      c[d] = v;
-      neighbors_[channel_index(id, port)] = node_of(c);
+    }
+    std::int32_t stride = 1;
+    for (std::int32_t d = 0; d < dims; ++d) {
+      const std::int32_t r = radix_[d];
+      const std::int32_t c = coord[d];
+      // A mesh boundary has no neighbor; a torus wraps (r - 1) strides.
+      next[port_of(d, true)] =
+          c + 1 < r ? id + stride
+                    : (torus_ ? id - (r - 1) * stride : kInvalidNode);
+      next[port_of(d, false)] =
+          c > 0 ? id - stride
+                : (torus_ ? id + (r - 1) * stride : kInvalidNode);
+      stride *= r;
     }
   }
 }
@@ -74,7 +83,7 @@ std::vector<PortId> KAryNCube::minimal_ports(NodeId from, NodeId to) const {
 bool KAryNCube::crosses_dateline(NodeId node, PortId port) const {
   if (!torus_) return false;
   const std::int32_t d = dim_of(port);
-  const std::int32_t v = coord_of(node)[d];
+  const std::int32_t v = coord_row(node)[d];
   return is_positive(port) ? (v == radix_[d] - 1) : (v == 0);
 }
 

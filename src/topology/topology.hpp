@@ -5,6 +5,12 @@
 // A flit leaving node A through port p arrives at neighbor(A, p) on input
 // port opposite(p). Injection/ejection ports are a router concern and do
 // not appear here.
+//
+// Storage is two node-major tables built once, one allocation each: the
+// coordinates (num_dims() per node, read through coord_row()) and the
+// neighbors (num_ports() per node, computed by stride arithmetic: a step
+// along dimension d moves the node id by the product of the radices
+// below d).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +44,6 @@ class KAryNCube {
   static constexpr bool is_positive(PortId port) noexcept { return (port % 2) == 0; }
   static constexpr PortId opposite(PortId port) noexcept { return port ^ 1; }
 
-  const Coord& coord_of(NodeId node) const { return coords_.at(node); }
   NodeId node_of(const Coord& coord) const { return linearize(coord, radix_); }
 
   /// Neighbor through `port`, or kInvalidNode at a mesh boundary.
@@ -120,8 +125,7 @@ class KAryNCube {
   std::vector<std::int32_t> radix_;
   bool torus_;
   std::int32_t num_nodes_;
-  std::vector<Coord> coords_;  // precomputed coordinate of every node
-  std::vector<std::int32_t> coord_flat_;  // same, node-major flat
+  std::vector<std::int32_t> coord_flat_;  // node-major coordinates
   std::vector<NodeId> neighbors_;  // precomputed, indexed by channel_index
 };
 

@@ -62,7 +62,7 @@ TransposeTraffic::TransposeTraffic(const topo::KAryNCube& topology)
 }
 
 NodeId TransposeTraffic::pick(NodeId src, sim::Rng& rng) {
-  const auto& c = topology_.coord_of(src);
+  const auto c = topology_.coord_row(src);
   topo::Coord t(c.size());
   for (std::size_t d = 0; d < c.size(); ++d) {
     t[d] = c[(d + 1) % c.size()];
@@ -97,7 +97,8 @@ TornadoTraffic::TornadoTraffic(const topo::KAryNCube& topology)
     : topology_(topology) {}
 
 NodeId TornadoTraffic::pick(NodeId src, sim::Rng& rng) {
-  topo::Coord c = topology_.coord_of(src);
+  const auto row = topology_.coord_row(src);
+  topo::Coord c(row.begin(), row.end());
   for (std::int32_t d = 0; d < topology_.num_dims(); ++d) {
     const std::int32_t r = topology_.radix(d);
     c[d] = (c[d] + (r / 2 - (r % 2 == 0 ? 1 : 0))) % r;  // ~half-way around

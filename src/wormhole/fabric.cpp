@@ -23,9 +23,34 @@ Fabric::Fabric(const topo::KAryNCube& topology,
     owned_gate_ = std::make_unique<ExclusiveLinkGate>(topology);
     gate_ = owned_gate_.get();
   }
-  routers_.reserve(topology.num_nodes());
+  const RouterParams& rp = params.router;
+  if (rp.num_vcs < 1 || rp.vc_buffer_depth < 1) {
+    throw std::invalid_argument("Fabric: bad router params");
+  }
+  const std::size_t nodes = static_cast<std::size_t>(topology.num_nodes());
+  const std::size_t slots =
+      static_cast<std::size_t>(Router::slots(topology.num_ports(), rp));
+  const std::size_t depth = static_cast<std::size_t>(rp.vc_buffer_depth);
+  const std::size_t words =
+      static_cast<std::size_t>(Router::slot_words(topology.num_ports(), rp));
+  flits_.reset(
+      static_cast<Flit*>(::operator new(nodes * slots * depth * sizeof(Flit))));
+  inputs_.reserve(nodes * slots);
+  for (std::size_t i = 0; i < nodes * slots; ++i) {
+    inputs_.emplace_back(flits_.get() + i * depth, rp.vc_buffer_depth);
+  }
+  // Network outputs start with a full window of downstream credits; the
+  // ejection port never blocks (delivery buffers are the NI's
+  // responsibility and are modeled as always-accepting).
+  outputs_.assign(nodes * slots,
+                  OutputVc{false, kInvalidPort, kInvalidVc, rp.vc_buffer_depth});
+  // Every arbiter pointer starts at 0 and every slot set empty.
+  slot_words_.assign(nodes * words, 0);
+  routers_.reserve(nodes);
   for (NodeId n = 0; n < topology.num_nodes(); ++n) {
-    routers_.emplace_back(topology, routing, n, params.router);
+    const std::size_t i = static_cast<std::size_t>(n);
+    routers_.emplace_back(topology, routing, n, rp, &inputs_[i * slots],
+                          &outputs_[i * slots], &slot_words_[i * words]);
   }
 }
 

@@ -2,6 +2,14 @@
 // credit links between them. This is both the S0 plane of the wave
 // router and the standalone wormhole baseline (k = 0).
 //
+// Router state is node-major structure-of-arrays, sized once at
+// construction with one allocation per array: the flit arena, the
+// input-VC records, the output-VC records and the slot words. Node n's
+// slice of each is a fixed-size block at n times the per-router size,
+// and Router n addresses only its own slices, so a shard owning nodes
+// [begin, end) owns exactly the contiguous range of each array between
+// their slices.
+//
 // Transport is per-node: each node has a credit inbox ring and a flit
 // inbox ring ordered by due cycle, fed by the sequential commit phase. A
 // per-node
@@ -210,10 +218,30 @@ class Fabric {
   void snap(snap::Archive& ar);
 
  private:
+  /// Frees the flit arena (raw storage from ::operator new).
+  struct RawFree {
+    void operator()(Flit* p) const noexcept { ::operator delete(p); }
+  };
+
   // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py).
   const topo::KAryNCube& topology_;  // [shard: ro]
   FabricParams params_;  // [shard: ro] [snap: skip] config, fixed at construction
-  std::vector<Router> routers_;      // [shard: owned]
+  /// Every input VC's ring buffer, [node][slot][vc_buffer_depth]. Raw
+  /// storage: construction writes no flit, InputVc::push copies each in.
+  /// [shard: owned] [snap: skip] structural backing store; the ring
+  /// content is serialized per router through InputVc::snap.
+  std::unique_ptr<Flit, RawFree> flits_;
+  /// Input-VC records, [node][slot]. [shard: owned] [snap: skip]
+  /// serialized per router through Router::snap.
+  std::vector<InputVc> inputs_;
+  /// Output-VC records, [node][slot]. [shard: owned] [snap: skip]
+  /// serialized per router through Router::snap.
+  std::vector<OutputVc> outputs_;
+  /// Switch arbiter pointers and slot sets, [node][Router::slot_words].
+  /// [shard: owned] [snap: skip] the pointers are serialized per router
+  /// through Router::snap; the sets are rebuilt from the VC states.
+  std::vector<std::uint64_t> slot_words_;
+  std::vector<Router> routers_;  ///< views of the arrays above [shard: owned]
   /// [shard: seq] [snap: skip] claims are mid-step scratch, released
   /// at the quiesce seam (docs/ENGINE.md).
   std::unique_ptr<ExclusiveLinkGate> owned_gate_;

@@ -6,38 +6,9 @@
 
 namespace wavesim::wh {
 
-InputVc::InputVc(std::int32_t capacity)
-    : own_(static_cast<std::size_t>(capacity > 0 ? capacity : 0)),
-      capacity_(capacity) {
-  if (capacity < 1) throw std::invalid_argument("InputVc: capacity < 1");
-  slots_ = own_.data();
-}
-
 InputVc::InputVc(Flit* slots, std::int32_t capacity)
     : slots_(slots), capacity_(capacity) {
   if (capacity < 1) throw std::invalid_argument("InputVc: capacity < 1");
-}
-
-InputVc::InputVc(InputVc&& other) noexcept
-    : slots_(other.slots_), own_(std::move(other.own_)),
-      capacity_(other.capacity_), head_(other.head_), size_(other.size_),
-      state_(other.state_), candidates_(std::move(other.candidates_)),
-      out_port_(other.out_port_), out_vc_(other.out_vc_) {
-  if (!own_.empty()) slots_ = own_.data();
-}
-
-InputVc& InputVc::operator=(InputVc&& other) noexcept {
-  slots_ = other.slots_;
-  own_ = std::move(other.own_);
-  capacity_ = other.capacity_;
-  head_ = other.head_;
-  size_ = other.size_;
-  state_ = other.state_;
-  candidates_ = std::move(other.candidates_);
-  out_port_ = other.out_port_;
-  out_vc_ = other.out_vc_;
-  if (!own_.empty()) slots_ = own_.data();
-  return *this;
 }
 
 void InputVc::push(const Flit& flit) {

@@ -19,19 +19,17 @@ namespace wavesim::wh {
 ///   kActive    -- output VC held; flits stream through switch allocation
 enum class VcState : std::uint8_t { kIdle, kRouting, kActive };
 
-/// Fixed-capacity flit ring. The buffer lives either in the router's flat
-/// flit arena (the hot path: every VC of a router shares one contiguous
-/// allocation) or, for standalone use in tests, in a small self-owned
-/// block. Steady-state operation never allocates.
+/// Fixed-capacity flit ring over `capacity` slots of a flit array it does
+/// not own (the fabric's flit arena: every VC of the network shares one
+/// allocation). Steady-state operation never allocates.
 class InputVc {
  public:
-  /// Self-owned storage (unit tests, standalone use).
-  explicit InputVc(std::int32_t capacity);
-  /// Arena view over `capacity` slots at `slots` (owned by the router).
+  /// A ring over the `capacity` slots at `slots`. The slots need not hold
+  /// constructed flits: push() copies a flit in before anything reads it.
   InputVc(Flit* slots, std::int32_t capacity);
 
-  InputVc(InputVc&& other) noexcept;
-  InputVc& operator=(InputVc&& other) noexcept;
+  InputVc(InputVc&&) noexcept = default;
+  InputVc& operator=(InputVc&&) noexcept = default;
   InputVc(const InputVc&) = delete;
   InputVc& operator=(const InputVc&) = delete;
 
@@ -66,14 +64,11 @@ class InputVc {
 
   /// Serialize the logical buffer content and pipeline state
   /// (snapshot/restore). The ring is normalized to head_ = 0 on restore;
-  /// backing storage (arena vs self-owned) is structural and untouched.
+  /// the backing slots are structural and untouched.
   void snap(snap::Archive& ar);
 
  private:
-  Flit* slots_ = nullptr;
-  /// Backing store in self-owned mode only. [snap: skip] structural;
-  /// the logical ring content is serialized through slots_.
-  std::vector<Flit> own_;
+  Flit* slots_;
   std::int32_t capacity_;
   std::int32_t head_ = 0;
   std::int32_t size_ = 0;

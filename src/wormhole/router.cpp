@@ -25,39 +25,23 @@ bool empty_set(const std::uint64_t* set, std::int32_t words) noexcept {
 
 }  // namespace
 
+std::int32_t Router::slot_words(std::int32_t network_ports,
+                               const RouterParams& params) noexcept {
+  // One record per output port ([pointer][request set]), then the routing
+  // and pending sets.
+  const std::int32_t words = mask_words(slots(network_ports, params));
+  return (network_ports + 1) * (words + 1) + 2 * words;
+}
+
 Router::Router(const topo::KAryNCube& topology,
                const route::RoutingAlgorithm& routing, NodeId node,
-               const RouterParams& params)
+               const RouterParams& params, InputVc* inputs,
+               OutputVc* outputs, std::uint64_t* slot_words)
     : topology_(topology), routing_(routing), node_(node), params_(params),
       network_ports_(topology.num_ports()),
-      words_(mask_words((topology.num_ports() + 1) * params.num_vcs)),
-      va_arbiter_((topology.num_ports() + 1) * params.num_vcs) {
-  if (params.num_vcs < 1 || params.vc_buffer_depth < 1) {
-    throw std::invalid_argument("Router: bad params");
-  }
-  const std::int32_t total_vcs = (network_ports_ + 1) * params_.num_vcs;
-  flit_arena_.resize(static_cast<std::size_t>(total_vcs) *
-                     params_.vc_buffer_depth);
-  inputs_.reserve(total_vcs);
-  outputs_.reserve(total_vcs);
-  for (std::int32_t i = 0; i < total_vcs; ++i) {
-    inputs_.emplace_back(
-        flit_arena_.data() +
-            static_cast<std::size_t>(i) * params_.vc_buffer_depth,
-        params_.vc_buffer_depth);
-    OutputVc out;
-    // Network outputs start with a full window of downstream credits;
-    // the ejection port never blocks (delivery buffers are the NI's
-    // responsibility and are modeled as always-accepting).
-    out.credits = params_.vc_buffer_depth;
-    outputs_.push_back(out);
-  }
-  // Every pointer starts at 0 and every set empty.
-  slot_words_.assign(
-      static_cast<std::size_t>(network_ports_ + 1) * (words_ + 1) +
-          2 * static_cast<std::size_t>(words_),
-      0);
-}
+      slots_(slots(topology.num_ports(), params)),
+      words_(mask_words(slots_)), inputs_(inputs), outputs_(outputs),
+      slot_words_(slot_words), va_arbiter_(slots_) {}
 
 void Router::check_port_vc(PortId port, VcId vc) const {
   if (port < 0 || port > network_ports_ || vc < 0 || vc >= params_.num_vcs) {
@@ -75,12 +59,12 @@ InputVc& Router::input_vc_mut(PortId port, VcId vc) {
   return inputs_[flat(port, vc)];
 }
 
-Router::OutputVc& Router::output_vc(PortId port, VcId vc) {
+OutputVc& Router::output_vc(PortId port, VcId vc) {
   check_port_vc(port, vc);
   return outputs_[flat(port, vc)];
 }
 
-const Router::OutputVc& Router::output_vc(PortId port, VcId vc) const {
+const OutputVc& Router::output_vc(PortId port, VcId vc) const {
   check_port_vc(port, vc);
   return outputs_[flat(port, vc)];
 }
@@ -127,7 +111,6 @@ bool Router::output_allocated(PortId out_port, VcId out_vc) const {
 void Router::switch_allocate(LinkGate& gate, std::vector<SwitchMove>& moves) {
   if (active_vcs_ == 0) return;  // no grant possible, arbiters unmoved
   const std::int32_t vcs = params_.num_vcs;
-  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
   for (PortId out_port = 0; out_port <= network_ports_; ++out_port) {
     std::uint64_t* record = switch_record(out_port);
     std::uint64_t* requests = record + 1;
@@ -135,7 +118,7 @@ void Router::switch_allocate(LinkGate& gate, std::vector<SwitchMove>& moves) {
     const bool eject = out_port == local_port();
     std::int32_t pointer = static_cast<std::int32_t>(record[0]);
     // Only requesters are offered: active, routed here and non-empty.
-    grant_round_robin(requests, slots, pointer, [&](std::int32_t slot) {
+    grant_round_robin(requests, slots_, pointer, [&](std::int32_t slot) {
       InputVc& in = inputs_[slot];
       OutputVc& out = outputs_[flat(out_port, in.out_vc())];
       if (!eject && out.credits <= 0) return false;
@@ -247,7 +230,6 @@ void Router::route_compute() {
 }
 
 void Router::rebuild_slot_sets() {
-  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
   for (PortId p = 0; p <= network_ports_; ++p) {
     std::fill_n(request_set(p), words_, 0);
   }
@@ -256,7 +238,7 @@ void Router::rebuild_slot_sets() {
   std::int32_t active = 0;
   std::int32_t routing = 0;
   std::int32_t pending = 0;
-  for (std::int32_t slot = 0; slot < slots; ++slot) {
+  for (std::int32_t slot = 0; slot < slots_; ++slot) {
     const InputVc& in = inputs_[slot];
     buffered += in.occupancy();
     switch (in.state()) {
@@ -290,18 +272,18 @@ void Router::rebuild_slot_sets() {
 }
 
 void Router::snap(snap::Archive& ar) {
-  for (InputVc& in : inputs_) in.snap(ar);
-  for (OutputVc& out : outputs_) {
+  for (std::int32_t slot = 0; slot < slots_; ++slot) inputs_[slot].snap(ar);
+  for (std::int32_t slot = 0; slot < slots_; ++slot) {
+    OutputVc& out = outputs_[slot];
     ar.pod(out.allocated);
     ar.pod(out.holder_port);
     ar.pod(out.holder_vc);
     ar.pod(out.credits);
   }
-  const std::int32_t slots = static_cast<std::int32_t>(inputs_.size());
   for (PortId p = 0; p <= network_ports_; ++p) {
     std::int32_t pointer = static_cast<std::int32_t>(switch_record(p)[0]);
     ar.pod(pointer);
-    if (pointer < 0 || pointer >= slots) {
+    if (pointer < 0 || pointer >= slots_) {
       throw snap::ArchiveError("Router: switch arbiter pointer out of range");
     }
     switch_record(p)[0] = static_cast<std::uint64_t>(pointer);

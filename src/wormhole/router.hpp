@@ -3,12 +3,14 @@
 // control. The router is topology-agnostic beyond its own port count; the
 // Fabric moves flits and credits between routers.
 //
-// Hot-path layout: input and output VCs live in flat [port * num_vcs + vc]
-// arrays ("slots") and every input buffer is a fixed ring inside one
-// per-router flit arena, so a cycle of pipeline work touches a handful of
-// contiguous allocations and performs no heap allocation (route
-// candidates for a new head are the one per-packet exception, computed by
-// the routing algorithm).
+// Layout: a router owns no storage. Its input VCs, output VCs and slot
+// words are one node's slice of the Fabric's node-major arrays (see
+// fabric.hpp): within a slice, VCs are indexed [port * num_vcs + vc]
+// ("slots"), and every input buffer is a fixed ring inside the fabric's
+// flit arena. A cycle of pipeline work therefore touches a handful of
+// contiguous slices and performs no heap allocation (route candidates for
+// a new head are the one per-packet exception, computed by the routing
+// algorithm).
 //
 // Each pipeline stage visits only the slots that want it, read from three
 // derived slot sets (bit sets of ceil(slots / 64) words, any VC count):
@@ -24,8 +26,8 @@
 //                      work list; set by receive() into an empty idle VC
 //                      and by a tail release that leaves the next head
 //                      behind, cleared by start_routing.
-// The sets and the switch arbiter pointers share the router's one
-// slot-word allocation. Grants walk set bits in the same rotated order the
+// The sets and the switch arbiter pointers share the router's slice of
+// the fabric's slot words. Grants walk set bits in the same rotated order the
 // full scan used, so the grant sequence does not depend on them; snap()
 // rebuilds them from the VC states on restore. Live-state counters let
 // each stage exit immediately when it has no work, and quiet() lets the
@@ -51,6 +53,15 @@ struct RouterParams {
   std::int32_t vc_buffer_depth = 4;  ///< flits per VC buffer
 };
 
+/// Output-VC record: which input VC holds the output VC, and the credits
+/// left in the downstream buffer.
+struct OutputVc {
+  bool allocated = false;
+  PortId holder_port = kInvalidPort;
+  VcId holder_vc = kInvalidVc;
+  std::int32_t credits = 0;  ///< ignored for the ejection port
+};
+
 /// A flit crossing the switch this cycle, as decided by switch allocation.
 struct SwitchMove {
   PortId in_port = kInvalidPort;
@@ -63,9 +74,26 @@ struct SwitchMove {
 
 class Router {
  public:
+  /// Records per router in each slice: (network ports + 1) * num_vcs
+  /// input VCs, as many output VCs, and slot_words() slot words.
+  static std::int32_t slots(std::int32_t network_ports,
+                            const RouterParams& params) noexcept {
+    return (network_ports + 1) * params.num_vcs;
+  }
+  static std::int32_t slot_words(std::int32_t network_ports,
+                                 const RouterParams& params) noexcept;
+
+  /// The router of `node` over its slices of the owning Fabric's arrays:
+  /// `inputs` and `outputs` hold slots() records, initialized by the
+  /// fabric; `slot_words` holds slot_words() zeroed words.
   Router(const topo::KAryNCube& topology,
          const route::RoutingAlgorithm& routing, NodeId node,
-         const RouterParams& params);
+         const RouterParams& params, InputVc* inputs, OutputVc* outputs,
+         std::uint64_t* slot_words);
+  // A copy would alias the slices but not the live-state counters.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
+  Router(Router&&) noexcept = default;
 
   NodeId node() const noexcept { return node_; }
   std::int32_t num_vcs() const noexcept { return params_.num_vcs; }
@@ -110,19 +138,12 @@ class Router {
   std::int64_t buffered_flits() const noexcept { return occupancy_; }
 
   /// Serialize buffered flits, pipeline state, arbiter pointers, and the
-  /// live-state counters (snapshot/restore). Structural layout (arena,
+  /// live-state counters (snapshot/restore). Structural layout (slices,
   /// port/VC counts) comes from construction and is not serialized; the
   /// slot sets are rebuilt from the restored VC states.
   void snap(snap::Archive& ar);
 
  private:
-  struct OutputVc {
-    bool allocated = false;
-    PortId holder_port = kInvalidPort;
-    VcId holder_vc = kInvalidVc;
-    std::int32_t credits = 0;  ///< ignored for the ejection port
-  };
-
   std::int32_t flat(PortId port, VcId vc) const noexcept {
     return port * params_.num_vcs + vc;
   }
@@ -135,7 +156,7 @@ class Router {
 
   /// Output port p's record in slot_words_: [arbiter pointer][request[p]].
   std::uint64_t* switch_record(PortId port) noexcept {
-    return slot_words_.data() + port * (words_ + 1);
+    return slot_words_ + port * (words_ + 1);
   }
   std::uint64_t* request_set(PortId port) noexcept {
     return switch_record(port) + 1;
@@ -148,40 +169,42 @@ class Router {
   /// restored live-state counters against them.
   void rebuild_slot_sets();
 
-  const topo::KAryNCube& topology_;
-  const route::RoutingAlgorithm& routing_;
-  NodeId node_;  // [snap: skip] identity, fixed at construction
+  // Shard-safety tags (docs/ENGINE.md): a router is stepped only by the
+  // shard owning its node.
+  const topo::KAryNCube& topology_;         // [shard: ro]
+  const route::RoutingAlgorithm& routing_;  // [shard: ro]
+  NodeId node_;  // [shard: ro] [snap: skip] identity, fixed at construction
   // Fixed at construction; snap() reads both to lay out and check the
-  // restored slot sets.
+  // restored slot sets. [shard: ro]
   RouterParams params_;
-  std::int32_t network_ports_;  ///< derived from topology
-
-  /// Backing store for every input VC ring: VC (port, vc) owns the slice
-  /// [flat(port, vc) * depth, (flat(port, vc) + 1) * depth).
-  /// [snap: skip] structural backing store; the logical ring content
-  /// is serialized through inputs_ (InputVc::snap).
-  std::vector<Flit> flit_arena_;
-  /// [flat(port, vc)], port in [0, network_ports_] (last = injection).
-  std::vector<InputVc> inputs_;
-  /// [flat(port, vc)], port in [0, network_ports_] (last = ejection).
-  std::vector<OutputVc> outputs_;
-  /// 64-bit words per slot set: mask_words(slots).
+  std::int32_t network_ports_;  ///< derived from topology [shard: ro]
+  std::int32_t slots_;          ///< slots(network_ports_, params_) [shard: ro]
+  /// 64-bit words per slot set: mask_words(slots_). [shard: ro]
   std::int32_t words_;
-  /// One record per output port (see switch_record()), then the routing
-  /// and pending sets. The pointers are serialized; the sets are derived
-  /// state, rebuilt by snap() on restore.
-  std::vector<std::uint64_t> slot_words_;
-  RoundRobinArbiter va_arbiter_;  ///< over all input VCs
+
+  /// This node's slice of Fabric::inputs_: [flat(port, vc)], port in
+  /// [0, network_ports_] (last = injection). [shard: owned]
+  InputVc* inputs_;
+  /// This node's slice of Fabric::outputs_: [flat(port, vc)], port in
+  /// [0, network_ports_] (last = ejection). [shard: owned]
+  OutputVc* outputs_;
+  /// This node's slice of Fabric::slot_words_: one record per output port
+  /// (see switch_record()), then the routing and pending sets. The
+  /// pointers are serialized; the sets are derived state, rebuilt by
+  /// snap() on restore. [shard: owned]
+  std::uint64_t* slot_words_;
+  RoundRobinArbiter va_arbiter_;  ///< over all input VCs [shard: owned]
 
   // Live-state counters (maintained by the mutators above; see quiet()).
-  std::int32_t occupancy_ = 0;      ///< buffered flits across all inputs
-  std::int32_t nonidle_vcs_ = 0;    ///< inputs in kRouting or kActive
-  std::int32_t active_vcs_ = 0;     ///< inputs in kActive
-  std::int32_t routing_vcs_ = 0;    ///< inputs in kRouting
-  std::int32_t route_pending_ = 0;  ///< idle inputs with a head buffered
+  std::int32_t occupancy_ = 0;      ///< buffered flits [shard: owned]
+  std::int32_t nonidle_vcs_ = 0;    ///< kRouting or kActive [shard: owned]
+  std::int32_t active_vcs_ = 0;     ///< inputs in kActive [shard: owned]
+  std::int32_t routing_vcs_ = 0;    ///< inputs in kRouting [shard: owned]
+  std::int32_t route_pending_ = 0;  ///< idle, head buffered [shard: owned]
 
   /// Reused candidate storage for local-delivery heads (no allocation).
-  std::vector<route::RouteCandidate> cand_scratch_;  // [snap: skip] dead between calls
+  /// [shard: owned] [snap: skip] dead between calls
+  std::vector<route::RouteCandidate> cand_scratch_;
 };
 
 }  // namespace wavesim::wh

@@ -47,7 +47,7 @@ NodeId pick_dest(const topo::KAryNCube& topo, const std::string& pattern,
       if (hot != src) return hot;
     }
   } else if (pattern == "transpose") {
-    const auto c = topo.coord_of(src);
+    const auto c = topo.coord_row(src);
     topo::Coord t{c[1], c[0]};
     const NodeId d = topo.node_of(t);
     if (d != src) return d;

@@ -18,9 +18,13 @@ namespace {
 using topo::KAryNCube;
 
 // ---------------------------------------------------------------- registers
+//
+// A lone bank is built through its owner: a RegisterFile of one node and
+// one switch, RegisterFile(1, ports, 1).
 
 TEST(SwitchRegisters, FreshChannelsAreFree) {
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   for (PortId p = 0; p < 4; ++p) {
     EXPECT_EQ(regs.status(p), ChannelStatus::kFree);
     EXPECT_FALSE(regs.ack_returned(p));
@@ -30,7 +34,8 @@ TEST(SwitchRegisters, FreshChannelsAreFree) {
 }
 
 TEST(SwitchRegisters, ReserveCommitAckReleaseLifecycle) {
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.reserve(2, /*probe=*/7, /*in_port=*/0);
   EXPECT_EQ(regs.status(2), ChannelStatus::kReservedByProbe);
   EXPECT_EQ(regs.reserving_probe(2), 7);
@@ -52,7 +57,8 @@ TEST(SwitchRegisters, ReserveCommitAckReleaseLifecycle) {
 }
 
 TEST(SwitchRegisters, BacktrackReleasesReservation) {
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.reserve(1, 9, kLocalEndpoint);
   regs.release_reservation(1);
   EXPECT_EQ(regs.status(1), ChannelStatus::kFree);
@@ -60,14 +66,16 @@ TEST(SwitchRegisters, BacktrackReleasesReservation) {
 }
 
 TEST(SwitchRegisters, LocalEndpointMapping) {
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.reserve(3, 1, kLocalEndpoint);  // circuit starts at this node
   EXPECT_EQ(regs.direct_map(kLocalEndpoint), 3);
   EXPECT_EQ(regs.reverse_map(3), kLocalEndpoint);
 }
 
 TEST(SwitchRegisters, IllegalTransitionsThrow) {
-  SwitchRegisters regs(2);
+  RegisterFile file(1, 2, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   EXPECT_THROW(regs.release_reservation(0), std::logic_error);
   EXPECT_THROW(regs.commit(0, 1), std::logic_error);
   EXPECT_THROW(regs.mark_ack_returned(0), std::logic_error);
@@ -80,7 +88,8 @@ TEST(SwitchRegisters, IllegalTransitionsThrow) {
 }
 
 TEST(SwitchRegisters, FaultyChannelsStayFaulty) {
-  SwitchRegisters regs(2);
+  RegisterFile file(1, 2, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.mark_faulty(1);
   EXPECT_EQ(regs.status(1), ChannelStatus::kFaulty);
   EXPECT_THROW(regs.reserve(1, 1, 0), std::logic_error);
@@ -91,7 +100,8 @@ TEST(SwitchRegisters, TwoCircuitsCrossingOneNodeKeepDistinctMappings) {
   // Two circuits enter a node through different input ports and leave
   // through different output ports; both mapping directions must stay
   // separable (the teardown and ack walkers rely on this).
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.reserve(/*out=*/0, /*probe=*/1, /*in=*/3);
   regs.reserve(/*out=*/2, /*probe=*/2, /*in=*/1);
   regs.commit(0, /*circuit=*/10);
@@ -109,16 +119,22 @@ TEST(SwitchRegisters, TwoCircuitsCrossingOneNodeKeepDistinctMappings) {
 
 TEST(RegisterFile, IndexesByNodeAndSwitch) {
   KAryNCube torus({4, 4}, true);
-  RegisterFile file(torus, 2);
+  RegisterFile file(torus.num_nodes(), torus.num_ports(), 2);
   EXPECT_EQ(file.num_switches(), 2);
   file.at(3, 1).reserve(0, 1, kLocalEndpoint);
   EXPECT_EQ(file.at(3, 1).status(0), ChannelStatus::kReservedByProbe);
   EXPECT_EQ(file.at(3, 0).status(0), ChannelStatus::kFree);
   EXPECT_EQ(file.at(4, 1).status(0), ChannelStatus::kFree);
+  EXPECT_EQ(file.at(3, 1).num_ports(), 4);
+  EXPECT_THROW(file.at(3, 2), std::out_of_range);
+  EXPECT_THROW(file.at(16, 0), std::out_of_range);
+  EXPECT_THROW(file.at(3, 1).status(4), std::out_of_range);
+  EXPECT_THROW(RegisterFile(1, kMaxPorts + 1, 1), std::invalid_argument);
 }
 
 TEST(SwitchRegisters, VersionCountsEveryMutation) {
-  SwitchRegisters regs(4);
+  RegisterFile file(1, 4, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   std::uint64_t v = regs.version();
   const auto bumped = [&] {
     const bool moved = regs.version() > v;
@@ -167,7 +183,8 @@ void expect_masks_match_status(const SwitchRegisters& regs) {
 TEST(SwitchRegisters, MasksTrackEveryMutationAndSurviveASnapRoundTrip) {
   wavesim::sim::Rng rng{77};
   for (const std::int32_t ports : {4, 6, 32}) {
-    SwitchRegisters regs(ports);
+    RegisterFile file(1, ports, 1);
+    SwitchRegisters& regs = file.at(0, 0);
     expect_masks_match_status(regs);
     for (int op = 0; op < 4000; ++op) {
       const auto p = static_cast<PortId>(rng.next_below(ports));
@@ -200,7 +217,8 @@ TEST(SwitchRegisters, MasksTrackEveryMutationAndSurviveASnapRoundTrip) {
       expect_masks_match_status(regs);
       auto ar = snap::Archive::writer();
       regs.snap(ar);
-      SwitchRegisters back(ports);
+      RegisterFile back_file(1, ports, 1);
+      SwitchRegisters& back = back_file.at(0, 0);
       auto rd = snap::Archive::reader(ar.bytes());
       back.snap(rd);
       expect_masks_match_status(back);
@@ -209,7 +227,8 @@ TEST(SwitchRegisters, MasksTrackEveryMutationAndSurviveASnapRoundTrip) {
 }
 
 TEST(SwitchRegisters, ViewFoldsAckIntoEstablishedAndPending) {
-  SwitchRegisters regs(6);
+  RegisterFile file(1, 6, 1);
+  SwitchRegisters& regs = file.at(0, 0);
   regs.reserve(0, 1, kLocalEndpoint);  // pending: probe
   regs.reserve(1, 2, kLocalEndpoint);
   regs.commit(1, 7);                   // pending: awaiting ack

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wavesim::service {
@@ -38,6 +39,45 @@ TEST(ServiceProto, NegativeCycleCountsAreRejectedByName) {
       error_of(R"({"storm_at": 100, "storm_repair_after": -5})");
   EXPECT_NE(err.find("spec field 'storm_repair_after'"), std::string::npos)
       << err;
+}
+
+TEST(ServiceProto, FractionalAndOutOfRangeIntegersAreRejectedByName) {
+  // Each of these used to be truncated toward zero or wrapped to 32 bits.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"k", "2.5"},          {"length", "64.9"},
+      {"warmup", "100.5"},   {"seed", "1.5"},
+      {"m", "-0.5"},         {"vcs", "4294967298"},
+      {"cache", "4294967304"}};
+  for (const auto& [key, number] : cases) {
+    const std::string err =
+        error_of(std::string("{\"") + key + "\": " + number + "}");
+    EXPECT_NE(err.find(std::string("spec field '") + key + "'"),
+              std::string::npos)
+        << key << " = " << number << ": " << err;
+  }
+  for (const char* key :
+       {"vcs", "k", "m", "cache", "max_packet", "length", "warmup", "measure",
+        "drain_cap", "seed", "storm_at", "storm_repair_after"}) {
+    for (const char* number : {"2.5", "1e300", "-1e300"}) {
+      const std::string prefix =
+          std::string(key) == "storm_repair_after" ? "\"storm_at\": 9, " : "";
+      const std::string err = error_of("{" + prefix + "\"" + key + "\": " +
+                                       number + "}");
+      EXPECT_NE(err.find(std::string("spec field '") + key + "'"),
+                std::string::npos)
+          << key << " = " << number << ": " << err;
+    }
+  }
+  // Unsigned fields take no sign; 32-bit ones stop at their type's edge.
+  EXPECT_NE(error_of(R"({"seed": -1})").find("'seed'"), std::string::npos);
+  EXPECT_NE(error_of(R"({"storm_at": -1})").find("'storm_at'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"length": 2147483648})").find("'length'"),
+            std::string::npos);
+  EXPECT_EQ(parse(R"({"seed": 9007199254740992})").seed,
+            9007199254740992u);
+  EXPECT_EQ(parse(R"({"length": 2147483647})").message_flits, 2147483647);
+  EXPECT_EQ(parse(R"({"k": 3.0})").config.router.wave_switches, 3);
 }
 
 TEST(ServiceProto, ZeroAndPositiveCycleCountsParse) {

@@ -98,6 +98,56 @@ TEST(Topology, NeighborSymmetry) {
   }
 }
 
+struct Shape {
+  const char* name;
+  std::vector<std::int32_t> radix;
+  bool torus;
+};
+
+// The stride-built tables against a per-channel linearize/delinearize
+// walk, on shapes with degenerate wraps (radix 2: + and - reach the same
+// node; radix 3: the wrap is one hop either way) and odd mixed radices.
+TEST(Topology, TablesMatchTheCoordinateReference) {
+  const std::vector<Shape> shapes = {
+      {"ring of 2", {2}, true},          {"ring of 3", {3}, true},
+      {"2x2 torus", {2, 2}, true},       {"4x4x4 torus", {4, 4, 4}, true},
+      {"3x5x2 mesh", {3, 5, 2}, false},  {"2^4 hypercube", {2, 2, 2, 2}, true},
+  };
+  for (const Shape& shape : shapes) {
+    const K t(shape.radix, shape.torus);
+    ASSERT_EQ(t.num_dims(), static_cast<std::int32_t>(shape.radix.size()));
+    for (NodeId n = 0; n < t.num_nodes(); ++n) {
+      const Coord c = delinearize(n, shape.radix);
+      const auto row = t.coord_row(n);
+      EXPECT_EQ(Coord(row.begin(), row.end()), c) << shape.name << " n=" << n;
+      for (PortId p = 0; p < t.num_ports(); ++p) {
+        const std::int32_t d = K::dim_of(p);
+        const std::int32_t r = shape.radix[d];
+        Coord next = c;
+        next[d] += K::is_positive(p) ? 1 : -1;
+        const bool wraps = next[d] < 0 || next[d] >= r;
+        next[d] = (next[d] + r) % r;
+        const NodeId want = wraps && !shape.torus
+                                ? kInvalidNode
+                                : linearize(next, shape.radix);
+        EXPECT_EQ(t.neighbor(n, p), want)
+            << shape.name << " n=" << n << " p=" << p;
+        EXPECT_EQ(t.neighbor_row(n)[p], want);
+        EXPECT_EQ(t.crosses_dateline(n, p), wraps && shape.torus)
+            << shape.name << " n=" << n << " p=" << p;
+        if (want != kInvalidNode) {
+          EXPECT_EQ(t.neighbor(want, K::opposite(p)), n)
+              << shape.name << " n=" << n << " p=" << p;
+        }
+      }
+    }
+  }
+  // Radix 2 on a torus: both directions of a dimension reach one node.
+  const K pair({2, 2}, true);
+  EXPECT_EQ(pair.neighbor(0, K::port_of(1, true)),
+            pair.neighbor(0, K::port_of(1, false)));
+}
+
 TEST(Topology, MinOffsetsMesh) {
   K mesh({8, 8}, false);
   const auto off = mesh.min_offsets(mesh.node_of({1, 6}), mesh.node_of({5, 2}));

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "routing/dor.hpp"
+#include "wormhole/fabric.hpp"
 
 namespace wavesim::wh {
 namespace {
@@ -101,7 +102,8 @@ TEST(RoundRobinArbiter, MaskGrantMatchesRotatedScan) {
 }
 
 TEST(InputVc, PushPopFifo) {
-  InputVc vc(4);
+  Flit slots[4];
+  InputVc vc(slots, 4);
   vc.push(make_flit(1, 0, 5, 0, 3, 0));
   vc.push(make_flit(1, 0, 5, 1, 3, 0));
   EXPECT_EQ(vc.occupancy(), 2);
@@ -112,20 +114,23 @@ TEST(InputVc, PushPopFifo) {
 }
 
 TEST(InputVc, OverflowThrows) {
-  InputVc vc(1);
+  Flit slots[1];
+  InputVc vc(slots, 1);
   vc.push(make_flit(1, 0, 5, 0, 2, 0));
   EXPECT_TRUE(vc.full());
   EXPECT_THROW(vc.push(make_flit(1, 0, 5, 1, 2, 0)), std::logic_error);
 }
 
 TEST(InputVc, PopEmptyThrows) {
-  InputVc vc(2);
+  Flit slots[2];
+  InputVc vc(slots, 2);
   EXPECT_THROW(vc.pop(), std::logic_error);
   EXPECT_THROW(vc.front(), std::logic_error);
 }
 
 TEST(InputVc, StateMachineTransitions) {
-  InputVc vc(2);
+  Flit slots[2];
+  InputVc vc(slots, 2);
   EXPECT_EQ(vc.state(), VcState::kIdle);
   vc.start_routing({route::RouteCandidate{0, 0, true}});
   EXPECT_EQ(vc.state(), VcState::kRouting);
@@ -139,20 +144,24 @@ TEST(InputVc, StateMachineTransitions) {
 }
 
 TEST(InputVc, IllegalTransitionsThrow) {
-  InputVc vc(2);
+  Flit slots[2];
+  InputVc vc(slots, 2);
   EXPECT_THROW(vc.activate(0, 0), std::logic_error);
   EXPECT_THROW(vc.release(), std::logic_error);
   vc.start_routing({});
   EXPECT_THROW(vc.start_routing({}), std::logic_error);
 }
 
+// One router of a fabric, stepped by hand: the router is a view of its
+// slices of the fabric's arrays, so it is built through its owner.
 class SingleRouter : public ::testing::Test {
  protected:
   SingleRouter()
       : topo_({4, 4}, false), dor_(topo_, 2),
-        router_(topo_, dor_, topo_.node_of({1, 1}),
-                RouterParams{.num_vcs = 2, .vc_buffer_depth = 4}),
-        gate_(topo_) {}
+        fabric_(topo_, dor_,
+                FabricParams{
+                    RouterParams{.num_vcs = 2, .vc_buffer_depth = 4}}),
+        router_(fabric_.router(topo_.node_of({1, 1}))), gate_(topo_) {}
 
   void cycle() {
     gate_.reset();
@@ -163,7 +172,8 @@ class SingleRouter : public ::testing::Test {
 
   topo::KAryNCube topo_;
   route::DimensionOrderRouting dor_;
-  Router router_;
+  Fabric fabric_;
+  Router& router_;
   ExclusiveLinkGate gate_;
   std::vector<SwitchMove> moves_;
 };

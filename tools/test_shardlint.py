@@ -13,6 +13,8 @@ layout shardlint expects) and checks the lint's three contracts:
    [shard: seq] members is fine while it stays in the sequential
    phase — reachability, not a blanket suppression, is what keeps the
    lint quiet — and is flagged the moment shard-phase code calls it.
+5. A view over the fabric's node-major arrays (wh::Router) is held to
+   the same rule: an untagged member of it is flagged.
 
 Finally the lint must pass against the real repository this file sits in.
 
@@ -159,6 +161,54 @@ class InboxRing {
 }  // namespace wavesim::sim
 """
 
+RING_HPP = """
+namespace wavesim::sim {
+template <typename T>
+class Ring {
+ private:
+  int head_ = 0;   // [shard: owned]
+  int count_ = 0;  // [shard: owned]
+};
+}  // namespace wavesim::sim
+"""
+
+ROUTER_TAGGED = """
+namespace wavesim::wh {
+class Router {
+ public:
+  bool quiet() const noexcept { return occupancy_ == 0; }
+ private:
+  /// This node's slice of the fabric's input VCs. [shard: owned]
+  InputVc* inputs_;
+  int occupancy_ = 0;  // [shard: owned]
+};
+}  // namespace wavesim::wh
+"""
+
+# A slice pointer added to the router view without a tag.
+ROUTER_UNTAGGED = """
+namespace wavesim::wh {
+class Router {
+ public:
+  bool quiet() const noexcept { return occupancy_ == 0; }
+ private:
+  /// This node's slice of the fabric's input VCs. [shard: owned]
+  InputVc* inputs_;
+  OutputVc* outputs_;
+  int occupancy_ = 0;  // [shard: owned]
+};
+}  // namespace wavesim::wh
+"""
+
+REGISTERS_HPP = """
+namespace wavesim::pcs {
+class RegisterFile {
+ private:
+  std::vector<OutChannel> channels_;  // [shard: seq]
+};
+}  // namespace wavesim::pcs
+"""
+
 LINK_GATE_HPP = """
 namespace wavesim::wh {
 class ExclusiveLinkGate {
@@ -169,7 +219,8 @@ class ExclusiveLinkGate {
 """
 
 
-def write_fixture(root: Path, *, inbox_ring: str, network_cpp: str) -> None:
+def write_fixture(root: Path, *, inbox_ring: str, network_cpp: str,
+                  router: str = ROUTER_TAGGED) -> None:
     files = {
         "src/core/network.hpp": NETWORK_HPP,
         "src/core/network.cpp": network_cpp,
@@ -178,7 +229,10 @@ def write_fixture(root: Path, *, inbox_ring: str, network_cpp: str) -> None:
         "src/core/node_interface.hpp": NODE_IFACE_HPP,
         "src/core/node_interface.cpp": NODE_IFACE_CPP,
         "src/sim/inbox_ring.hpp": inbox_ring,
+        "src/sim/ring.hpp": RING_HPP,
         "src/wormhole/link_gate.hpp": LINK_GATE_HPP,
+        "src/wormhole/router.hpp": router,
+        "src/pcs/registers.hpp": REGISTERS_HPP,
     }
     for rel, text in files.items():
         path = root / rel
@@ -220,6 +274,15 @@ def main() -> int:
         results.append(check(
             "tagged sibling field is not flagged",
             "InboxRing::head_" not in r.stdout, r.stdout))
+
+        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
+                      network_cpp=NETWORK_CPP_CLEAN, router=ROUTER_UNTAGGED)
+        r = run_lint(root)
+        results.append(check(
+            "untagged member of the router view is flagged",
+            r.returncode == 1 and "Router::outputs_" in r.stdout
+            and "Router::inputs_" not in r.stdout,
+            r.stdout + r.stderr))
 
         write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
                       network_cpp=NETWORK_CPP_SEQ_WRITE)

@@ -267,13 +267,18 @@ SHARD_TARGETS = [
      "NodeInterface"),
 ]
 
-# Header-only arena/SoA containers holding state relocated out of the
-# SHARD_TARGETS classes. Members must carry [shard:] tags (so a field
-# moved into a container cannot silently lose its classification); there
-# is no closure to walk -- their methods run in the caller's phase.
+# Arena/SoA containers holding state relocated out of the SHARD_TARGETS
+# classes, and the views addressing slices of them (Router over the
+# fabric's arrays); only their headers are read. Members must carry
+# [shard:] tags (so a field moved into a container cannot silently lose
+# its classification); there is no closure to walk -- their methods run
+# in the caller's phase.
 SHARD_HEADER_TARGETS = [
     ("src/sim/inbox_ring.hpp", "InboxRing"),
+    ("src/sim/ring.hpp", "Ring"),
     ("src/wormhole/link_gate.hpp", "ExclusiveLinkGate"),
+    ("src/wormhole/router.hpp", "Router"),
+    ("src/pcs/registers.hpp", "RegisterFile"),
 ]
 
 # Shard-phase entry points: (class, method). The closure starts here.
@@ -287,7 +292,7 @@ SHARD_ROOTS = [
 # cross-class calls that occur in shard-phase code.
 CROSS_CLASS_CALLS = [
     (re.compile(r"\bfabric_\s*\.\s*(\w+)\s*\("), "Fabric"),
-    (re.compile(r"\binterfaces_\s*\[[^]]*\]\s*->\s*(\w+)\s*\("),
+    (re.compile(r"\binterfaces_\s*\[[^]]*\]\s*(?:->|\.)\s*(\w+)\s*\("),
      "NodeInterface"),
 ]
 
