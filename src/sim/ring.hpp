@@ -18,20 +18,12 @@ template <typename T>
 class Ring {
  public:
   Ring() = default;
-  Ring(Ring&& other) noexcept
-      : buf_(std::move(other.buf_)), mask_(std::exchange(other.mask_, 0)),
-        head_(std::exchange(other.head_, 0)),
-        count_(std::exchange(other.count_, 0)) {
-    other.buf_.clear();
-  }
+  Ring(Ring&& other) noexcept { *this = std::move(other); }
   Ring& operator=(Ring&& other) noexcept {
-    if (this != &other) {
-      buf_ = std::move(other.buf_);
-      other.buf_.clear();
-      mask_ = std::exchange(other.mask_, 0);
-      head_ = std::exchange(other.head_, 0);
-      count_ = std::exchange(other.count_, 0);
-    }
+    buf_ = std::exchange(other.buf_, {});
+    mask_ = std::exchange(other.mask_, 0);
+    head_ = std::exchange(other.head_, 0);
+    count_ = std::exchange(other.count_, 0);
     return *this;
   }
   Ring(const Ring&) = delete;

@@ -3,14 +3,14 @@
 // control. The router is topology-agnostic beyond its own port count; the
 // Fabric moves flits and credits between routers.
 //
-// Layout: a router owns no storage. Its input VCs, output VCs and slot
-// words are one node's slice of the Fabric's node-major arrays (see
-// fabric.hpp): within a slice, VCs are indexed [port * num_vcs + vc]
-// ("slots"), and every input buffer is a fixed ring inside the fabric's
-// flit arena. A cycle of pipeline work therefore touches a handful of
-// contiguous slices and performs no heap allocation (route candidates for
-// a new head are the one per-packet exception, computed by the routing
-// algorithm).
+// Layout: a router owns none of its VC storage. Its input VCs, output
+// VCs and slot words are one node's slice of the Fabric's node-major
+// arrays (see fabric.hpp): within a slice, VCs are indexed
+// [port * num_vcs + vc] ("slots"), and every input buffer is a fixed ring
+// inside the fabric's flit arena. A cycle of pipeline work therefore
+// touches a handful of contiguous slices and performs no heap allocation
+// (route candidates for a new head are the one per-packet exception,
+// computed by the routing algorithm).
 //
 // Each pipeline stage visits only the slots that want it, read from three
 // derived slot sets (bit sets of ceil(slots / 64) words, any VC count):

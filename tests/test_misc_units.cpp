@@ -1,10 +1,14 @@
-// Unit tests for small shared components: delay lines, inbox rings, the
+// Unit tests for small shared components: delay lines, rings, the
 // link gate, the message log, and aggregate stat fields.
 #include <gtest/gtest.h>
+
+#include <deque>
 
 #include "core/simulation.hpp"
 #include "sim/delay_line.hpp"
 #include "sim/inbox_ring.hpp"
+#include "sim/ring.hpp"
+#include "snap/archive.hpp"
 #include "wormhole/link_gate.hpp"
 
 namespace wavesim {
@@ -56,6 +60,43 @@ TEST(InboxRing, AppendsInDueOrderAndRefusesADecreasingDue) {
     ring.pop_front();
   }
   EXPECT_TRUE(ring.empty());
+}
+
+// The node interfaces' queues moved from std::deque to sim::Ring: the
+// snapshot bytes must be the Archive::deq layout, across a wrapped ring.
+TEST(Ring, SnapBytesMatchTheDequeLayoutAndAMovedFromRingIsEmpty) {
+  sim::Ring<std::int64_t> ring;
+  std::deque<std::int64_t> reference;
+  for (std::int64_t i = 0; i < 13; ++i) {
+    ring.push_back(i);
+    reference.push_back(i);
+    if (i % 3 == 0) {
+      ring.pop_front();
+      reference.pop_front();
+    }
+  }
+  const auto element = [](snap::Archive& a, std::int64_t& v) { a.pod(v); };
+  auto ring_bytes = snap::Archive::writer();
+  ring.snap(ring_bytes, element);
+  auto deque_bytes = snap::Archive::writer();
+  deque_bytes.deq(reference, element);
+  EXPECT_EQ(ring_bytes.bytes(), deque_bytes.bytes());
+
+  sim::Ring<std::int64_t> back;
+  auto reader = snap::Archive::reader(ring_bytes.bytes());
+  back.snap(reader, element);
+  EXPECT_TRUE(reader.exhausted());
+  sim::Ring<std::int64_t> moved = std::move(back);
+  EXPECT_TRUE(back.empty());  // NOLINT(bugprone-use-after-move)
+  back.push_back(99);         // a moved-from ring is usable
+  EXPECT_EQ(back.front(), 99);
+  for (const std::int64_t want : reference) {
+    ASSERT_FALSE(moved.empty());
+    EXPECT_EQ(moved.front(), want);
+    moved.pop_front();
+  }
+  EXPECT_TRUE(moved.empty());
+  EXPECT_THROW(moved.front(), std::logic_error);
 }
 
 TEST(LinkGate, OneClaimPerLinkPerCycle) {
