@@ -126,7 +126,9 @@ class SwitchRegisters {
     }
     return out_port;
   }
-  const OutChannel& at(PortId out_port) const { return out_[checked(out_port)]; }
+  const OutChannel& at(PortId out_port) const {
+    return out_[checked(out_port)];
+  }
   OutChannel& at(PortId out_port);
   /// Recompute every port mask from the per-channel registers.
   void rebuild_masks() noexcept;

@@ -48,7 +48,7 @@ std::string get_string(const sim::JsonValue& obj, const std::string& key,
   return v->as_string();
 }
 
-/// Largest integer every double below it represents exactly (2^53).
+/// 2^53: a double represents every integer up to this magnitude exactly.
 constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
 
 /// A whole number in [min, max] (and exactly representable as a double).
@@ -71,10 +71,10 @@ T get_whole(const sim::JsonValue& obj, const std::string& key, T fallback) {
   const sim::JsonValue* v = get(obj, key);
   if (v == nullptr) return fallback;
   using Limits = std::numeric_limits<T>;
+  const auto min = std::max<std::int64_t>(Limits::min(), -kMaxExact);
   const auto max = static_cast<std::int64_t>(
       std::min<std::uint64_t>(Limits::max(), kMaxExact));
-  return static_cast<T>(
-      whole_in(*v, key, std::max<std::int64_t>(Limits::min(), -kMaxExact), max));
+  return static_cast<T>(whole_in(*v, key, min, max));
 }
 
 /// Throws naming the first key of `value` outside `known`.

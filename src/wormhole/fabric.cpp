@@ -42,8 +42,8 @@ Fabric::Fabric(const topo::KAryNCube& topology,
   // Network outputs start with a full window of downstream credits; the
   // ejection port never blocks (delivery buffers are the NI's
   // responsibility and are modeled as always-accepting).
-  outputs_.assign(nodes * slots,
-                  OutputVc{false, kInvalidPort, kInvalidVc, rp.vc_buffer_depth});
+  outputs_.assign(nodes * slots, OutputVc{false, kInvalidPort, kInvalidVc,
+                                          rp.vc_buffer_depth});
   // Every arbiter pointer starts at 0 and every slot set empty.
   slot_words_.assign(nodes * words, 0);
   routers_.reserve(nodes);
