@@ -154,7 +154,7 @@ class Network {
   /// Offer every scheduled send due this cycle, in schedule order.
   void offer_due_sends();
 
-  // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py):
+  // Shard-safety tags (docs/ENGINE.md, enforced by wavelint --pass shard):
   // [shard: seq] mutated only by the sequential phases, [shard: owned]
   // per-node / owner-partitioned and writable from step_shard for owned
   // nodes, [shard: ro] immutable after construction.

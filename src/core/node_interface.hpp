@@ -148,7 +148,7 @@ class NodeInterface {
   void requeue(sim::Ring<MessageId> msgs, Cycle now);
   void send_wormhole(MessageId id, MessageMode mode, Cycle now);
 
-  // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py).
+  // Shard-safety tags (docs/ENGINE.md, enforced by wavelint --pass shard).
   NodeId node_;       // [shard: ro] [snap: skip] identity, fixed at construction
   const sim::SimConfig& config_;     // [shard: ro]
   const topo::KAryNCube& topology_;  // [shard: ro]

@@ -3,7 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
-#include <stdexcept>
+#include <span>
 
 namespace wavesim::pcs {
 
@@ -56,21 +56,6 @@ std::uint32_t link_mask(const topo::KAryNCube& topology, NodeId node) {
     if (neighbors[p] != kInvalidNode) mask |= 1u << p;
   }
   return mask;
-}
-
-MbmView view_of(const topo::KAryNCube& topology,
-                std::span<const PortView> view) {
-  if (static_cast<std::int32_t>(view.size()) != topology.num_ports()) {
-    throw std::invalid_argument("mbm::view_of: view size mismatch");
-  }
-  MbmView out;
-  for (std::size_t p = 0; p < view.size(); ++p) {
-    const std::uint32_t bit = 1u << p;
-    out.available |= view[p] == PortView::kAvailable ? bit : 0u;
-    out.established |= view[p] == PortView::kBusyEstablished ? bit : 0u;
-    out.pending |= view[p] == PortView::kBusyPending ? bit : 0u;
-  }
-  return out;
 }
 
 std::vector<PortId> ordered_minimal_ports(const topo::KAryNCube& topology,

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pcs/probe.hpp"
@@ -48,16 +47,6 @@ inline MbmView view_of(const SwitchRegisters& regs,
   return MbmView{regs.free_mask() & usable, busy & acked & usable,
                  (regs.reserved_mask() | (busy & ~acked)) & usable};
 }
-
-/// Availability of the (control, data) channel pair behind one output port
-/// as seen by a probe: the per-port form of MbmView, for tests and callers
-/// that describe a view port by port.
-enum class PortView : std::uint8_t {
-  kAvailable,        ///< free pair, selectable
-  kBusyEstablished,  ///< owned by a circuit whose ack has returned
-  kBusyPending,      ///< owned by a probe or a circuit still awaiting ack
-  kUnusable,         ///< faulty, searched (history), or off the mesh edge
-};
 
 enum class MbmAction : std::uint8_t {
   kAdvance,    ///< reserve `port` and move forward
@@ -103,21 +92,6 @@ MbmDecision decide(const topo::KAryNCube& topology, NodeId node, NodeId dest,
                    const MbmView& view, PortId arrival_port,
                    std::int32_t misroutes, std::int32_t max_misroutes,
                    bool force, bool mutate_force_unacked = false);
-
-/// The MbmView of a per-port view; `view` holds exactly one entry per
-/// port of `topology` (std::invalid_argument otherwise).
-MbmView view_of(const topo::KAryNCube& topology,
-                std::span<const PortView> view);
-
-/// decide() over a per-port view: view_of() then the mask decide().
-inline MbmDecision decide(const topo::KAryNCube& topology, NodeId node,
-                          NodeId dest, std::span<const PortView> view,
-                          PortId arrival_port, std::int32_t misroutes,
-                          std::int32_t max_misroutes, bool force,
-                          bool mutate_force_unacked = false) {
-  return decide(topology, node, dest, view_of(topology, view), arrival_port,
-                misroutes, max_misroutes, force, mutate_force_unacked);
-}
 
 /// Minimal ports toward dest ordered by descending remaining offset
 /// magnitude (ties by port index). Exposed for tests.

@@ -175,7 +175,8 @@ SliceOutcome JobRunner::step_sweep(Job& job,
 
     // All points share the spec's warm prefix, so one warmup serves the
     // whole sweep: checkpoint at the warmup/measure boundary and start
-    // every point from there (bench/bench_snap.cpp measures the win).
+    // every point from there (perfbench's traced clrp_setup run times the
+    // sweep's time to result).
     snap::CheckpointableRun warm(spec);
     warm.advance(spec.warmup);
     if (!warm.at_measure_boundary()) {

@@ -15,7 +15,7 @@
 // passes through the same state at the warmup/measure boundary. A
 // checkpoint taken there seeds all such runs: restore, rebind() the
 // measurement window, and only the measured span is simulated
-// (bench/bench_snap.cpp measures the speedup).
+// (tests/test_snap.cpp's SnapWarmStart suite checks it equals cold replay).
 #pragma once
 
 #include <cstdint>

@@ -223,7 +223,7 @@ class Fabric {
     void operator()(Flit* p) const noexcept { ::operator delete(p); }
   };
 
-  // Shard-safety tags (docs/ENGINE.md, enforced by tools/shardlint.py).
+  // Shard-safety tags (docs/ENGINE.md, enforced by wavelint --pass shard).
   const topo::KAryNCube& topology_;  // [shard: ro]
   FabricParams params_;  // [shard: ro] [snap: skip] config, fixed at construction
   /// Every input VC's ring buffer, [node][slot][vc_buffer_depth]. Raw

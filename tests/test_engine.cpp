@@ -18,6 +18,7 @@
 #include "engine/engine.hpp"
 #include "engine/partition.hpp"
 #include "engine/pool.hpp"
+#include "event_fingerprint.hpp"
 #include "harness/sweep.hpp"
 #include "sim/json.hpp"
 #include "sim/rng.hpp"
@@ -141,34 +142,30 @@ void install_par(core::Simulation& sim, std::int32_t shards,
   sim.set_engine(make_engine(cfg, sim.topology().num_nodes()));
 }
 
-/// Order-sensitive digest of the full instrumentation event stream — the
-/// strongest observable equality: same hash => same events in the same
-/// order with the same payloads.
-struct EventFingerprint {
-  std::uint64_t value = 0x77617665u;
-  void feed(const core::Event& ev) {
-    value = sim::hash_mix(value ^ ev.at);
-    value = sim::hash_mix(value ^ static_cast<std::uint64_t>(ev.kind));
-    value = sim::hash_mix(value ^ static_cast<std::uint64_t>(ev.node));
-    value = sim::hash_mix(value ^ static_cast<std::uint64_t>(ev.msg));
-    value = sim::hash_mix(value ^ static_cast<std::uint64_t>(ev.circuit));
-  }
+/// Open-loop uniform traffic of one digest run: offered load, message
+/// length, the warmup and measured windows, and the traffic seed.
+struct Traffic {
+  double load = 0.1;
+  std::int32_t flits = 32;
+  Cycle warmup = 300;
+  Cycle measure = 1200;
+  std::uint64_t seed = 17;
 };
 
 /// Run one open-loop experiment and render everything wavesim.run.v1
 /// carries (minus the engine stamp, which intentionally differs): stats,
 /// drain/watchdog outcome, final cycle, plus the event fingerprint.
 std::string run_digest(const sim::SimConfig& config, std::int32_t shards,
-                       unsigned threads = 0) {
+                       unsigned threads = 0, const Traffic& traffic = {}) {
   core::Simulation sim(config);
   if (shards > 0) install_par(sim, shards, threads);
   EventFingerprint fp;
   sim.set_event_sink([&](const core::Event& ev) { fp.feed(ev); });
   load::UniformTraffic pattern(sim.topology());
-  load::FixedSize sizes(32);
-  const auto r = load::run_open_loop(sim, pattern, sizes, /*offered_load=*/0.1,
-                                     /*warmup=*/300, /*measure=*/1200,
-                                     /*drain_cap=*/200'000, /*seed=*/17);
+  load::FixedSize sizes(traffic.flits);
+  const auto r = load::run_open_loop(sim, pattern, sizes, traffic.load,
+                                     traffic.warmup, traffic.measure,
+                                     /*drain_cap=*/300'000, traffic.seed);
   const sim::JsonValue doc =
       sim::JsonValue::object()
           .set("schema", "wavesim.run.v1")
@@ -206,26 +203,82 @@ TEST(ParallelEngine, WormholeOnlyIdenticalAcrossShardCounts) {
   }
 }
 
+/// The large torus the engine is sized for: at 8 shards each shard still
+/// owns 32 nodes.
+sim::SimConfig torus_16x16(sim::ProtocolKind protocol) {
+  sim::SimConfig config;
+  config.topology.radix = {16, 16};
+  config.topology.torus = true;
+  config.protocol.protocol = protocol;
+  if (protocol == sim::ProtocolKind::kWormholeOnly) {
+    config.router.wave_switches = 0;
+  }
+  config.seed = 9;
+  return config;
+}
+
+constexpr Traffic kClrp16x16{
+    .load = 0.12, .flits = 64, .warmup = 500, .measure = 4000, .seed = 33};
+
+TEST(ParallelEngine, Clrp16x16IdenticalAtTwoFourAndEightShards) {
+  const sim::SimConfig config = torus_16x16(sim::ProtocolKind::kClrp);
+  const std::string sequential = run_digest(config, 0, 0, kClrp16x16);
+  for (const std::int32_t shards : {2, 4, 8}) {
+    EXPECT_EQ(sequential, run_digest(config, shards, 0, kClrp16x16))
+        << "shards=" << shards;
+  }
+}
+
+TEST(ParallelEngine, Clrp16x16IdenticalThroughALinkStorm) {
+  // 15% of the links fail at cycle 600 and recover 1000 cycles later.
+  // Fault work runs in the sequential prologue, so the fault events are
+  // part of the stream every shard count must reproduce.
+  sim::SimConfig config = torus_16x16(sim::ProtocolKind::kClrp);
+  config.faults.storm.at = 600;
+  config.faults.storm.fraction = 0.15;
+  config.faults.storm.repair_after = 1000;
+  const std::string sequential = run_digest(config, 0, 0, kClrp16x16);
+  for (const std::int32_t shards : {2, 8}) {
+    EXPECT_EQ(sequential, run_digest(config, shards, 0, kClrp16x16))
+        << "shards=" << shards;
+  }
+}
+
 // ------------------------------------------------ sparse and scheduled
 
 /// Like run_digest but without the event sink, so the parallel engine
 /// runs exactly the code an unobserved run does.
-std::string run_sparse(const sim::SimConfig& config, std::int32_t shards) {
+std::string run_sparse(const sim::SimConfig& config, std::int32_t shards,
+                       const Traffic& traffic) {
   core::Simulation sim(config);
   if (shards > 0) install_par(sim, shards);
   load::UniformTraffic pattern(sim.topology());
-  load::FixedSize sizes(16);
-  const auto r = load::run_open_loop(sim, pattern, sizes,
-                                     /*offered_load=*/0.005,
-                                     /*warmup=*/200, /*measure=*/1000,
-                                     /*drain_cap=*/100'000, /*seed=*/23);
+  load::FixedSize sizes(traffic.flits);
+  const auto r = load::run_open_loop(sim, pattern, sizes, traffic.load,
+                                     traffic.warmup, traffic.measure,
+                                     /*drain_cap=*/300'000, traffic.seed);
   return harness::stats_to_json(r.stats).dump(2) + "@cycle " +
          std::to_string(sim.now());
 }
 
 TEST(ParallelEngine, SparseWormholeIdenticalToSequential) {
-  const sim::SimConfig config = sim::SimConfig::wormhole_baseline();
-  EXPECT_EQ(run_sparse(config, /*shards=*/0), run_sparse(config, 4));
+  // Sparse load and short messages: most nodes are idle on most cycles.
+  const struct {
+    sim::SimConfig config;
+    Traffic traffic;
+  } cases[] = {
+      {sim::SimConfig::wormhole_baseline(),
+       {.load = 0.005, .flits = 16, .warmup = 200, .measure = 1000,
+        .seed = 23}},
+      {torus_16x16(sim::ProtocolKind::kWormholeOnly),
+       {.load = 0.0025, .flits = 16, .warmup = 500, .measure = 4000,
+        .seed = 33}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_sparse(c.config, /*shards=*/0, c.traffic),
+              run_sparse(c.config, 4, c.traffic))
+        << c.config.num_nodes() << " nodes";
+  }
 }
 
 TEST(ParallelEngine, IdleNodeWakesOnScheduledSendAtTheHorizon) {

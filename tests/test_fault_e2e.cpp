@@ -8,7 +8,7 @@
 
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
-#include "sim/rng.hpp"
+#include "event_fingerprint.hpp"
 
 namespace wavesim::core {
 namespace {
@@ -187,26 +187,14 @@ TEST(FaultE2E, ParallelEngineIsBitIdenticalUnderStorm) {
       sim.set_engine(
           engine::make_engine(engine_config, sim.topology().num_nodes()));
     }
-    std::uint64_t fingerprint = 0x77617665u;
-    sim.set_event_sink([&](const Event& ev) {
-      fingerprint = sim::hash_mix(fingerprint ^ ev.at);
-      fingerprint =
-          sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.kind));
-      fingerprint =
-          sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.node));
-      fingerprint =
-          sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.msg));
-      fingerprint =
-          sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.circuit));
-      fingerprint =
-          sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.port));
-    });
+    EventFingerprint fp;
+    sim.set_event_sink([&](const Event& ev) { fp.feed(ev); });
     for (int round = 0; round < 10; ++round) {
       for (NodeId n = 0; n < 16; ++n) sim.send(n, (n + 7) % 16, 32);
       sim.run(40);
     }
     EXPECT_TRUE(sim.run_until_delivered(300'000));
-    return std::pair<std::uint64_t, Cycle>{fingerprint, sim.now()};
+    return std::pair<std::uint64_t, Cycle>{fp.value, sim.now()};
   };
 
   const auto seq = run_once(0);

@@ -1,11 +1,10 @@
-// Unit tests for small shared components: delay lines, rings, the
-// link gate, the message log, and aggregate stat fields.
+// Unit tests for small shared components: rings, the link gate, the
+// message log, and aggregate stat fields.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "core/simulation.hpp"
-#include "sim/delay_line.hpp"
 #include "sim/inbox_ring.hpp"
 #include "sim/ring.hpp"
 #include "snap/archive.hpp"
@@ -13,38 +12,6 @@
 
 namespace wavesim {
 namespace {
-
-TEST(DelayLine, DeliversAfterExactLatency) {
-  sim::DelayLine<int> line(3);
-  line.push(/*now=*/10, 42);
-  EXPECT_FALSE(line.ready(10));
-  EXPECT_FALSE(line.ready(12));
-  EXPECT_TRUE(line.ready(13));
-  EXPECT_TRUE(line.ready(20));  // stays ready until popped
-  EXPECT_EQ(line.pop(), 42);
-  EXPECT_TRUE(line.empty());
-}
-
-TEST(DelayLine, FifoAcrossPushCycles) {
-  sim::DelayLine<int> line(2);
-  line.push(0, 1);
-  line.push(0, 2);
-  line.push(1, 3);
-  EXPECT_EQ(line.size(), 3u);
-  ASSERT_TRUE(line.ready(2));
-  EXPECT_EQ(line.pop(), 1);
-  ASSERT_TRUE(line.ready(2));
-  EXPECT_EQ(line.pop(), 2);
-  EXPECT_FALSE(line.ready(2));  // item 3 due at cycle 3
-  ASSERT_TRUE(line.ready(3));
-  EXPECT_EQ(line.pop(), 3);
-}
-
-TEST(DelayLine, ZeroItemsNeverReady) {
-  sim::DelayLine<int> line(1);
-  EXPECT_FALSE(line.ready(1000));
-  EXPECT_TRUE(line.empty());
-}
 
 TEST(InboxRing, AppendsInDueOrderAndRefusesADecreasingDue) {
   struct Entry {

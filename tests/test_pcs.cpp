@@ -4,6 +4,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "pcs/history.hpp"
@@ -367,6 +370,41 @@ TEST(HistoryStore, SnapRejectsRowsWiderThanTheNetwork) {
 }
 
 // -------------------------------------------------------------------- MB-m
+
+/// Availability of the (control, data) channel pair behind one output port
+/// as seen by a probe: the per-port form of MbmView, in which the tests
+/// below and the ordered-scan oracle describe a view port by port.
+enum class PortView : std::uint8_t {
+  kAvailable,        ///< free pair, selectable
+  kBusyEstablished,  ///< owned by a circuit whose ack has returned
+  kBusyPending,      ///< owned by a probe or a circuit still awaiting ack
+  kUnusable,         ///< faulty, searched (history), or off the mesh edge
+};
+
+/// The MbmView of a per-port view; `view` holds exactly one entry per
+/// port of `topology` (std::invalid_argument otherwise).
+MbmView view_of(const KAryNCube& topology, std::span<const PortView> view) {
+  if (static_cast<std::int32_t>(view.size()) != topology.num_ports()) {
+    throw std::invalid_argument("view_of: view size mismatch");
+  }
+  MbmView out;
+  for (std::size_t p = 0; p < view.size(); ++p) {
+    const std::uint32_t bit = 1u << p;
+    out.available |= view[p] == PortView::kAvailable ? bit : 0u;
+    out.established |= view[p] == PortView::kBusyEstablished ? bit : 0u;
+    out.pending |= view[p] == PortView::kBusyPending ? bit : 0u;
+  }
+  return out;
+}
+
+/// decide() over a per-port view: view_of() then the mask decide().
+MbmDecision decide(const KAryNCube& topology, NodeId node, NodeId dest,
+                   std::span<const PortView> view, PortId arrival_port,
+                   std::int32_t misroutes, std::int32_t max_misroutes,
+                   bool force) {
+  return pcs::decide(topology, node, dest, view_of(topology, view),
+                     arrival_port, misroutes, max_misroutes, force);
+}
 
 class MbmTest : public ::testing::Test {
  protected:

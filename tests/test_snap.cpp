@@ -62,6 +62,25 @@ snap::RunSpec storm_spec() {
   return spec;
 }
 
+/// 16x16 CLRP torus, uniform load 0.12, 64-flit messages: the largest
+/// network the suite snapshots. Warmup is a third of the run, so a warm
+/// start skips real work.
+snap::RunSpec torus16_clrp_spec() {
+  snap::RunSpec spec;
+  spec.config.topology.radix = {16, 16};
+  spec.config.topology.torus = true;
+  spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  spec.config.seed = 9;
+  spec.pattern = "uniform";
+  spec.message_flits = 64;
+  spec.offered_load = 0.12;
+  spec.warmup = 4000;
+  spec.measure = 8000;
+  spec.drain_cap = 300'000;
+  spec.seed = 33;
+  return spec;
+}
+
 /// Pure wormhole (k=0) 8x8 torus past saturation with Duato routing: at
 /// the cut, routers hold VCs waiting for VC allocation, VCs streaming
 /// through the switch (some stalled on credits) and idle VCs, so every
@@ -213,6 +232,22 @@ TEST(SnapSnapshot, SaveLoadAtomic) {
   if (tmp != nullptr) std::fclose(tmp);
   std::remove(path.c_str());
   EXPECT_THROW(snap::Snapshot::load(path), std::runtime_error);
+}
+
+TEST(SnapSnapshot, MidMeasure16x16SurvivesSaveLoadAndRestore) {
+  // Mid-measure, where the network is busiest and the snapshot largest.
+  const snap::RunSpec spec = torus16_clrp_spec();
+  snap::CheckpointableRun run(spec);
+  run.advance(spec.warmup + spec.measure / 2);
+  const snap::Snapshot snapshot = run.checkpoint();
+  const std::string path = "test_snap_16x16.snap";
+  snapshot.save(path);
+  const snap::Snapshot loaded = snap::Snapshot::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.digest(), snapshot.digest());
+  snap::CheckpointableRun restored(loaded);
+  EXPECT_EQ(restored.now(), run.now());
+  EXPECT_EQ(restored.checkpoint().digest(), snapshot.digest());
 }
 
 TEST(SnapConfig, RoundTripsEveryField) {
@@ -436,6 +471,21 @@ TEST(SnapWarmStart, SharedWarmupCheckpointSeedsLongerMeasurement) {
   warmed.rebind(longer.measure, longer.drain_cap);
   EXPECT_EQ(finish(warmed), want);
   expect_same_result(warmed.result(), cold.result());
+}
+
+TEST(SnapWarmStart, BoundaryRestoreOf16x16EqualsColdReplay) {
+  const snap::RunSpec spec = torus16_clrp_spec();
+  snap::CheckpointableRun warmup(spec);
+  warmup.advance(spec.warmup);
+  ASSERT_TRUE(warmup.at_measure_boundary());
+
+  snap::CheckpointableRun cold(spec);
+  const std::uint64_t want = finish(cold);
+
+  snap::CheckpointableRun warm(warmup.checkpoint());
+  warm.rebind(spec.measure, spec.drain_cap);
+  EXPECT_EQ(finish(warm), want);
+  expect_same_result(warm.result(), cold.result());
 }
 
 TEST(SnapWarmStart, WarmKeySeparatesDifferentPrefixes) {

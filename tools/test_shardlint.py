@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Self-test for tools/shardlint.py.
+"""Self-test for the shard pass of tools/wavelint.py.
 
 Builds a miniature repository fixture in a temp directory (the same file
-layout shardlint expects) and checks the lint's three contracts:
+layout the shard pass expects) and checks the pass's contracts:
 
 1. A clean fixture passes (exit 0).
 2. A field relocated from a linted class into an arena/SoA container
@@ -29,7 +29,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 REPO = TOOLS.parent
-SHARDLINT = TOOLS / "shardlint.py"
+WAVELINT = TOOLS / "wavelint.py"
 
 NETWORK_HPP = """
 namespace wavesim::core {
@@ -242,7 +242,8 @@ def write_fixture(root: Path, *, inbox_ring: str, network_cpp: str,
 
 def run_lint(root: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(SHARDLINT), "--root", str(root)],
+        [sys.executable, str(WAVELINT), "--pass", "shard", "--root",
+         str(root)],
         capture_output=True, text=True)
 
 

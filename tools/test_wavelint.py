@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for tools/wavelint.py's snap and det passes.
 
-(The absorbed shard pass keeps its own self-test in
-tools/test_shardlint.py, exercised through the compatibility shim.)
+(The shard pass keeps its own self-test in tools/test_shardlint.py.)
 
 Two layers of mutation testing:
 

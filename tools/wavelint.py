@@ -10,8 +10,7 @@ three passes sharing one parsing infrastructure (member tables,
 annotation grammar, call-graph closure, fail-loudly-on-unparsable
 exit 2):
 
-* Pass `shard` -- the engine shard-safety conventions, absorbed from
-  tools/shardlint.py (which remains as a thin compatibility shim).
+* Pass `shard` -- the engine shard-safety conventions.
   Every `_`-suffixed member of the classes with a shard phase carries a
   `[shard: seq|owned|ro]` tag; the call graph is closed over from the
   shard-phase roots and a write to a seq/ro member inside the closure is
