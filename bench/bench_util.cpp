@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cinttypes>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -137,10 +138,7 @@ void Cli::add_int_flag(std::string flag, std::int64_t* target,
 bool Cli::parse(int argc, char** argv) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: missing value for %s\n", experiment_.c_str(),
-                   argv[i]);
-      exit_code_ = 2;
-      return nullptr;
+      throw std::invalid_argument(std::string("missing value for ") + argv[i]);
     }
     return argv[++i];
   };
@@ -150,93 +148,59 @@ bool Cli::parse(int argc, char** argv) {
     }
     return nullptr;
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "%s -- %s\n\n"
-          "  --json <path>     write metrics as JSON (schema wavesim.bench.v1)\n"
-          "  --threads N       worker threads for the sweep (default: all cores)\n"
-          "  --quick           tiny parameters for CI smoke runs\n"
-          "  --trace <path>    Perfetto trace of one representative run\n"
-          "  --metrics <path>  its counters/histograms (wavesim.metrics.v1)\n"
-          "  --sample-every N  gauge sampling period for the observed run\n"
-          "  --engine seq|par  step engine per simulation (default seq;\n"
-          "                    par never changes results, only wall time)\n"
-          "  --shards N        shard count for --engine par (default auto)\n"
-          "  --help            this text\n",
-          experiment_.c_str(), title_.c_str());
-      for (const IntFlag& f : int_flags_) {
-        std::printf("  %-15s %s\n", (f.flag + " N").c_str(), f.help.c_str());
-      }
-      exit_code_ = 0;
-      return false;
-    } else if (const IntFlag* f = find_int_flag(arg); f != nullptr) {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      *f->target = cli::number<std::int64_t>(arg, v);
-    } else if (arg == "--json") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      json_path_ = v;
-    } else if (arg == "--trace") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      trace_path_ = v;
-    } else if (arg == "--metrics") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      metrics_path_ = v;
-    } else if (arg == "--sample-every") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      sample_every_ = cli::number<Cycle>(arg, v);
-    } else if (arg == "--threads") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      threads_ = cli::number<unsigned>(arg, v);
-    } else if (arg == "--quick") {
-      quick_ = true;
-    } else if (arg == "--engine" || arg.rfind("--engine=", 0) == 0) {
-      std::string text;
-      if (arg == "--engine") {
-        const char* v = need(i);
-        if (v == nullptr) return false;
-        text = v;
+  std::string engine = "seq";
+  std::optional<std::int32_t> shards;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        std::printf(
+            "%s -- %s\n\n"
+            "  --json <path>     write metrics as JSON "
+            "(schema wavesim.bench.v1)\n"
+            "  --threads N       worker threads for the sweep "
+            "(default: all cores)\n"
+            "  --quick           tiny parameters for CI smoke runs\n"
+            "  --trace <path>    Perfetto trace of one representative run\n"
+            "  --metrics <path>  its counters/histograms (wavesim.metrics.v1)\n"
+            "  --sample-every N  gauge sampling period for the observed run\n"
+            "  --engine seq|par  step engine per simulation (default seq;\n"
+            "                    par never changes results, only wall time)\n"
+            "  --shards N        shard count for --engine par (default auto)\n"
+            "  --help            this text\n",
+            experiment_.c_str(), title_.c_str());
+        for (const IntFlag& f : int_flags_) {
+          std::printf("  %-15s %s\n", (f.flag + " N").c_str(), f.help.c_str());
+        }
+        exit_code_ = 0;
+        return false;
+      } else if (const IntFlag* f = find_int_flag(arg); f != nullptr) {
+        *f->target = cli::number<std::int64_t>(arg, need(i));
+      } else if (arg == "--json") {
+        json_path_ = need(i);
+      } else if (arg == "--trace") {
+        trace_path_ = need(i);
+      } else if (arg == "--metrics") {
+        metrics_path_ = need(i);
+      } else if (arg == "--sample-every") {
+        sample_every_ = cli::number<Cycle>(arg, need(i));
+      } else if (arg == "--threads") {
+        threads_ = cli::number<unsigned>(arg, need(i));
+      } else if (arg == "--quick") {
+        quick_ = true;
+      } else if (arg == "--engine") {
+        engine = need(i);
+      } else if (arg.rfind("--engine=", 0) == 0) {
+        engine = arg.substr(std::string("--engine=").size());
+      } else if (arg == "--shards") {
+        shards = cli::number<std::int32_t>(arg, need(i));
       } else {
-        text = arg.substr(std::string("--engine=").size());
+        throw std::invalid_argument("unknown flag " + arg + " (try --help)");
       }
-      const auto kind = engine::parse_engine_kind(text);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "%s: --engine must be seq or par (got '%s')\n",
-                     experiment_.c_str(), text.c_str());
-        exit_code_ = 2;
-        return false;
-      }
-      engine_.kind = *kind;
-    } else if (arg == "--shards") {
-      const char* v = need(i);
-      if (v == nullptr) return false;
-      const auto parsed = cli::number<std::int32_t>(arg, v);
-      if (parsed < 1) {
-        std::fprintf(stderr, "%s: --shards must be >= 1 (got %s)\n",
-                     experiment_.c_str(), v);
-        exit_code_ = 2;
-        return false;
-      }
-      engine_.shards = parsed;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s (try --help)\n",
-                   experiment_.c_str(), arg.c_str());
-      exit_code_ = 2;
-      return false;
     }
-  }
-  if (engine_.shards > 0 && !engine_.parallel()) {
-    std::fprintf(stderr,
-                 "%s: --shards only applies to --engine par "
-                 "(the sequential engine is unsharded)\n",
-                 experiment_.c_str());
+    engine_ = engine::engine_config(engine, shards);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", experiment_.c_str(), e.what());
     exit_code_ = 2;
     return false;
   }

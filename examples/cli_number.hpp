@@ -2,40 +2,32 @@
 #pragma once
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <system_error>
-#include <type_traits>
+
+#include "sim/number.hpp"
 
 namespace wavesim::cli {
 
-/// Usage error for a flag whose value is not a number of the right kind.
-[[noreturn]] inline void bad_number(const std::string& flag, const char* text,
-                                    bool non_negative_whole) {
-  std::fprintf(stderr, "error: %s expects a%s number (got '%s')\n",
-               flag.c_str(), non_negative_whole ? " non-negative whole" : "",
-               text);
+/// Usage error: print the message and exit 2.
+[[noreturn]] inline void usage_error(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
   std::exit(2);
 }
 
-/// Parse all of `text` as a T. Anything else -- trailing junk, a sign on
-/// an unsigned count, a value out of T's range, nan or inf -- is a usage
-/// error (exit 2), never a silently wrapped or defaulted value.
+/// sim::parse_number, with a bad value a usage error (exit 2).
 template <typename T>
 T number(const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool finite = true;
-  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
-  if (ec != std::errc{} || ptr != end || ptr == text || !finite) {
-    bad_number(flag, text, std::is_unsigned_v<T>);
+  try {
+    return sim::parse_number<T>(flag, text);
+  } catch (const std::invalid_argument& e) {
+    usage_error(e);
   }
-  return value;
 }
 
 /// number<std::uint64_t>, except that after a 0x or 0X prefix the rest is
@@ -49,7 +41,7 @@ inline std::uint64_t seed(const std::string& flag, const char* text) {
   const char* end = digits + std::strlen(digits);
   const auto [ptr, ec] = std::from_chars(digits, end, value, 16);
   if (ec != std::errc{} || ptr != end || ptr == digits) {
-    bad_number(flag, text, true);
+    usage_error(sim::bad_number(flag, text, true));
   }
   return value;
 }

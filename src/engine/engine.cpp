@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/network.hpp"
@@ -24,6 +25,25 @@ std::optional<EngineKind> parse_engine_kind(const std::string& text) {
   if (text == "seq") return EngineKind::kSeq;
   if (text == "par") return EngineKind::kPar;
   return std::nullopt;
+}
+
+EngineConfig engine_config(const std::string& kind,
+                           std::optional<std::int32_t> shards) {
+  const auto parsed = parse_engine_kind(kind);
+  if (!parsed) {
+    throw std::invalid_argument("--engine must be seq or par (got '" + kind +
+                                "')");
+  }
+  if (shards && *shards < 1) {
+    throw std::invalid_argument("--shards must be >= 1 (got " +
+                                std::to_string(*shards) + ")");
+  }
+  if (shards && *parsed != EngineKind::kPar) {
+    throw std::invalid_argument(
+        "--shards only applies to --engine par (the sequential engine is "
+        "unsharded)");
+  }
+  return EngineConfig{*parsed, shards.value_or(0)};
 }
 
 std::int32_t EngineConfig::resolve_shards(std::int32_t num_nodes) const {

@@ -57,6 +57,13 @@ struct EngineConfig {
 /// else.
 std::optional<EngineKind> parse_engine_kind(const std::string& text);
 
+/// The engine a driver's --engine/--shards flags select. The rules are
+/// the same for every driver: `kind` is seq or par, and `shards`, when
+/// given, is >= 1 and needs par. Throws std::invalid_argument naming the
+/// flag.
+EngineConfig engine_config(const std::string& kind,
+                           std::optional<std::int32_t> shards);
+
 /// Build the engine described by `config` for a network of `num_nodes`
 /// nodes. Never returns nullptr; the kSeq config yields a SequentialEngine
 /// so callers can treat both kinds uniformly.

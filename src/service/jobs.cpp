@@ -189,7 +189,7 @@ SliceOutcome JobRunner::step_sweep(Job& job,
     for (const Cycle measure : sweep.measures) {
       if (cancelled()) return out;  // worker maps this to kCancelled
       snap::CheckpointableRun point(boundary);
-      point.rebind(measure, 40 * (spec.warmup + measure) + 1'000'000);
+      point.rebind(measure, snap::default_drain_cap(spec.warmup, measure));
       while (!point.done()) {
         point.advance(std::numeric_limits<Cycle>::max());
       }

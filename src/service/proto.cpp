@@ -8,9 +8,15 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+
+#include "sim/number.hpp"
 
 namespace wavesim::service {
 
@@ -20,32 +26,12 @@ namespace {
   throw std::runtime_error("spec field '" + key + "': " + what);
 }
 
-const sim::JsonValue* get(const sim::JsonValue& obj, const std::string& key) {
-  return obj.find(key);
-}
-
-double get_double(const sim::JsonValue& obj, const std::string& key,
-                  double fallback) {
-  const sim::JsonValue* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) bad_field(key, "expected a number");
-  return v->as_number();
-}
-
 bool get_bool(const sim::JsonValue& obj, const std::string& key,
               bool fallback) {
-  const sim::JsonValue* v = get(obj, key);
+  const sim::JsonValue* v = obj.find(key);
   if (v == nullptr) return fallback;
   if (!v->is_bool()) bad_field(key, "expected a bool");
   return v->as_bool();
-}
-
-std::string get_string(const sim::JsonValue& obj, const std::string& key,
-                       const std::string& fallback) {
-  const sim::JsonValue* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) bad_field(key, "expected a string");
-  return v->as_string();
 }
 
 /// 2^53: a double represents every integer up to this magnitude exactly.
@@ -61,20 +47,6 @@ std::int64_t whole_in(const sim::JsonValue& v, const std::string& key,
                        std::to_string(max) + "]");
   }
   return static_cast<std::int64_t>(x);
-}
-
-/// An integer field of type T: a whole number within T's range (capped
-/// at +-2^53), never truncated or wrapped. Unsigned types (Cycle, the
-/// seed) therefore reject negative values.
-template <typename T>
-T get_whole(const sim::JsonValue& obj, const std::string& key, T fallback) {
-  const sim::JsonValue* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  using Limits = std::numeric_limits<T>;
-  const auto min = std::max<std::int64_t>(Limits::min(), -kMaxExact);
-  const auto max = static_cast<std::int64_t>(
-      std::min<std::uint64_t>(Limits::max(), kMaxExact));
-  return static_cast<T>(whole_in(*v, key, min, max));
 }
 
 /// Throws naming the first key of `value` outside `known`.
@@ -95,7 +67,163 @@ void check_known_keys(const sim::JsonValue& value,
   }
 }
 
+using Ref = RunField::Ref;
+
+/// Set a field whose value is text (topology, enum name or pattern);
+/// throws std::invalid_argument on a bad value of the field `name`.
+void set_text(Ref ref, const std::string& name, const std::string& text) {
+  std::visit(
+      [&](auto r) {
+        using T = std::remove_pointer_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          *r = text;
+        } else if constexpr (std::is_same_v<T, std::vector<std::int32_t>>) {
+          *r = parse_radices(text);
+        } else if constexpr (std::is_enum_v<T>) {
+          if (!sim::from_string(text, *r)) {
+            throw std::invalid_argument("unknown " + name + " '" + text + "'");
+          }
+        }
+      },
+      ref);
+}
+
+/// Read a job.v1 value into its field; a wrong type or range throws
+/// bad_field. Integers must be whole and within their type (capped at
+/// +-2^53), never truncated or wrapped.
+void read_json(const RunField& f, const sim::JsonValue& v) {
+  const std::string key = f.key;
+  std::visit(
+      [&](auto r) {
+        using T = std::remove_pointer_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, RunField::Mesh> ||
+                      std::is_same_v<T, bool>) {
+          if (!v.is_bool()) bad_field(key, "expected a bool");
+          if constexpr (std::is_same_v<T, bool>) *r = v.as_bool();
+          else *r.torus = !v.as_bool();
+        } else if constexpr (std::is_floating_point_v<T>) {
+          if (!v.is_number()) bad_field(key, "expected a number");
+          *r = v.as_number();
+        } else if constexpr (std::is_integral_v<T>) {
+          using Limits = std::numeric_limits<T>;
+          *r = static_cast<T>(whole_in(
+              v, key, std::max<std::int64_t>(Limits::min(), -kMaxExact),
+              static_cast<std::int64_t>(
+                  std::min<std::uint64_t>(Limits::max(), kMaxExact))));
+        } else {
+          if (!v.is_string()) bad_field(key, "expected a string");
+          try {
+            set_text(r, key, v.as_string());
+          } catch (const std::invalid_argument& e) {
+            bad_field(key, e.what());
+          }
+        }
+      },
+      f.at);
+}
+
+/// Set a field from its wavesim_cli flag; `value()` consumes the flag's
+/// value (a switch takes none).
+void read_flag(const RunField& f, const std::function<const char*()>& value) {
+  std::visit(
+      [&](auto r) {
+        using T = std::remove_pointer_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, RunField::Mesh>) {
+          *r.torus = false;
+        } else if constexpr (std::is_same_v<T, bool>) {
+          *r = true;
+        } else if constexpr (std::is_arithmetic_v<T>) {
+          *r = sim::parse_number<T>(f.flag, value());
+        } else {
+          set_text(r, f.flag, value());
+        }
+      },
+      f.at);
+}
+
+sim::JsonValue json_of(Ref ref) {
+  return std::visit(
+      [](auto r) -> sim::JsonValue {
+        using T = std::remove_pointer_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, RunField::Mesh>) {
+          return !*r.torus;
+        } else if constexpr (std::is_same_v<T, std::vector<std::int32_t>>) {
+          return format_radices(*r);
+        } else if constexpr (std::is_enum_v<T>) {
+          return sim::to_string(*r);
+        } else {
+          return *r;
+        }
+      },
+      ref);
+}
+
+/// The rules both front ends apply once every field is read.
+void finish(snap::RunSpec& spec, bool drain_cap_given) {
+  if (spec.config.protocol.protocol == sim::ProtocolKind::kWormholeOnly) {
+    spec.config.router.wave_switches = 0;
+  }
+  if (!drain_cap_given) {
+    spec.drain_cap = snap::default_drain_cap(spec.warmup, spec.measure);
+  }
+  // The run seed also seeds the network (random replacement, fault draws).
+  spec.config.seed = spec.seed;
+  snap::validate(spec);
+}
+
 }  // namespace
+
+std::vector<RunField> run_fields(snap::RunSpec& s) {
+  sim::SimConfig& c = s.config;
+  sim::FaultStorm& storm = c.faults.storm;
+  // clang-format off
+  return {
+      {"topo", "--topo", "RxC[xD..]", "topology radices", &c.topology.radix},
+      {"mesh", "--mesh", nullptr, "mesh instead of torus",
+       RunField::Mesh{&c.topology.torus}},
+      {"protocol", "--protocol", "P", "wormhole | clrp | carp",
+       &c.protocol.protocol},
+      {"routing", "--routing", "R", "dor | duato | west-first | negative-first",
+       &c.router.routing},
+      {"pattern", "--pattern", "P",
+       "uniform | hotspot | transpose | bit-reversal |\n"
+       "bit-complement | tornado | neighbor | working-set", &s.pattern},
+      {"vcs", "--vcs", "N", "wormhole VCs", &c.router.wormhole_vcs},
+      {"k", "--k", "N", "wave switches (0 under --protocol wormhole)",
+       &c.router.wave_switches},
+      {"m", "--m", "N", "MB-m misroute budget", &c.protocol.max_misroutes},
+      {"cache", "--cache", "N", "circuit-cache entries per node",
+       &c.protocol.circuit_cache_entries},
+      {"replacement", "--replacement", "R", "lru | lfu | fifo | random",
+       &c.protocol.replacement},
+      {"pcs_only", "--pcs-only", nullptr,
+       "no wormhole fallback (paper's k=1/w=0 router)", &c.protocol.pcs_only},
+      {"virtual", "--virtual", nullptr,
+       "virtual circuits (base clock; ablation)", &c.router.virtual_circuits},
+      {"max_packet", "--max-packet", "N",
+       "wormhole segmentation limit (0 = off)", &c.protocol.max_packet_flits},
+      {"fault_rate", "--faults", "F|PATH",
+       "static circuit-channel fault rate (number), or\n"
+       "a wavesim.faults.v1 dynamic fault schedule file\n"
+       "(mid-run link failures/recoveries; docs/FAULTS.md)",
+       &c.faults.link_fault_rate},
+      {"load", "--load", "F", "offered flits/node/cycle", &s.offered_load},
+      {"length", "--length", "N", "message length in flits", &s.message_flits},
+      {"warmup", "--warmup", "N", "warmup cycles", &s.warmup},
+      {"measure", "--cycles", "N", "measured cycles", &s.measure},
+      {"drain_cap", nullptr, nullptr, "drain cycles before a run counts as "
+       "saturated", &s.drain_cap},
+      {"seed", "--seed", "N", "RNG seed", &s.seed},
+      // The storm block is the dynamic-fault subset jobs can request; full
+      // wavesim.faults.v1 schedules stay a CLI feature (--faults PATH).
+      {"storm_at", nullptr, nullptr, "cycle a link storm starts", &storm.at},
+      {"storm_fraction", nullptr, nullptr, "fraction of links it fails",
+       &storm.fraction},
+      {"storm_repair_after", nullptr, nullptr, "cycles to repair (0 = never)",
+       &storm.repair_after},
+  };
+  // clang-format on
+}
 
 std::vector<std::int32_t> parse_radices(const std::string& text) {
   std::vector<std::int32_t> radix;
@@ -126,131 +254,110 @@ std::string format_radices(const std::vector<std::int32_t>& radix) {
 }
 
 sim::JsonValue runspec_to_json(const snap::RunSpec& spec) {
-  const sim::SimConfig& cfg = spec.config;
-  sim::JsonValue doc =
-      sim::JsonValue::object()
-          .set("topo", format_radices(cfg.topology.radix))
-          .set("mesh", !cfg.topology.torus)
-          .set("protocol", sim::to_string(cfg.protocol.protocol))
-          .set("routing", sim::to_string(cfg.router.routing))
-          .set("pattern", spec.pattern)
-          .set("vcs", cfg.router.wormhole_vcs)
-          .set("k", cfg.router.wave_switches)
-          .set("m", cfg.protocol.max_misroutes)
-          .set("cache", cfg.protocol.circuit_cache_entries)
-          .set("replacement", sim::to_string(cfg.protocol.replacement))
-          .set("pcs_only", cfg.protocol.pcs_only)
-          .set("virtual", cfg.router.virtual_circuits)
-          .set("max_packet", cfg.protocol.max_packet_flits)
-          .set("fault_rate", cfg.faults.link_fault_rate)
-          .set("load", spec.offered_load)
-          .set("length", spec.message_flits)
-          .set("warmup", spec.warmup)
-          .set("measure", spec.measure)
-          .set("drain_cap", spec.drain_cap)
-          .set("seed", spec.seed);
-  // The storm block is the dynamic-fault subset jobs can request; full
-  // wavesim.faults.v1 schedules stay a CLI feature (--faults FILE).
-  if (cfg.faults.storm.at > 0) {
-    doc.set("storm_at", cfg.faults.storm.at)
-        .set("storm_fraction", cfg.faults.storm.fraction)
-        .set("storm_repair_after", cfg.faults.storm.repair_after);
+  snap::RunSpec copy = spec;  // run_fields hands out mutable pointers
+  sim::JsonValue doc = sim::JsonValue::object();
+  for (const RunField& f : run_fields(copy)) {
+    const bool storm = std::string_view(f.key).starts_with("storm_");
+    if (!storm || spec.config.faults.storm.at > 0) {
+      doc.set(f.key, json_of(f.at));
+    }
   }
   return doc;
 }
 
 snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
-  check_known_keys(
-      value,
-      {"topo", "mesh", "protocol", "routing", "pattern", "vcs", "k", "m",
-       "cache", "replacement", "pcs_only", "virtual", "max_packet",
-       "fault_rate", "load", "length", "warmup", "measure", "drain_cap",
-       "seed", "storm_at", "storm_fraction", "storm_repair_after"},
-      "spec");
-
+  if (!value.is_object()) throw std::runtime_error("spec must be an object");
   snap::RunSpec spec;
-  sim::SimConfig& cfg = spec.config;
-  try {
-    cfg.topology.radix = parse_radices(get_string(value, "topo", "8x8"));
-  } catch (const std::invalid_argument& e) {
-    bad_field("topo", e.what());
+  const std::vector<RunField> fields = run_fields(spec);
+  for (const auto& [key, member] : value.members()) {
+    const auto f =
+        std::find_if(fields.begin(), fields.end(),
+                     [&](const RunField& g) { return key == g.key; });
+    if (f == fields.end()) {
+      throw std::runtime_error("unknown spec field '" + key + "'");
+    }
+    read_json(*f, member);
   }
-  cfg.topology.torus = !get_bool(value, "mesh", false);
-
-  const std::string protocol = get_string(value, "protocol", "clrp");
-  if (protocol == "wormhole") {
-    cfg.protocol.protocol = sim::ProtocolKind::kWormholeOnly;
-  } else if (protocol == "clrp") {
-    cfg.protocol.protocol = sim::ProtocolKind::kClrp;
-  } else if (protocol == "carp") {
-    cfg.protocol.protocol = sim::ProtocolKind::kCarp;
-  } else {
-    bad_field("protocol", "expected wormhole | clrp | carp");
-  }
-
-  const std::string routing = get_string(value, "routing", "dor");
-  if (routing == "dor") {
-    cfg.router.routing = sim::RoutingKind::kDimensionOrder;
-  } else if (routing == "duato") {
-    cfg.router.routing = sim::RoutingKind::kDuatoAdaptive;
-  } else if (routing == "west-first") {
-    cfg.router.routing = sim::RoutingKind::kWestFirst;
-  } else if (routing == "negative-first") {
-    cfg.router.routing = sim::RoutingKind::kNegativeFirst;
-  } else {
-    bad_field("routing", "expected dor | duato | west-first | negative-first");
-  }
-
-  const std::string replacement = get_string(value, "replacement", "lru");
-  if (replacement == "lru") {
-    cfg.protocol.replacement = sim::ReplacementPolicy::kLru;
-  } else if (replacement == "lfu") {
-    cfg.protocol.replacement = sim::ReplacementPolicy::kLfu;
-  } else if (replacement == "fifo") {
-    cfg.protocol.replacement = sim::ReplacementPolicy::kFifo;
-  } else if (replacement == "random") {
-    cfg.protocol.replacement = sim::ReplacementPolicy::kRandom;
-  } else {
-    bad_field("replacement", "expected lru | lfu | fifo | random");
-  }
-
-  cfg.router.wormhole_vcs = get_whole<std::int32_t>(value, "vcs", 2);
-  const auto k = get_whole<std::int32_t>(value, "k", 2);
-  cfg.router.wave_switches = protocol == "wormhole" ? 0 : k;
-  cfg.protocol.max_misroutes = get_whole<std::int32_t>(value, "m", 2);
-  cfg.protocol.circuit_cache_entries =
-      get_whole<std::int32_t>(value, "cache", 8);
-  cfg.protocol.pcs_only = get_bool(value, "pcs_only", false);
-  cfg.router.virtual_circuits = get_bool(value, "virtual", false);
-  cfg.protocol.max_packet_flits =
-      get_whole<std::int32_t>(value, "max_packet", 0);
-  cfg.faults.link_fault_rate = get_double(value, "fault_rate", 0.0);
-
-  spec.pattern = get_string(value, "pattern", "uniform");
-  spec.offered_load = get_double(value, "load", 0.10);
-  spec.message_flits = get_whole<std::int32_t>(value, "length", 64);
-  spec.warmup = get_whole<Cycle>(value, "warmup", 2000);
-  spec.measure = get_whole<Cycle>(value, "measure", 10000);
-  // Same default cap formula as wavesim_cli, so a job without an
-  // explicit drain_cap is the run the CLI would execute.
-  spec.drain_cap = get_whole<Cycle>(value, "drain_cap",
-                                    40 * (spec.warmup + spec.measure) +
-                                        1'000'000);
-  spec.seed = get_whole<std::uint64_t>(value, "seed", 1);
-
-  const auto storm_at = get_whole<Cycle>(value, "storm_at", 0);
-  if (storm_at > 0) {
-    cfg.faults.storm.at = storm_at;
-    cfg.faults.storm.fraction = get_double(value, "storm_fraction", 0.10);
-    cfg.faults.storm.repair_after =
-        get_whole<Cycle>(value, "storm_repair_after", 0);
-  } else if (get(value, "storm_fraction") != nullptr ||
-             get(value, "storm_repair_after") != nullptr) {
+  sim::FaultStorm& storm = spec.config.faults.storm;
+  if (storm.at == 0 && (value.find("storm_fraction") != nullptr ||
+                        value.find("storm_repair_after") != nullptr)) {
     bad_field("storm_fraction", "requires storm_at > 0");
   }
-
-  cfg.validate();  // throws std::invalid_argument on a bad combination
+  if (storm.at > 0 && value.find("storm_fraction") == nullptr) {
+    storm.fraction = 0.10;
+  }
+  try {
+    finish(spec, value.find("drain_cap") != nullptr);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());
+  }
   return spec;
+}
+
+snap::RunSpec runspec_from_args(int argc, const char* const* argv,
+                                const DriverFlag& driver) {
+  snap::RunSpec spec;
+  const std::vector<RunField> fields = run_fields(spec);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::function<const char*()> value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        throw std::invalid_argument("missing value for " + arg);
+      }
+      return argv[++i];
+    };
+    const auto field = std::find_if(fields.begin(), fields.end(),
+                                    [&](const RunField& f) {
+                                      return f.flag != nullptr && arg == f.flag;
+                                    });
+    bool known = true;
+    if (arg == "--faults") {
+      // A value whose whole text is a number is the rate (validate refuses
+      // NaN and out-of-range rates); anything else names a schedule file.
+      const char* text = value();
+      const char* end = text + std::strlen(text);
+      double rate = 0.0;
+      const auto [ptr, ec] = std::from_chars(text, end, rate);
+      if (ec == std::errc{} && ptr == end && ptr != text) {
+        spec.config.faults.link_fault_rate = rate;
+      } else {
+        known = driver(arg, [text] { return text; }, spec);
+      }
+    } else if (field != fields.end()) {
+      read_flag(*field, value);
+    } else {
+      known = driver(arg, value, spec);
+    }
+    if (!known) {
+      throw std::invalid_argument("unknown flag: " + arg + " (try --help)");
+    }
+  }
+  finish(spec, false);
+  return spec;
+}
+
+std::string run_flags_help() {
+  snap::RunSpec defaults;
+  const std::string indent = "\n" + std::string(22, ' ');
+  std::string out;
+  for (const RunField& f : run_fields(defaults)) {
+    if (f.flag == nullptr) continue;
+    std::string line = std::string("  ") + f.flag + " " + (f.arg ? f.arg : "");
+    line.resize(std::max<std::size_t>(line.size(), 22), ' ');
+    for (const char* c = f.help; *c != '\0'; ++c) {
+      line += *c == '\n' ? indent : std::string(1, *c);
+    }
+    if (f.arg != nullptr) {
+      // Numbers print as %g; a multi-line help gets its own default line.
+      const sim::JsonValue d = json_of(f.at);
+      char text[32];
+      std::snprintf(text, sizeof text, "%g", d.is_number() ? d.as_number() : 0);
+      line += (std::strchr(f.help, '\n') ? indent : " ") + "(default " +
+              (d.is_string() ? d.as_string() : text) + ")";
+    }
+    out += line + "\n";
+  }
+  return out;
 }
 
 SweepSpec sweep_spec_from_json(const sim::JsonValue& value) {

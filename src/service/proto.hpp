@@ -10,14 +10,16 @@
 //   {"op":"status","id":"job-1"}     {"op":"result","id":"job-1"}
 //   {"op":"cancel","id":"job-1"}     {"op":"stats"}   {"op":"shutdown"}
 //
-// Run specs use the same vocabulary as wavesim_cli's flags (topo, mesh,
-// protocol, routing, pattern, load, length, warmup, measure, seed, ...),
-// so a job is a CLI invocation by construction: the service and the CLI
-// produce the same run for the same spec (docs/SERVICE.md).
+// Run specs and wavesim_cli's run flags are one vocabulary: both are
+// read through the field table below, so a job is a CLI invocation by
+// construction and the service and the CLI produce the same run for the
+// same spec (docs/SERVICE.md).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "check/simcheck.hpp"
@@ -26,6 +28,51 @@
 
 namespace wavesim::service {
 
+/// One RunSpec field under its job.v1 key and its wavesim_cli flag.
+/// run_fields() is the run vocabulary's single source: the job.v1 codec,
+/// runspec_from_args and run_flags_help walk it, and the defaults are the
+/// RunSpec / SimConfig member initializers.
+struct RunField {
+  /// topology.torus, seen inverted as "mesh" / --mesh.
+  struct Mesh {
+    bool* torus;
+  };
+  using Ref = std::variant<std::vector<std::int32_t>*, Mesh,
+                           sim::ProtocolKind*, sim::RoutingKind*,
+                           sim::ReplacementPolicy*, std::string*,
+                           std::int32_t*, std::uint64_t*, double*, bool*>;
+
+  const char* key;   ///< job.v1 key; the table is in canonical key order
+  const char* flag;  ///< wavesim_cli flag; nullptr for job.v1-only fields
+  const char* arg;   ///< the flag's value in --help; nullptr for a switch
+  const char* help;
+  Ref at;  ///< the field in the spec given to run_fields
+};
+
+/// The field table, pointing into `spec`.
+std::vector<RunField> run_fields(snap::RunSpec& spec);
+
+/// The --help lines of the run flags, each with its default.
+std::string run_flags_help();
+
+/// wavesim_cli's handler for an argument that is not a run flag: one of
+/// its own flags, or --faults with a value that is not a number (a
+/// schedule file). `value()` consumes the argument's value and throws if
+/// there is none. Returns false for an unknown flag.
+using DriverFlag =
+    std::function<bool(const std::string& arg,
+                       const std::function<const char*()>& value,
+                       snap::RunSpec& spec)>;
+
+/// Build a RunSpec from wavesim_cli's argv[1..argc). Run flags set their
+/// field (--cycles is "measure"; --faults takes a number whose whole text
+/// parses as the fault rate); every other argument goes to `driver`. The
+/// result gets the same finishing rules and snap::validate as
+/// runspec_from_json. Throws std::invalid_argument on a usage error or an
+/// invalid spec.
+snap::RunSpec runspec_from_args(int argc, const char* const* argv,
+                                const DriverFlag& driver);
+
 /// Canonical JSON form of a run spec (fixed field order, every field
 /// present). runspec_from_json(runspec_to_json(s)) reproduces s for all
 /// fields the schema covers; result files echo this canonical form so
@@ -33,8 +80,9 @@ namespace wavesim::service {
 sim::JsonValue runspec_to_json(const snap::RunSpec& spec);
 
 /// Parse a wavesim.job.v1 run spec. Strict: an unknown key, a bad enum
-/// value or an invalid configuration throws std::runtime_error naming
-/// the offending field (the daemon maps that to an error response).
+/// value or a spec snap::validate refuses throws std::runtime_error
+/// naming the offending field (the daemon maps that to an error
+/// response), so a spec the worker could not build fails at submit.
 snap::RunSpec runspec_from_json(const sim::JsonValue& value);
 
 /// A sweep job spec: {"base": <run spec>, "measures": [M1, M2, ...]}.

@@ -157,8 +157,17 @@ void SimConfig::validate() const {
       router.wave_switches < 1) {
     fail("circuit protocols (CLRP/CARP) need wave_switches >= 1");
   }
-  if (faults.link_fault_rate < 0.0 || faults.link_fault_rate >= 1.0) {
+  // Range checks are written so NaN fails them, and they hold whether or
+  // not the value switches a fault source on: a negative storm fraction
+  // must not turn into a run with no storm.
+  if (!(faults.link_fault_rate >= 0.0 && faults.link_fault_rate < 1.0)) {
     fail("link_fault_rate must be in [0, 1)");
+  }
+  if (!(faults.storm.fraction >= 0.0 && faults.storm.fraction < 1.0)) {
+    fail("storm fraction must be in [0, 1)");
+  }
+  if (!(faults.churn.rate >= 0.0 && faults.churn.rate <= 1.0)) {
+    fail("churn rate must be in [0, 1]");
   }
   if (faults.dynamic()) {
     if (router.wave_switches < 1) {
@@ -203,12 +212,6 @@ void SimConfig::validate() const {
       if (!link_event && nodes < 2) {
         fail("node fault events need >= 2 nodes");
       }
-    }
-    if (faults.storm.fraction < 0.0 || faults.storm.fraction >= 1.0) {
-      fail("storm fraction must be in [0, 1)");
-    }
-    if (faults.churn.rate < 0.0 || faults.churn.rate > 1.0) {
-      fail("churn rate must be in [0, 1]");
     }
     if (faults.churn.rate > 0.0 && faults.churn.until <= faults.churn.from) {
       fail("churn window must be non-empty (until > from)");

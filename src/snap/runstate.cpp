@@ -1,6 +1,10 @@
 #include "snap/runstate.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/rng.hpp"
+#include "workload/traffic.hpp"
 
 namespace wavesim::snap {
 
@@ -32,8 +36,26 @@ std::uint64_t warm_key(const RunSpec& spec) {
   return snap.digest();
 }
 
-CheckpointableRun::CheckpointableRun(const RunSpec& spec) {
+void validate(const RunSpec& spec) {
+  const auto bad = [](const std::string& key, const std::string& what) {
+    throw std::invalid_argument("spec field '" + key + "': " + what);
+  };
   spec.config.validate();
+  try {
+    load::check_traffic(spec.pattern, spec.config.topology.radix);
+  } catch (const std::invalid_argument& e) {
+    bad("pattern", e.what());
+  }
+  if (spec.message_flits < 1) bad("length", "must be >= 1");
+  // The generator's own bound, written so NaN and infinities fail it.
+  if (!(spec.offered_load >= 0.0 &&
+        spec.offered_load / static_cast<double>(spec.message_flits) <= 1.0)) {
+    bad("load", "must be a number in [0, length]");
+  }
+}
+
+CheckpointableRun::CheckpointableRun(const RunSpec& spec) {
+  validate(spec);
   build(spec);
 }
 
@@ -44,7 +66,7 @@ CheckpointableRun::CheckpointableRun(const Snapshot& snapshot) {
   if (!ar.exhausted()) {
     throw ArchiveError("snapshot: trailing bytes in runspec section");
   }
-  spec.config.validate();
+  validate(spec);
   build(spec);
   restore_simulation(snapshot, *sim_);
   {

@@ -43,6 +43,19 @@ struct RunSpec {
 /// RunSpec round trip (includes the embedded config).
 void snap_runspec(Archive& ar, RunSpec& spec);
 
+/// The drain cap a front end uses when the spec names none: generous
+/// enough that only a saturated run hits it.
+inline Cycle default_drain_cap(Cycle warmup, Cycle measure) {
+  return 40 * (warmup + measure) + 1'000'000;
+}
+
+/// Throws std::invalid_argument unless CheckpointableRun can build the
+/// spec: a valid config, a pattern that fits its topology
+/// (load::check_traffic), length >= 1 and 0 <= load/length <= 1.
+/// Workload errors name their job.v1 field ("spec field 'load': ...").
+/// Builds no topology or network.
+void validate(const RunSpec& spec);
+
 /// Hash over the warm-sharable prefix of a spec: config, pattern, load,
 /// message length, seed, warmup — NOT measure or drain_cap. Two specs
 /// with equal warm keys reach identical simulation state at the

@@ -1,7 +1,10 @@
 #include "workload/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
+#include <string_view>
 
 #include "snap/archive.hpp"
 
@@ -16,15 +19,6 @@ NodeId uniform_not_self(const topo::KAryNCube& topology, NodeId src,
     d = static_cast<NodeId>(rng.next_below(topology.num_nodes()));
   }
   return d;
-}
-
-std::int32_t log2_exact(std::int32_t n) {
-  std::int32_t bits = 0;
-  while ((1 << bits) < n) ++bits;
-  if ((1 << bits) != n) {
-    throw std::invalid_argument("pattern requires power-of-two node count");
-  }
-  return bits;
 }
 
 }  // namespace
@@ -53,13 +47,7 @@ NodeId HotspotTraffic::pick(NodeId src, sim::Rng& rng) {
 }
 
 TransposeTraffic::TransposeTraffic(const topo::KAryNCube& topology)
-    : topology_(topology) {
-  for (std::int32_t d = 1; d < topology.num_dims(); ++d) {
-    if (topology.radix(d) != topology.radix(0)) {
-      throw std::invalid_argument("TransposeTraffic: radices must match");
-    }
-  }
-}
+    : topology_(topology) {}
 
 NodeId TransposeTraffic::pick(NodeId src, sim::Rng& rng) {
   const auto c = topology_.coord_row(src);
@@ -73,7 +61,8 @@ NodeId TransposeTraffic::pick(NodeId src, sim::Rng& rng) {
 }
 
 BitReversalTraffic::BitReversalTraffic(const topo::KAryNCube& topology)
-    : topology_(topology), bits_(log2_exact(topology.num_nodes())) {}
+    : topology_(topology),
+      bits_(std::countr_zero(static_cast<unsigned>(topology.num_nodes()))) {}
 
 NodeId BitReversalTraffic::pick(NodeId src, sim::Rng& rng) {
   NodeId dest = 0;
@@ -84,9 +73,7 @@ NodeId BitReversalTraffic::pick(NodeId src, sim::Rng& rng) {
 }
 
 BitComplementTraffic::BitComplementTraffic(const topo::KAryNCube& topology)
-    : topology_(topology) {
-  log2_exact(topology.num_nodes());
-}
+    : topology_(topology) {}
 
 NodeId BitComplementTraffic::pick(NodeId src, sim::Rng& rng) {
   (void)rng;
@@ -164,9 +151,35 @@ NodeId WorkingSetTraffic::pick(NodeId src, sim::Rng& rng) {
   return fresh;
 }
 
+void check_traffic(const std::string& name,
+                   const std::vector<std::int32_t>& radix) {
+  static constexpr std::string_view kNames[] = {
+      "uniform", "hotspot", "transpose", "bit-reversal", "bit-complement",
+      "tornado", "neighbor", "working-set"};
+  if (std::find(std::begin(kNames), std::end(kNames), name) ==
+      std::end(kNames)) {
+    throw std::invalid_argument("unknown pattern '" + name + "'");
+  }
+  if (name == "transpose" &&
+      std::adjacent_find(radix.begin(), radix.end(), std::not_equal_to<>()) !=
+          radix.end()) {
+    throw std::invalid_argument("pattern 'transpose' needs equal radices");
+  }
+  // A product of radices is a power of two iff every radix is one.
+  const auto power_of_two = [](std::int32_t r) {
+    return r > 0 && std::has_single_bit(static_cast<unsigned>(r));
+  };
+  if ((name == "bit-reversal" || name == "bit-complement") &&
+      !std::all_of(radix.begin(), radix.end(), power_of_two)) {
+    throw std::invalid_argument("pattern '" + name +
+                                "' needs a power-of-two node count");
+  }
+}
+
 std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
                                              const topo::KAryNCube& topology,
                                              sim::Rng seed_rng) {
+  check_traffic(name, topology.radices());
   if (name == "uniform") return std::make_unique<UniformTraffic>(topology);
   if (name == "hotspot") {
     return std::make_unique<HotspotTraffic>(topology,
@@ -181,10 +194,8 @@ std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
   }
   if (name == "tornado") return std::make_unique<TornadoTraffic>(topology);
   if (name == "neighbor") return std::make_unique<NeighborTraffic>(topology);
-  if (name == "working-set") {
-    return std::make_unique<WorkingSetTraffic>(topology, 4, 0.8, seed_rng);
-  }
-  throw std::invalid_argument("make_traffic: unknown pattern '" + name + "'");
+  // check_traffic admits no other name.
+  return std::make_unique<WorkingSetTraffic>(topology, 4, 0.8, seed_rng);
 }
 
 void WorkingSetTraffic::snap(snap::Archive& ar) {

@@ -137,9 +137,15 @@ class WorkingSetTraffic final : public TrafficPattern {
   std::vector<std::vector<NodeId>> sets_;
 };
 
+/// Throws std::invalid_argument unless `name` is a pattern make_traffic
+/// builds and it fits a network of these radices: transpose needs equal
+/// radices, bit-reversal and bit-complement a power-of-two node count.
+void check_traffic(const std::string& name,
+                   const std::vector<std::int32_t>& radix);
+
 /// Factory over pattern names used by benches and examples:
 /// uniform | hotspot | transpose | bit-reversal | bit-complement | tornado
-/// | neighbor | working-set.
+/// | neighbor | working-set. Calls check_traffic first.
 std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
                                              const topo::KAryNCube& topology,
                                              sim::Rng seed_rng);

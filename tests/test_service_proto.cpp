@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "snap/archive.hpp"
 
 namespace wavesim::service {
 namespace {
@@ -98,6 +104,157 @@ TEST(ServiceProto, CanonicalFormRoundTrips) {
       parse(R"({"warmup": 3, "measure": 4, "load": 0.2, "seed": 9})");
   const sim::JsonValue canon = runspec_to_json(spec);
   EXPECT_EQ(runspec_to_json(runspec_from_json(canon)).dump(), canon.dump());
+}
+
+// Specs the worker's CheckpointableRun would refuse fail at submit, with
+// the field named, instead of being queued and failing later.
+TEST(ServiceProto, SpecsTheWorkerCannotBuildAreRejectedAtSubmit) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {R"({"pattern": "bogus"})", "'pattern'"},
+      {R"({"load": -0.5})", "'load'"},
+      {R"({"length": 0})", "'length'"},
+      {R"({"load": 100})", "'load'"},
+      {R"({"pattern": "bit-reversal", "topo": "6x6"})", "'pattern'"},
+      {R"({"pattern": "transpose", "topo": "8x4"})", "'pattern'"}};
+  for (const auto& [text, field] : cases) {
+    EXPECT_NE(error_of(text).find(std::string("spec field ") + field),
+              std::string::npos)
+        << text << ": " << error_of(text);
+  }
+}
+
+// A negative fraction switches the storm off (FaultConfig::dynamic), so
+// its range check must not depend on the storm being on.
+TEST(ServiceProto, NegativeStormFractionIsRejected) {
+  const std::string err = error_of(R"({"storm_at": 5, "storm_fraction": -1})");
+  EXPECT_NE(err.find("storm fraction"), std::string::npos) << err;
+}
+
+/// The spec wavesim_cli builds from `args` (no driver flags).
+snap::RunSpec from_args(std::vector<const char*> args) {
+  args.insert(args.begin(), "wavesim_cli");
+  return runspec_from_args(
+      static_cast<int>(args.size()), args.data(),
+      [](const std::string&, const std::function<const char*()>&,
+         snap::RunSpec&) { return false; });
+}
+
+std::vector<std::uint8_t> bytes_of(snap::RunSpec spec) {
+  snap::Archive ar = snap::Archive::writer();
+  snap::snap_runspec(ar, spec);
+  return ar.take_bytes();
+}
+
+// Every run flag and its job.v1 key set the same field: a non-default
+// value through either front end yields the same spec, byte for byte, and
+// the canonical JSON form reproduces it.
+TEST(ServiceProto, EveryRunFlagMatchesItsKey) {
+  struct Case {
+    std::vector<const char*> args;
+    const char* json;
+  };
+  const std::vector<Case> cases = {
+      {{"--topo", "4x2"}, R"({"topo": "4x2"})"},
+      {{"--mesh"}, R"({"mesh": true})"},
+      {{"--protocol", "carp"}, R"({"protocol": "carp"})"},
+      {{"--routing", "duato", "--vcs", "3"},
+       R"({"routing": "duato", "vcs": 3})"},
+      {{"--pattern", "tornado"}, R"({"pattern": "tornado"})"},
+      {{"--vcs", "4"}, R"({"vcs": 4})"},
+      {{"--k", "3"}, R"({"k": 3})"},
+      {{"--m", "1"}, R"({"m": 1})"},
+      {{"--cache", "16"}, R"({"cache": 16})"},
+      {{"--replacement", "random"}, R"({"replacement": "random"})"},
+      {{"--pcs-only"}, R"({"pcs_only": true})"},
+      {{"--virtual"}, R"({"virtual": true})"},
+      {{"--max-packet", "16"}, R"({"max_packet": 16})"},
+      {{"--faults", "0.05"}, R"({"fault_rate": 0.05})"},
+      {{"--load", "0.2"}, R"({"load": 0.2})"},
+      {{"--length", "32"}, R"({"length": 32})"},
+      {{"--warmup", "300"}, R"({"warmup": 300})"},
+      {{"--cycles", "700"}, R"({"measure": 700})"},
+      {{"--seed", "12345"}, R"({"seed": 12345})"}};
+  snap::RunSpec scratch;
+  for (const RunField& f : run_fields(scratch)) {
+    if (f.flag == nullptr) continue;
+    const bool covered = std::any_of(cases.begin(), cases.end(),
+                                     [&](const Case& c) {
+                                       return std::string(c.args[0]) == f.flag;
+                                     });
+    EXPECT_TRUE(covered) << f.flag << " has no case";
+  }
+  const std::vector<std::uint8_t> defaults = bytes_of(from_args({}));
+  for (const Case& c : cases) {
+    const snap::RunSpec flags = from_args(c.args);
+    const snap::RunSpec keys = parse(c.json);
+    EXPECT_NE(bytes_of(flags), defaults) << c.json;
+    EXPECT_EQ(bytes_of(flags), bytes_of(keys)) << c.json;
+    EXPECT_EQ(bytes_of(runspec_from_json(runspec_to_json(keys))),
+              bytes_of(keys))
+        << c.json;
+  }
+  // --seed keeps its full 64-bit range on the command line.
+  EXPECT_EQ(from_args({"--seed", "18446744073709551615"}).seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW(from_args({"--frobnicate"}), std::invalid_argument);
+  EXPECT_THROW(from_args({"--load"}), std::invalid_argument);
+}
+
+// snap::validate is the one check both front ends and both
+// CheckpointableRun constructors run: it must refuse exactly the specs a
+// run cannot be built from.
+TEST(ServiceProto, ValidateThrowsExactlyWhenTheRunCannotBeBuilt) {
+  std::vector<std::pair<const char*, snap::RunSpec>> specs;
+  const auto add = [&specs](const char* what, auto edit) {
+    snap::RunSpec spec;
+    spec.config.topology.radix = {4, 4};
+    edit(spec);
+    specs.emplace_back(what, spec);
+  };
+  add("defaults", [](snap::RunSpec&) {});
+  add("unknown pattern", [](snap::RunSpec& s) { s.pattern = "bogus"; });
+  add("length 0", [](snap::RunSpec& s) { s.message_flits = 0; });
+  add("load < 0", [](snap::RunSpec& s) { s.offered_load = -0.5; });
+  add("load > length", [](snap::RunSpec& s) { s.offered_load = 100.0; });
+  add("load = length", [](snap::RunSpec& s) { s.offered_load = 64.0; });
+  add("NaN load", [](snap::RunSpec& s) {
+    s.offered_load = std::numeric_limits<double>::quiet_NaN();
+  });
+  add("bit-reversal on 6x6", [](snap::RunSpec& s) {
+    s.pattern = "bit-reversal";
+    s.config.topology.radix = {6, 6};
+  });
+  add("bit-reversal on 8x4", [](snap::RunSpec& s) {
+    s.pattern = "bit-reversal";
+    s.config.topology.radix = {8, 4};
+  });
+  add("transpose on 8x4", [](snap::RunSpec& s) {
+    s.pattern = "transpose";
+    s.config.topology.radix = {8, 4};
+  });
+  add("transpose on 4x4", [](snap::RunSpec& s) { s.pattern = "transpose"; });
+  add("negative storm fraction", [](snap::RunSpec& s) {
+    s.config.faults.storm = {5, -1.0, 0};
+  });
+  add("storm", [](snap::RunSpec& s) { s.config.faults.storm = {5, 0.1, 0}; });
+  int refused = 0;
+  for (const auto& [what, spec] : specs) {
+    bool validate_threw = false;
+    bool run_threw = false;
+    try {
+      snap::validate(spec);
+    } catch (const std::invalid_argument&) {
+      validate_threw = true;
+    }
+    try {
+      snap::CheckpointableRun run(spec);
+    } catch (const std::exception&) {
+      run_threw = true;
+    }
+    EXPECT_EQ(validate_threw, run_threw) << what;
+    refused += validate_threw ? 1 : 0;
+  }
+  EXPECT_EQ(refused, 8);
 }
 
 TEST(ServiceProto, WrongTypesAndUnknownKeysAreRejected) {
