@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "cli_number.hpp"
+#include "engine/pool.hpp"
 #include "harness/runner.hpp"
 #include "sim/build_info.hpp"
 
@@ -266,7 +267,7 @@ int Cli::finish(bool ok) {
             .set("experiment", experiment_)
             .set("title", title_)
             .set("generated_by", sim::git_describe())
-            .set("threads", harness::resolve_threads(threads_))
+            .set("threads", engine::resolve_engine_threads(threads_))
             .set("host_threads", std::thread::hardware_concurrency())
             .set("engine", engine_.to_json())
             .set("quick", quick_)

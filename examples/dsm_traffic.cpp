@@ -5,8 +5,9 @@
 //
 //   $ ./dsm_traffic [offered_load]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "cli_number.hpp"
 #include "core/simulation.hpp"
 #include "workload/generator.hpp"
 
@@ -39,8 +40,9 @@ core::SimulationStats run_one(sim::ProtocolKind protocol, double load) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.15;
+int main(int argc, char** argv) try {
+  const double load =
+      argc > 1 ? cli::number<double>("offered_load", argv[1]) : 0.15;
   std::printf("DSM traffic on an 8x8 torus, offered load %.2f "
               "flits/node/cycle\n\n", load);
   std::printf("%-12s %10s %10s %10s %12s %10s\n", "protocol", "mean", "p50",
@@ -58,4 +60,7 @@ int main(int argc, char** argv) {
   std::printf("\nWith temporal locality, CLRP turns most sends into circuit"
               " hits and\nlong transfers ride wave-pipelined channels.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The generator refuses a negative load the same way.
+  cli::usage_error(e);
 }

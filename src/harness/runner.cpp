@@ -4,16 +4,12 @@
 #include <atomic>
 #include <memory>
 
+#include "engine/pool.hpp"
+
 namespace wavesim::harness {
 
-unsigned resolve_threads(unsigned requested) noexcept {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 1;
-}
-
 ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = resolve_threads(threads);
+  const unsigned n = engine::resolve_engine_threads(threads);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     workers_.emplace_back([this](std::stop_token stop) { worker_loop(stop); });
@@ -92,8 +88,8 @@ void ThreadPool::for_each_index_until(
 void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
                  unsigned threads) {
   if (n == 0) return;
-  const unsigned workers =
-      std::min<unsigned>(resolve_threads(threads), static_cast<unsigned>(n));
+  const unsigned workers = std::min<unsigned>(
+      engine::resolve_engine_threads(threads), static_cast<unsigned>(n));
   ThreadPool pool(workers);
   pool.for_each_index(n, fn);
 }

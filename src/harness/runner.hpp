@@ -17,10 +17,6 @@
 
 namespace wavesim::harness {
 
-/// Clamp a requested worker count: 0 means "all hardware threads", and the
-/// result is always >= 1 even when hardware_concurrency() is unknown.
-unsigned resolve_threads(unsigned requested) noexcept;
-
 /// Fixed-size pool of std::jthread workers over a FIFO task queue.
 /// submit() may be called from any thread; wait_idle() blocks until every
 /// submitted task has finished. The first exception thrown by a task is

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "engine/pool.hpp"
 #include "harness/runner.hpp"
 #include "sim/build_info.hpp"
 #include "sim/rng.hpp"
@@ -69,8 +70,9 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   const auto start = std::chrono::steady_clock::now();
   std::vector<ReplicaOutcome> outcomes(n);
   const unsigned threads =
-      n > 0 ? std::min<unsigned>(resolve_threads(options.threads),
-                                 static_cast<unsigned>(n))
+      n > 0 ? std::min<unsigned>(
+                  engine::resolve_engine_threads(options.threads),
+                  static_cast<unsigned>(n))
             : 1;
   run_indexed(
       n,

@@ -82,7 +82,7 @@ struct MbmDecision {
 /// (kInvalidPort at the source); its opposite direction is excluded from
 /// misroute candidates.
 ///
-/// `mutate_force_unacked` is the WAVESIM_MUTATE_FORCE_UNACKED seeded bug
+/// `mutate_force_unacked` is the force-on-unacked seeded bug
 /// (docs/TESTING.md): a Force probe also waits on pending channels,
 /// exactly the behavior Theorem 1 forbids. Runtime-plumbed (not an #ifdef
 /// here) so the bounded model checker and the concrete control plane share

@@ -9,7 +9,8 @@
 // wavesim.snap.v1 checkpoint, `kill -9` of the daemon loses at most one
 // slice of work: on restart the state directory is scanned, unfinished
 // jobs re-enter the queue, and their eventual result files are
-// byte-identical to an uninterrupted run (CI's service-smoke proves it).
+// byte-identical to an uninterrupted run
+// (Service.KillNineMidJobResumesToAByteIdenticalResult proves it).
 #pragma once
 
 #include <atomic>

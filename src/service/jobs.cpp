@@ -29,7 +29,7 @@ bool file_exists(const std::string& path) {
 /// CLI's wavesim.run.v1. Deliberately excludes the job id, tenant and
 /// any timestamp: the same spec must yield a byte-identical result file
 /// whether the job ran uninterrupted, was preempted between slices, or
-/// was resumed by a restarted daemon (CI's service-smoke compares them).
+/// was resumed by a restarted daemon (test_service compares them).
 sim::JsonValue run_result_json(snap::CheckpointableRun& run) {
   const load::ExperimentResult& r = run.result();
   const auto check = verify::check_delivery(run.sim().network());

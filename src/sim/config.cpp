@@ -45,14 +45,6 @@ const char* to_string(FaultEventKind kind) noexcept {
   return "?";
 }
 
-bool mutate_force_unacked_default() noexcept {
-#ifdef WAVESIM_MUTATE_FORCE_UNACKED
-  return true;
-#else
-  return false;
-#endif
-}
-
 const char* to_string(ClrpVariant variant) noexcept {
   switch (variant) {
     case ClrpVariant::kFull: return "full";

@@ -42,11 +42,6 @@ const char* to_string(ReplacementPolicy policy) noexcept;
 const char* to_string(ProtocolKind kind) noexcept;
 const char* to_string(ClrpVariant variant) noexcept;
 
-/// false normally; true in a -DWAVESIM_MUTATE_FORCE_UNACKED=ON mutation
-/// build (the compile definition lives on wavesim_sim only, so one
-/// function owns the ifdef and every consumer sees the same default).
-bool mutate_force_unacked_default() noexcept;
-
 /// Inverses of to_string (exact match); return false on an unknown name,
 /// leaving `out` untouched. Used by the scenario/replay loaders, which must
 /// reject corrupt input instead of guessing.
@@ -119,9 +114,9 @@ struct ProtocolConfig {
   bool pcs_only = false;
   /// Seeded bug (docs/TESTING.md mutation table): Force probes also wait
   /// on channels still being established, violating the Theorem-1 premise.
-  /// A runtime knob so tests can flip it per run; the default is false and
-  /// becomes true only in a -DWAVESIM_MUTATE_FORCE_UNACKED=ON build.
-  bool mutate_force_unacked = mutate_force_unacked_default();
+  /// A runtime knob (wavecheck --bmc-mutate-force-unacked, tests) so no
+  /// special build is needed to flip it per run.
+  bool mutate_force_unacked = false;
 };
 
 /// Software messaging-layer model (paper section 1: buffer allocation,

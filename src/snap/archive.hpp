@@ -71,9 +71,10 @@ class Archive {
   }
 
   /// bool round trip via one byte (bool object representation is not
-  /// guaranteed to be a single deterministic byte pattern).
+  /// guaranteed to be a single deterministic byte pattern). The reader
+  /// never reads `v`: it may be an uninitialized slot about to be filled.
   void pod(bool& v) {
-    std::uint8_t b = v ? 1 : 0;
+    std::uint8_t b = writing() && v ? 1 : 0;
     pod(b);
     if (reading()) v = (b != 0);
   }

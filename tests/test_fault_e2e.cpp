@@ -168,6 +168,7 @@ TEST(FaultE2E, StormDeliversEverythingAndReestablishesCircuits) {
   EXPECT_EQ(stats.links_restored, 10u);
   EXPECT_GT(stats.circuits_invalidated, 0u);
   EXPECT_GT(stats.routes_withdrawn, 0u);
+  EXPECT_GT(stats.dv_updates_sent, 0u);
   // After repair the network is whole again: fresh circuits established
   // beyond the pre-storm set.
   EXPECT_GT(stats.probes_succeeded, 16u);

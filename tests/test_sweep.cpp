@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "engine/pool.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "sim/json.hpp"
@@ -69,8 +70,8 @@ TEST(Runner, ExceptionsPropagate) {
 }
 
 TEST(Runner, ResolveThreadsNeverZero) {
-  EXPECT_GE(harness::resolve_threads(0), 1u);
-  EXPECT_EQ(harness::resolve_threads(3), 3u);
+  EXPECT_GE(engine::resolve_engine_threads(0), 1u);
+  EXPECT_EQ(engine::resolve_engine_threads(3), 3u);
 }
 
 // ---------------------------------------------------- OnlineStats::merge

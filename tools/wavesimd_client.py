@@ -12,7 +12,6 @@ One request per connection, line-delimited JSON over an AF_UNIX socket:
 
 Prints the response JSON on stdout. Exit 0 when the daemon answered
 ok:true, 1 when it answered ok:false, 2 on usage/transport errors.
-CI's service-smoke job drives the daemon exclusively through this tool.
 """
 
 import argparse
