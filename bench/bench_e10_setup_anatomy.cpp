@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       sim::ClrpVariant::kSingleSwitch};
   if (cli.quick()) variants = {sim::ClrpVariant::kFull};
   std::vector<Row> rows(variants.size());
-  bench::parallel_for(variants.size(),
+  harness::run_indexed(variants.size(),
                       [&](std::size_t i) { rows[i] = run_point(variants[i]); },
                       cli.threads());
 

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<Row> rows(cases.size());
-  bench::parallel_for(cases.size(), [&](std::size_t i) {
+  harness::run_indexed(cases.size(), [&](std::size_t i) {
     rows[i] = run_point(cases[i].protocol, cases[i].multicomputer);
   }, cli.threads());
   for (std::size_t i = 0; i < cases.size(); ++i) {

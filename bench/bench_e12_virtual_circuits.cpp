@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     std::printf("\n[%d-flit messages]\n", length);
     bench::Table table({"transport", "mean-lat", "p99", "throughput"});
     std::vector<Row> rows(variants.size());
-    bench::parallel_for(variants.size(), [&](std::size_t i) {
+    harness::run_indexed(variants.size(), [&](std::size_t i) {
       rows[i] = run_point(variants[i].circuits, variants[i].virt, length);
     }, cli.threads());
     for (std::size_t i = 0; i < variants.size(); ++i) {

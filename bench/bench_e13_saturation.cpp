@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     bench::Table table({"router", "saturation-load", "latency-at-load",
                         "points"});
     std::vector<Row> rows(variants.size());
-    bench::parallel_for(variants.size(), [&](std::size_t i) {
+    harness::run_indexed(variants.size(), [&](std::size_t i) {
       rows[i] = run_point(variants[i], length);
     }, cli.threads());
     for (std::size_t i = 0; i < variants.size(); ++i) {

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   bench::Table table({"torus", "avg-dist", "wormhole", "wave k=2",
                       "wave k=r/4", "hit k=2", "hit k=r/4"});
   std::vector<Point> wh(sizes.size()), fixed(sizes.size()), grown(sizes.size());
-  bench::parallel_for(sizes.size() * 3, [&](std::size_t i) {
+  harness::run_indexed(sizes.size() * 3, [&](std::size_t i) {
     const auto& sz = sizes[i / 3];
     switch (i % 3) {
       case 0:

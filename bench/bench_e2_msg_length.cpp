@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   if (cli.quick()) lengths = {8, 128};
   std::vector<double> wh_loaded(lengths.size());
   std::vector<double> wave_loaded(lengths.size());
-  bench::parallel_for(lengths.size() * 2, [&](std::size_t i) {
+  harness::run_indexed(lengths.size() * 2, [&](std::size_t i) {
     const std::size_t li = i / 2;
     if (i % 2 == 0) {
       wh_loaded[li] =

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   std::vector<double> ps{0.0, 0.25, 0.5, 0.75, 0.9, 1.0};
   if (cli.quick()) ps = {0.0, 0.9};
   std::vector<Row> rows(ps.size());
-  bench::parallel_for(ps.size(), [&](std::size_t i) { rows[i] = run_point(ps[i]); },
+  harness::run_indexed(ps.size(), [&](std::size_t i) { rows[i] = run_point(ps[i]); },
                       cli.threads());
 
   bench::Table table({"locality-p", "cache-hit", "clrp-mean", "clrp-p99",

@@ -58,7 +58,7 @@ void run_app(bench::Cli& cli, const char* name, const char* csv,
   const std::vector<sim::ProtocolKind> protocols{
       sim::ProtocolKind::kWormholeOnly, sim::ProtocolKind::kClrp,
       sim::ProtocolKind::kCarp};
-  bench::parallel_for(protocols.size(), [&](std::size_t i) {
+  harness::run_indexed(protocols.size(), [&](std::size_t i) {
     rows[i] = run_trace(protocols[i], trace);
   }, cli.threads());
   for (std::size_t i = 0; i < protocols.size(); ++i) {

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   if (cli.quick()) policies = {sim::ReplacementPolicy::kLru,
                                sim::ReplacementPolicy::kRandom};
   std::vector<Row> rows(policies.size());
-  bench::parallel_for(policies.size(),
+  harness::run_indexed(policies.size(),
                       [&](std::size_t i) { rows[i] = run_point(policies[i]); },
                       cli.threads());
 

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                               {2, true},  {4, true}};
   if (cli.quick()) configs = {{1, false}, {2, true}};
   std::vector<Row> rows(configs.size());
-  bench::parallel_for(configs.size(), [&](std::size_t i) {
+  harness::run_indexed(configs.size(), [&](std::size_t i) {
     rows[i] = run_point(configs[i].k, configs[i].split);
   }, cli.threads());
 

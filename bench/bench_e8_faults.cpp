@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   if (cli.quick()) rates = {0.0, 0.20};
   std::vector<Row> m0(rates.size());
   std::vector<Row> m2(rates.size());
-  bench::parallel_for(rates.size() * 2, [&](std::size_t i) {
+  harness::run_indexed(rates.size() * 2, [&](std::size_t i) {
     const std::size_t ri = i / 2;
     if (i % 2 == 0) {
       m0[ri] = run_point(rates[ri], 0);

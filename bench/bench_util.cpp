@@ -8,10 +8,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cli_number.hpp"
 #include "engine/pool.hpp"
-#include "harness/runner.hpp"
 #include "sim/build_info.hpp"
+#include "sim/number.hpp"
 
 namespace wavesim::bench {
 
@@ -162,9 +161,6 @@ bool Cli::parse(int argc, char** argv) {
             "  --threads N       worker threads for the sweep "
             "(default: all cores)\n"
             "  --quick           tiny parameters for CI smoke runs\n"
-            "  --trace <path>    Perfetto trace of one representative run\n"
-            "  --metrics <path>  its counters/histograms (wavesim.metrics.v1)\n"
-            "  --sample-every N  gauge sampling period for the observed run\n"
             "  --engine seq|par  step engine per simulation (default seq;\n"
             "                    par never changes results, only wall time)\n"
             "  --shards N        shard count for --engine par (default auto)\n"
@@ -176,17 +172,11 @@ bool Cli::parse(int argc, char** argv) {
         exit_code_ = 0;
         return false;
       } else if (const IntFlag* f = find_int_flag(arg); f != nullptr) {
-        *f->target = cli::number<std::int64_t>(arg, need(i));
+        *f->target = sim::parse_number<std::int64_t>(arg, need(i));
       } else if (arg == "--json") {
         json_path_ = need(i);
-      } else if (arg == "--trace") {
-        trace_path_ = need(i);
-      } else if (arg == "--metrics") {
-        metrics_path_ = need(i);
-      } else if (arg == "--sample-every") {
-        sample_every_ = cli::number<Cycle>(arg, need(i));
       } else if (arg == "--threads") {
-        threads_ = cli::number<unsigned>(arg, need(i));
+        threads_ = sim::parse_number<unsigned>(arg, need(i));
       } else if (arg == "--quick") {
         quick_ = true;
       } else if (arg == "--engine") {
@@ -194,7 +184,7 @@ bool Cli::parse(int argc, char** argv) {
       } else if (arg.rfind("--engine=", 0) == 0) {
         engine = arg.substr(std::string("--engine=").size());
       } else if (arg == "--shards") {
-        shards = cli::number<std::int32_t>(arg, need(i));
+        shards = sim::parse_number<std::int32_t>(arg, need(i));
       } else {
         throw std::invalid_argument("unknown flag " + arg + " (try --help)");
       }
@@ -217,40 +207,13 @@ void Cli::note(const std::string& key, sim::JsonValue value) {
   extra_.set(key, std::move(value));
 }
 
-std::unique_ptr<obs::Observer> Cli::observe(core::Simulation& sim) const {
-  if (!observability_requested()) return nullptr;
-  obs::ObserverOptions options;
-  options.trace = !trace_path_.empty();
-  options.metrics = !metrics_path_.empty();
-  options.sample_every = sample_every_;
-  return std::make_unique<obs::Observer>(sim, options);
-}
-
 void Cli::install_engine(core::Simulation& sim) const {
   engine_installed_ = true;
   if (!engine_.parallel()) return;
   sim.set_engine(engine::make_engine(engine_, sim.topology().num_nodes()));
 }
 
-bool Cli::write_observability(const obs::Observer& observer) {
-  bool ok = true;
-  if (!trace_path_.empty()) {
-    ok = sim::write_json_file(observer.trace_json(), trace_path_) && ok;
-  }
-  if (!metrics_path_.empty()) {
-    ok = sim::write_json_file(observer.metrics_json(), metrics_path_) && ok;
-  }
-  observability_written_ = true;
-  return ok;
-}
-
 int Cli::finish(bool ok) {
-  if (observability_requested() && !observability_written_) {
-    std::fprintf(stderr,
-                 "%s: warning: --trace/--metrics/--sample-every given but "
-                 "this driver recorded no observed run\n",
-                 experiment_.c_str());
-  }
   if (engine_.parallel() && !engine_installed_) {
     std::fprintf(stderr,
                  "%s: warning: --engine par given but this driver installed "
@@ -287,11 +250,6 @@ int Cli::run(const std::function<bool()>& body) {
     std::fprintf(stderr, "%s: error: %s\n", experiment_.c_str(), e.what());
     return 1;
   }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  unsigned threads) {
-  harness::run_indexed(n, fn, threads);
 }
 
 }  // namespace wavesim::bench

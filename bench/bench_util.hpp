@@ -1,18 +1,18 @@
-// Shared helpers for the experiment benches: aligned table printing, the
-// common command-line surface (--json / --threads / --quick), and a
-// parallel_for that fans independent sweep points across the harness
-// thread pool (every point owns its Simulation; nothing is shared).
+// Shared helpers for the experiment benches: aligned table printing and
+// the common command-line surface (--json / --threads / --quick). Drivers
+// fan independent points across harness::run_indexed's thread pool
+// (every point owns its Simulation; nothing is shared).
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "engine/engine.hpp"
-#include "obs/observer.hpp"
+#include "harness/runner.hpp"
 #include "sim/json.hpp"
 
 namespace wavesim::bench {
@@ -31,10 +31,6 @@ class Table {
   void print(const std::string& csv_name = "") const;
   void write_csv(const std::string& path) const;
 
-  const std::vector<std::string>& header() const noexcept { return header_; }
-  const std::vector<std::vector<std::string>>& rows() const noexcept {
-    return rows_;
-  }
   /// {"name": ..., "header": [...], "rows": [[...], ...]}
   sim::JsonValue to_json(const std::string& name) const;
 
@@ -53,22 +49,23 @@ void require(bool ok, const std::string& message);
 
 /// Common command-line surface of every bench_e* driver:
 ///   --json <path>     write a wavesim.bench.v1 metrics file
-///   --threads N       worker threads for parallel_for (0/default = all cores)
+///   --threads N       worker threads for the points (0/default = all cores)
 ///   --quick           shrink the experiment for CI smoke runs
-///   --trace <path>    record one representative run as wavesim.trace.v1
-///   --metrics <path>  record its counters/histograms as wavesim.metrics.v1
-///   --sample-every N  gauge sampling period for the observed run
 ///   --engine seq|par  step engine for each simulation (default seq)
 ///   --shards N        shard count for --engine par (default: auto)
 ///   --help            usage
 /// After parse(), report() both prints a table and records it for export;
 /// finish(ok) writes the JSON file and maps ok to the process exit code.
-/// A driver supports --trace/--metrics by attaching observe(sim) to one
-/// representative (single-threaded) run and calling write_observability()
-/// when it completes; drivers that never do warn at finish().
+/// (wavesim_cli --trace/--metrics observes a single run.)
 class Cli {
  public:
   Cli(std::string experiment, std::string title);
+
+  /// Rename the run for the export (bench_sweep takes it from its spec).
+  void rename(std::string experiment, std::string title) {
+    experiment_ = std::move(experiment);
+    title_ = std::move(title);
+  }
 
   /// Register a driver-specific integer flag (e.g. "--replicas") that
   /// parse() will accept and store into *target. Call before parse().
@@ -81,25 +78,11 @@ class Cli {
 
   unsigned threads() const noexcept { return threads_; }
   bool quick() const noexcept { return quick_; }
-  bool json_enabled() const noexcept { return !json_path_.empty(); }
-
-  /// True when --trace, --metrics, or --sample-every was given.
-  bool observability_requested() const noexcept {
-    return !trace_path_.empty() || !metrics_path_.empty() || sample_every_ > 0;
-  }
-
-  /// Attach an Observer (per the observability flags) to one
-  /// representative simulation. Returns nullptr when no flag was given.
-  /// The caller keeps the Observer alive for the run, then passes it to
-  /// write_observability().
-  std::unique_ptr<obs::Observer> observe(core::Simulation& sim) const;
-
-  /// Write the trace/metrics files requested on the command line from an
-  /// observer returned by observe(). Returns false if a write failed.
-  bool write_observability(const obs::Observer& observer);
 
   /// The step engine selected by --engine/--shards (default sequential).
+  /// A driver that hands it on (bench_sweep) counts as installing it.
   const engine::EngineConfig& engine_config() const noexcept {
+    engine_installed_ = true;
     return engine_;
   }
 
@@ -135,10 +118,6 @@ class Cli {
   std::string experiment_;
   std::string title_;
   std::string json_path_;
-  std::string trace_path_;
-  std::string metrics_path_;
-  Cycle sample_every_ = 0;
-  bool observability_written_ = false;
   engine::EngineConfig engine_;
   mutable bool engine_installed_ = false;
   std::vector<IntFlag> int_flags_;
@@ -149,11 +128,5 @@ class Cli {
   sim::JsonValue tables_ = sim::JsonValue::array();
   sim::JsonValue extra_ = sim::JsonValue::object();
 };
-
-/// Run fn(i) for i in [0, n) on up to `threads` workers (0 = hardware
-/// concurrency); blocks until all complete. Exceptions propagate. Backed
-/// by harness::run_indexed.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  unsigned threads = 0);
 
 }  // namespace wavesim::bench

@@ -168,17 +168,11 @@ int main(int argc, char** argv) {
                      "ignored with --replicas\n");
       }
       const snap::RunSpec& spec = flags_spec;
-      harness::SweepPoint point;
-      point.label = service::format_radices(spec.config.topology.radix) +
-                    "/" + sim::to_string(spec.config.protocol.protocol) +
-                    "@" + spec.pattern;
-      point.config = spec.config;
-      point.pattern = spec.pattern;
-      point.message_flits = spec.message_flits;
-      point.offered_load = spec.offered_load;
-      point.warmup = spec.warmup;
-      point.measure = spec.measure;
-      point.drain_cap = spec.drain_cap;
+      const harness::SweepPoint point{
+          service::format_radices(spec.config.topology.radix) + "/" +
+              sim::to_string(spec.config.protocol.protocol) + "@" +
+              spec.pattern,
+          spec};
       harness::SweepOptions options;
       options.base_seed = spec.seed;
       options.replicas = opt.replicas;
@@ -193,17 +187,21 @@ int main(int argc, char** argv) {
                   result.threads_used, result.wall_seconds);
       std::printf("messages   offered %llu, delivered %llu, saturated "
                   "replicas %d\n",
-                  static_cast<unsigned long long>(p.messages_offered),
-                  static_cast<unsigned long long>(p.messages_delivered),
+                  static_cast<unsigned long long>(
+                      p.counters.messages_offered),
+                  static_cast<unsigned long long>(
+                      p.counters.messages_delivered),
                   p.saturated_replicas);
       std::printf("latency    mean %.2f +/- %.2f  p95 %.1f  p99 %.1f  "
                   "max %.0f\n",
-                  p.metrics.latency_mean.mean(),
-                  p.metrics.latency_mean.stddev(),
-                  p.metrics.latency_p95.mean(), p.metrics.latency_p99.mean(),
-                  p.metrics.latency_max.max());
+                  p.metric("latency_mean").mean(),
+                  p.metric("latency_mean").stddev(),
+                  p.metric("latency_p95").mean(),
+                  p.metric("latency_p99").mean(),
+                  p.metric("latency_max").max());
       std::printf("throughput %.4f +/- %.4f flits/node/cycle\n",
-                  p.metrics.throughput.mean(), p.metrics.throughput.stddev());
+                  p.metric("throughput_flits_per_node_cycle").mean(),
+                  p.metric("throughput_flits_per_node_cycle").stddev());
       if (!opt.json_path.empty() &&
           !sim::write_json_file(harness::to_json(result), opt.json_path)) {
         return 2;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -350,7 +351,7 @@ sim::JsonValue Scenario::to_json() const {
 
 namespace {
 
-[[noreturn]] void bad_field(const std::string& field, const char* why) {
+[[noreturn]] void bad_field(const std::string& field, const std::string& why) {
   throw std::runtime_error("wavesim.repro.v1 scenario field '" + field +
                            "': " + why);
 }
@@ -368,14 +369,24 @@ double get_number(const sim::JsonValue& obj, const std::string& field) {
   return v.as_number();
 }
 
+/// A whole number within T's range (sim::whole_in's rule, as job.v1).
+template <typename T>
+T whole(const sim::JsonValue& v, const std::string& field) {
+  const auto [min, max] = sim::whole_range<T>();
+  const std::optional<std::int64_t> x = sim::whole_in(v, min, max);
+  if (!x) {
+    bad_field(field, "not an integer in [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "]");
+  }
+  return static_cast<T>(*x);
+}
+
 std::int32_t get_int32(const sim::JsonValue& obj, const std::string& field) {
-  return static_cast<std::int32_t>(get_number(obj, field));
+  return whole<std::int32_t>(member(obj, field), field);
 }
 
 std::uint64_t get_uint64(const sim::JsonValue& obj, const std::string& field) {
-  const double v = get_number(obj, field);
-  if (v < 0) bad_field(field, "negative");
-  return static_cast<std::uint64_t>(v);
+  return whole<std::uint64_t>(member(obj, field), field);
 }
 
 bool get_bool(const sim::JsonValue& obj, const std::string& field) {
@@ -414,8 +425,7 @@ Scenario Scenario::from_json(const sim::JsonValue& value) {
   }
   s.radix.clear();
   for (const auto& r : radix_json.elements()) {
-    if (!r.is_number()) bad_field("radix", "non-numeric element");
-    s.radix.push_back(static_cast<std::int32_t>(r.as_number()));
+    s.radix.push_back(whole<std::int32_t>(r, "radix"));
   }
   s.torus = get_bool(value, "torus");
   s.protocol = get_enum<sim::ProtocolKind>(value, "protocol");

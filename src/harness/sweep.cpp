@@ -1,17 +1,53 @@
 #include "harness/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "engine/pool.hpp"
 #include "harness/runner.hpp"
 #include "sim/build_info.hpp"
 #include "sim/rng.hpp"
-#include "workload/generator.hpp"
-#include "workload/size_dist.hpp"
-#include "workload/traffic.hpp"
 
 namespace wavesim::harness {
+
+namespace {
+
+using Stats = core::SimulationStats;
+using Count = std::uint64_t Stats::*;
+using Real = double Stats::*;
+
+}  // namespace
+
+const std::vector<StatsField>& stats_fields() {
+  // Every key is its member's name; the fault counters nest in "faults".
+#define STAT(name) StatsField{#name, "", &Stats::name}
+#define FAULT(name) StatsField{#name, "faults", &Stats::name}
+  static const std::vector<StatsField> fields = {
+      STAT(messages_offered), STAT(messages_delivered), STAT(flits_delivered),
+      STAT(latency_mean), STAT(latency_p50), STAT(latency_p95),
+      STAT(latency_p99), STAT(latency_max),
+      STAT(throughput_flits_per_node_cycle),
+      STAT(circuit_hit_count), STAT(circuit_setup_count),
+      STAT(fallback_count), STAT(wormhole_count),
+      STAT(circuit_hit_latency), STAT(circuit_setup_latency),
+      STAT(fallback_latency), STAT(wormhole_latency),
+      STAT(cache_hits), STAT(cache_misses), STAT(cache_evictions),
+      STAT(probes_launched), STAT(probes_succeeded), STAT(probes_failed),
+      STAT(probe_advances), STAT(probe_backtracks), STAT(probe_misroutes),
+      STAT(release_requests), STAT(teardowns), STAT(buffer_reallocs),
+      FAULT(links_failed), FAULT(links_restored), FAULT(circuits_killed),
+      FAULT(circuits_invalidated), FAULT(probes_killed),
+      FAULT(transfers_aborted), FAULT(unreachable_fallbacks),
+      FAULT(routes_withdrawn), FAULT(route_timeouts), FAULT(dv_updates_sent),
+      FAULT(dv_triggered_updates), FAULT(dv_adverts_dropped),
+  };
+#undef STAT
+#undef FAULT
+  return fields;
+}
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::size_t point_index,
                           std::int32_t replica) noexcept {
@@ -25,50 +61,49 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::size_t point_index,
   return sim::splitmix64(state);
 }
 
-namespace {
-
-/// Raw outcome of one (point, replica) task, written into its own slot.
-struct ReplicaOutcome {
-  core::SimulationStats stats;
-  bool drained = true;
-  bool stuck = false;  ///< final watchdog verdict was kStuck
-};
-
-ReplicaOutcome run_one(const SweepPoint& point, std::uint64_t seed,
-                       const engine::EngineConfig& engine_config) {
-  sim::SimConfig config = point.config;
-  config.seed = seed;
-  core::Simulation sim(config);
-  if (engine_config.parallel()) {
-    sim.set_engine(
-        engine::make_engine(engine_config, sim.topology().num_nodes()));
+const sim::OnlineStats& PointSummary::metric(std::string_view key) const {
+  const auto it = metrics.find(key);
+  if (it == metrics.end()) {
+    throw std::invalid_argument("no double stats field '" + std::string(key) +
+                                "'");
   }
-  std::uint64_t stream = seed;
-  const std::uint64_t pattern_seed = sim::splitmix64(stream);
-  const std::uint64_t workload_seed = sim::splitmix64(stream);
-  auto pattern =
-      load::make_traffic(point.pattern, sim.topology(), sim::Rng{pattern_seed});
-  load::FixedSize sizes(point.message_flits);
-  const auto r =
-      load::run_open_loop(sim, *pattern, sizes, point.offered_load,
-                          point.warmup, point.measure, point.drain_cap,
-                          workload_seed);
-  return ReplicaOutcome{r.stats, r.drained,
-                        r.watchdog_verdict == verify::Verdict::kStuck};
+  return it->second;
 }
 
-}  // namespace
+double PointSummary::value(std::string_view key) const {
+  if (key == "replicas") return replicas;
+  if (key == "saturated_replicas") return saturated_replicas;
+  if (key == "stuck_replicas") return stuck_replicas;
+  if (const auto it = metrics.find(key); it != metrics.end()) {
+    return it->second.mean();
+  }
+  for (const StatsField& f : stats_fields()) {
+    const Count* m = std::get_if<Count>(&f.member);
+    if (m != nullptr && key == f.key) {
+      return static_cast<double>(counters.*(*m));
+    }
+  }
+  throw std::invalid_argument("unknown point-summary key '" +
+                              std::string(key) + "'");
+}
+
+bool is_point_key(std::string_view key) {
+  return key == "replicas" || key == "saturated_replicas" ||
+         key == "stuck_replicas" ||
+         std::any_of(stats_fields().begin(), stats_fields().end(),
+                     [&](const StatsField& f) { return key == f.key; });
+}
 
 SweepResult run_sweep(const std::vector<SweepPoint>& points,
                       const SweepOptions& options) {
-  for (const auto& point : points) point.config.validate();
+  for (const auto& point : points) snap::validate(point.spec);
   const std::int32_t replicas = options.replicas > 0 ? options.replicas : 1;
   const std::size_t n = points.size() * static_cast<std::size_t>(replicas);
 
   // [det: local] wall-time measurement only; wall_seconds is reported
   // but excluded from the determinism contract and all digests.
   const auto start = std::chrono::steady_clock::now();
-  std::vector<ReplicaOutcome> outcomes(n);
+  std::vector<load::ExperimentResult> outcomes(n);
   const unsigned threads =
       n > 0 ? std::min<unsigned>(
                   engine::resolve_engine_threads(options.threads),
@@ -78,11 +113,19 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
       n,
       [&](std::size_t i) {
         const std::size_t pi = i / static_cast<std::size_t>(replicas);
-        const auto ri = static_cast<std::int32_t>(
-            i % static_cast<std::size_t>(replicas));
-        outcomes[i] = run_one(points[pi],
-                              derive_seed(options.base_seed, pi, ri),
-                              options.engine);
+        snap::RunSpec spec = points[pi].spec;
+        // The run seed also seeds the network, as on every front end.
+        spec.seed = derive_seed(
+            options.base_seed, pi,
+            static_cast<std::int32_t>(i % static_cast<std::size_t>(replicas)));
+        spec.config.seed = spec.seed;
+        snap::CheckpointableRun run(spec);
+        if (options.engine.parallel()) {
+          run.set_engine(engine::make_engine(
+              options.engine, run.sim().topology().num_nodes()));
+        }
+        while (!run.done()) run.advance(std::numeric_limits<Cycle>::max());
+        outcomes[i] = run.result();
       },
       threads);
 
@@ -96,48 +139,24 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   result.runs = n;
   result.points.reserve(points.size());
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
-    const SweepPoint& point = points[pi];
     PointSummary summary;
-    summary.label = point.label;
-    summary.pattern = point.pattern;
-    summary.message_flits = point.message_flits;
-    summary.offered_load = point.offered_load;
+    summary.label = points[pi].label;
     summary.replicas = replicas;
     for (std::int32_t ri = 0; ri < replicas; ++ri) {
-      const ReplicaOutcome& o =
+      const load::ExperimentResult& o =
           outcomes[pi * static_cast<std::size_t>(replicas) +
                    static_cast<std::size_t>(ri)];
       if (!o.drained) ++summary.saturated_replicas;
-      if (o.stuck) ++summary.stuck_replicas;
-      summary.messages_offered += o.stats.messages_offered;
-      summary.messages_delivered += o.stats.messages_delivered;
-      summary.flits_delivered += o.stats.flits_delivered;
-      CounterSummary& c = summary.counters;
-      c.probes_launched += o.stats.probes_launched;
-      c.probe_backtracks += o.stats.probe_backtracks;
-      c.probe_misroutes += o.stats.probe_misroutes;
-      c.teardowns += o.stats.teardowns;
-      c.fallback_count += o.stats.fallback_count;
-      c.wormhole_count += o.stats.wormhole_count;
-      c.cache_hits += o.stats.cache_hits;
-      c.cache_misses += o.stats.cache_misses;
-      c.cache_evictions += o.stats.cache_evictions;
-      c.links_failed += o.stats.links_failed;
-      c.links_restored += o.stats.links_restored;
-      c.circuits_killed += o.stats.circuits_killed;
-      c.circuits_invalidated += o.stats.circuits_invalidated;
-      c.unreachable_fallbacks += o.stats.unreachable_fallbacks;
-      c.routes_withdrawn += o.stats.routes_withdrawn;
-      c.route_timeouts += o.stats.route_timeouts;
-      MetricSummary& m = summary.metrics;
-      m.latency_mean.add(o.stats.latency_mean);
-      m.latency_p50.add(o.stats.latency_p50);
-      m.latency_p95.add(o.stats.latency_p95);
-      m.latency_p99.add(o.stats.latency_p99);
-      m.latency_max.add(o.stats.latency_max);
-      m.throughput.add(o.stats.throughput_flits_per_node_cycle);
-      m.cache_hit_rate.add(o.stats.cache_hit_rate());
-      m.setup_success_rate.add(o.stats.setup_success_rate());
+      if (o.watchdog_verdict == verify::Verdict::kStuck) {
+        ++summary.stuck_replicas;
+      }
+      for (const StatsField& f : stats_fields()) {
+        if (const Count* m = std::get_if<Count>(&f.member)) {
+          summary.counters.*(*m) += o.stats.*(*m);
+        } else {
+          summary.metrics[f.key].add(o.stats.*std::get<Real>(f.member));
+        }
+      }
     }
     result.points.push_back(std::move(summary));
   }
@@ -148,64 +167,31 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   return result;
 }
 
-namespace {
-
-sim::JsonValue metric_json(const sim::OnlineStats& s) {
-  return sim::JsonValue::object()
-      .set("count", s.count())
-      .set("mean", s.mean())
-      .set("stddev", s.stddev())
-      .set("min", s.min())
-      .set("max", s.max());
-}
-
-}  // namespace
-
 sim::JsonValue points_to_json(const SweepResult& result) {
   sim::JsonValue points = sim::JsonValue::array();
   for (const PointSummary& p : result.points) {
+    sim::JsonValue counters = sim::JsonValue::object();
     sim::JsonValue metrics = sim::JsonValue::object();
-    metrics.set("latency_mean", metric_json(p.metrics.latency_mean))
-        .set("latency_p50", metric_json(p.metrics.latency_p50))
-        .set("latency_p95", metric_json(p.metrics.latency_p95))
-        .set("latency_p99", metric_json(p.metrics.latency_p99))
-        .set("latency_max", metric_json(p.metrics.latency_max))
-        .set("throughput_flits_per_node_cycle", metric_json(p.metrics.throughput))
-        .set("cache_hit_rate", metric_json(p.metrics.cache_hit_rate))
-        .set("setup_success_rate", metric_json(p.metrics.setup_success_rate));
-    points.push_back(
-        sim::JsonValue::object()
-            .set("label", p.label)
-            .set("pattern", p.pattern)
-            .set("message_flits", p.message_flits)
-            .set("offered_load", p.offered_load)
-            .set("replicas", p.replicas)
-            .set("saturated_replicas", p.saturated_replicas)
-            .set("stuck_replicas", p.stuck_replicas)
-            .set("messages_offered", p.messages_offered)
-            .set("messages_delivered", p.messages_delivered)
-            .set("flits_delivered", p.flits_delivered)
-            .set("counters",
-                 sim::JsonValue::object()
-                     .set("probes_launched", p.counters.probes_launched)
-                     .set("probe_backtracks", p.counters.probe_backtracks)
-                     .set("probe_misroutes", p.counters.probe_misroutes)
-                     .set("teardowns", p.counters.teardowns)
-                     .set("fallback_count", p.counters.fallback_count)
-                     .set("wormhole_count", p.counters.wormhole_count)
-                     .set("cache_hits", p.counters.cache_hits)
-                     .set("cache_misses", p.counters.cache_misses)
-                     .set("cache_evictions", p.counters.cache_evictions)
-                     .set("links_failed", p.counters.links_failed)
-                     .set("links_restored", p.counters.links_restored)
-                     .set("circuits_killed", p.counters.circuits_killed)
-                     .set("circuits_invalidated",
-                          p.counters.circuits_invalidated)
-                     .set("unreachable_fallbacks",
-                          p.counters.unreachable_fallbacks)
-                     .set("routes_withdrawn", p.counters.routes_withdrawn)
-                     .set("route_timeouts", p.counters.route_timeouts))
-            .set("metrics", std::move(metrics)));
+    for (const StatsField& f : stats_fields()) {
+      if (const Count* m = std::get_if<Count>(&f.member)) {
+        counters.set(f.key, p.counters.*(*m));
+        continue;
+      }
+      const sim::OnlineStats& s = p.metric(f.key);
+      metrics.set(f.key, sim::JsonValue::object()
+                             .set("count", s.count())
+                             .set("mean", s.mean())
+                             .set("stddev", s.stddev())
+                             .set("min", s.min())
+                             .set("max", s.max()));
+    }
+    points.push_back(sim::JsonValue::object()
+                         .set("label", p.label)
+                         .set("replicas", p.replicas)
+                         .set("saturated_replicas", p.saturated_replicas)
+                         .set("stuck_replicas", p.stuck_replicas)
+                         .set("counters", std::move(counters))
+                         .set("metrics", std::move(metrics)));
   }
   return points;
 }
@@ -225,51 +211,13 @@ sim::JsonValue to_json(const SweepResult& result) {
 }
 
 sim::JsonValue stats_to_json(const core::SimulationStats& stats) {
-  return sim::JsonValue::object()
-      .set("messages_offered", stats.messages_offered)
-      .set("messages_delivered", stats.messages_delivered)
-      .set("flits_delivered", stats.flits_delivered)
-      .set("latency_mean", stats.latency_mean)
-      .set("latency_p50", stats.latency_p50)
-      .set("latency_p95", stats.latency_p95)
-      .set("latency_p99", stats.latency_p99)
-      .set("latency_max", stats.latency_max)
-      .set("throughput_flits_per_node_cycle",
-           stats.throughput_flits_per_node_cycle)
-      .set("circuit_hit_count", stats.circuit_hit_count)
-      .set("circuit_setup_count", stats.circuit_setup_count)
-      .set("fallback_count", stats.fallback_count)
-      .set("wormhole_count", stats.wormhole_count)
-      .set("circuit_hit_latency", stats.circuit_hit_latency)
-      .set("circuit_setup_latency", stats.circuit_setup_latency)
-      .set("fallback_latency", stats.fallback_latency)
-      .set("wormhole_latency", stats.wormhole_latency)
-      .set("cache_hits", stats.cache_hits)
-      .set("cache_misses", stats.cache_misses)
-      .set("cache_evictions", stats.cache_evictions)
-      .set("probes_launched", stats.probes_launched)
-      .set("probes_succeeded", stats.probes_succeeded)
-      .set("probes_failed", stats.probes_failed)
-      .set("probe_advances", stats.probe_advances)
-      .set("probe_backtracks", stats.probe_backtracks)
-      .set("probe_misroutes", stats.probe_misroutes)
-      .set("release_requests", stats.release_requests)
-      .set("teardowns", stats.teardowns)
-      .set("buffer_reallocs", stats.buffer_reallocs)
-      .set("faults", sim::JsonValue::object()
-                         .set("links_failed", stats.links_failed)
-                         .set("links_restored", stats.links_restored)
-                         .set("circuits_killed", stats.circuits_killed)
-                         .set("circuits_invalidated", stats.circuits_invalidated)
-                         .set("probes_killed", stats.probes_killed)
-                         .set("transfers_aborted", stats.transfers_aborted)
-                         .set("unreachable_fallbacks",
-                              stats.unreachable_fallbacks)
-                         .set("routes_withdrawn", stats.routes_withdrawn)
-                         .set("route_timeouts", stats.route_timeouts)
-                         .set("dv_updates_sent", stats.dv_updates_sent)
-                         .set("dv_triggered_updates", stats.dv_triggered_updates)
-                         .set("dv_adverts_dropped", stats.dv_adverts_dropped));
+  sim::JsonValue doc = sim::JsonValue::object();
+  sim::JsonValue faults = sim::JsonValue::object();
+  for (const StatsField& f : stats_fields()) {
+    sim::JsonValue& into = *f.group == '\0' ? doc : faults;
+    std::visit([&](auto m) { into.set(f.key, stats.*m); }, f.member);
+  }
+  return doc.set("faults", std::move(faults));
 }
 
 }  // namespace wavesim::harness

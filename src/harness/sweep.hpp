@@ -1,44 +1,58 @@
 // Parallel experiment-sweep harness.
 //
-// A sweep is a list of config points; each point runs `replicas`
-// independent open-loop measurements. Every (point, replica) task gets a
-// deterministic seed derived from (base_seed, point_index, replica) and
-// owns its Simulation, so tasks are embarrassingly parallel. Replica
-// results are merged serially in index order via sim::OnlineStats::merge —
-// the merged statistics are therefore bit-identical regardless of how many
-// worker threads executed the tasks.
+// A sweep is a list of labelled run specs; each point runs `replicas`
+// independent measurements. Replica r of point p is the
+// snap::CheckpointableRun of the point's spec with its seed replaced by
+// derive_seed(base_seed, p, r) -- the same run wavesim_cli or a wavesimd
+// job gives for that spec and seed. Tasks own their run, so they are
+// embarrassingly parallel. Replica results are merged serially in index
+// order, so the merged statistics are bit-identical regardless of how
+// many worker threads executed the tasks.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
 #include "sim/json.hpp"
 #include "sim/stats.hpp"
+#include "snap/runstate.hpp"
 
 namespace wavesim::harness {
 
-/// One configuration point of a sweep: a simulator config plus the
-/// open-loop workload measured against it.
+/// One SimulationStats field under its JSON key. `group` is the object it
+/// nests in ("" = top level, "faults"); the table order is stats_to_json's
+/// order, so walking it gives that document.
+struct StatsField {
+  const char* key;
+  const char* group;
+  std::variant<std::uint64_t core::SimulationStats::*,
+               double core::SimulationStats::*>
+      member;
+};
+
+/// Every SimulationStats field, once: stats_to_json, the sweep merge and
+/// points_to_json walk it.
+const std::vector<StatsField>& stats_fields();
+
+/// One point of a sweep: a run spec under a stable report label. The
+/// spec's seed is ignored; each replica derives its own.
 struct SweepPoint {
-  std::string label;            ///< stable identifier in reports
-  sim::SimConfig config;
-  std::string pattern = "uniform";  ///< load::make_traffic name
-  std::int32_t message_flits = 64;
-  double offered_load = 0.10;   ///< flits per node per cycle
-  Cycle warmup = 2000;
-  Cycle measure = 8000;
-  Cycle drain_cap = 300'000;
+  std::string label;
+  snap::RunSpec spec;
 };
 
 struct SweepOptions {
   std::uint64_t base_seed = 1;
   std::int32_t replicas = 1;
   unsigned threads = 0;  ///< worker count; 0 = all hardware threads
-  /// Step engine installed on every replica's Simulation. The parallel
-  /// engine never changes results (bit-identical to seq), only wall time;
+  /// Step engine installed on every replica's run. The parallel engine
+  /// never changes results (bit-identical to seq), only wall time;
   /// prefer engine parallelism for few large replicas and replica
   /// parallelism (threads above) for many small ones.
   engine::EngineConfig engine;
@@ -49,56 +63,28 @@ struct SweepOptions {
 std::uint64_t derive_seed(std::uint64_t base_seed, std::size_t point_index,
                           std::int32_t replica) noexcept;
 
-/// A scalar metric aggregated across the replicas of one point.
-struct MetricSummary {
-  sim::OnlineStats latency_mean;
-  sim::OnlineStats latency_p50;
-  sim::OnlineStats latency_p95;
-  sim::OnlineStats latency_p99;
-  sim::OnlineStats latency_max;
-  sim::OnlineStats throughput;
-  sim::OnlineStats cache_hit_rate;
-  sim::OnlineStats setup_success_rate;
-};
-
-/// Event counters summed across the replicas of one point. These mirror
-/// the obs::MetricsRegistry counter names so sweep output and single-run
-/// metrics output can be compared directly.
-struct CounterSummary {
-  std::uint64_t probes_launched = 0;
-  std::uint64_t probe_backtracks = 0;
-  std::uint64_t probe_misroutes = 0;
-  std::uint64_t teardowns = 0;
-  std::uint64_t fallback_count = 0;
-  std::uint64_t wormhole_count = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  // Dynamic faults (zeros without a fault schedule).
-  std::uint64_t links_failed = 0;
-  std::uint64_t links_restored = 0;
-  std::uint64_t circuits_killed = 0;
-  std::uint64_t circuits_invalidated = 0;
-  std::uint64_t unreachable_fallbacks = 0;
-  std::uint64_t routes_withdrawn = 0;
-  std::uint64_t route_timeouts = 0;
-};
-
 /// Merged outcome of all replicas of one sweep point.
 struct PointSummary {
   std::string label;
-  std::string pattern;
-  std::int32_t message_flits = 0;
-  double offered_load = 0.0;
   std::int32_t replicas = 0;
   std::int32_t saturated_replicas = 0;  ///< replicas that hit the drain cap
   std::int32_t stuck_replicas = 0;      ///< watchdog said kStuck at the end
-  std::uint64_t messages_offered = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t flits_delivered = 0;
-  CounterSummary counters;
-  MetricSummary metrics;
+  /// Integer stats fields summed over the replicas (double fields stay 0).
+  core::SimulationStats counters;
+  /// Each double stats field's per-replica values, by key.
+  std::map<std::string, sim::OnlineStats, std::less<>> metrics;
+
+  /// The replicas' values of the double stats field `key`.
+  const sim::OnlineStats& metric(std::string_view key) const;
+  /// A point-summary key as one number: replicas, saturated_replicas,
+  /// stuck_replicas, an integer stats field (the sum) or a double stats
+  /// field (the mean over replicas). Throws std::invalid_argument naming
+  /// an unknown key.
+  double value(std::string_view key) const;
 };
+
+/// True for every key PointSummary::value accepts.
+bool is_point_key(std::string_view key);
 
 struct SweepResult {
   std::vector<PointSummary> points;
@@ -111,8 +97,8 @@ struct SweepResult {
 };
 
 /// Run every (point x replica) task across `options.threads` workers and
-/// merge. Throws std::invalid_argument on an invalid point config and
-/// propagates simulation exceptions.
+/// merge. Throws std::invalid_argument on a spec snap::validate refuses
+/// and propagates simulation exceptions.
 SweepResult run_sweep(const std::vector<SweepPoint>& points,
                       const SweepOptions& options);
 
@@ -124,7 +110,7 @@ sim::JsonValue points_to_json(const SweepResult& result);
 sim::JsonValue to_json(const SweepResult& result);
 
 /// Single-run stats as JSON (shared schema fragment; also used by the
-/// bench drivers and wavesim_cli).
+/// service's results and wavesim_cli's run.v1).
 sim::JsonValue stats_to_json(const core::SimulationStats& stats);
 
 }  // namespace wavesim::harness

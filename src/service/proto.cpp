@@ -7,10 +7,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -34,37 +32,15 @@ bool get_bool(const sim::JsonValue& obj, const std::string& key,
   return v->as_bool();
 }
 
-/// 2^53: a double represents every integer up to this magnitude exactly.
-constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
-
-/// A whole number in [min, max] (and exactly representable as a double).
+/// A whole number in [min, max] (sim::whole_in's rule), else bad_field.
 std::int64_t whole_in(const sim::JsonValue& v, const std::string& key,
-                      std::int64_t min, std::int64_t max = kMaxExact) {
-  const double x = v.is_number() ? v.as_number() : 0.0;
-  if (!v.is_number() || x != std::trunc(x) || x < static_cast<double>(min) ||
-      x > static_cast<double>(max)) {
+                      std::int64_t min, std::int64_t max = sim::kMaxExactInt) {
+  const std::optional<std::int64_t> x = sim::whole_in(v, min, max);
+  if (!x) {
     bad_field(key, "expected an integer in [" + std::to_string(min) + ", " +
                        std::to_string(max) + "]");
   }
-  return static_cast<std::int64_t>(x);
-}
-
-/// Throws naming the first key of `value` outside `known`.
-void check_known_keys(const sim::JsonValue& value,
-                      std::initializer_list<const char*> known,
-                      const char* what) {
-  if (!value.is_object()) {
-    throw std::runtime_error(std::string(what) + " must be an object");
-  }
-  for (const auto& [key, member] : value.members()) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) ok = ok || key == k;
-    if (!ok) {
-      throw std::runtime_error(std::string("unknown ") + what + " field '" +
-                               key + "'");
-    }
-  }
+  return *x;
 }
 
 using Ref = RunField::Ref;
@@ -105,11 +81,8 @@ void read_json(const RunField& f, const sim::JsonValue& v) {
           if (!v.is_number()) bad_field(key, "expected a number");
           *r = v.as_number();
         } else if constexpr (std::is_integral_v<T>) {
-          using Limits = std::numeric_limits<T>;
-          *r = static_cast<T>(whole_in(
-              v, key, std::max<std::int64_t>(Limits::min(), -kMaxExact),
-              static_cast<std::int64_t>(
-                  std::min<std::uint64_t>(Limits::max(), kMaxExact))));
+          const auto [min, max] = sim::whole_range<T>();
+          *r = static_cast<T>(whole_in(v, key, min, max));
         } else {
           if (!v.is_string()) bad_field(key, "expected a string");
           try {
@@ -361,7 +334,7 @@ std::string run_flags_help() {
 }
 
 SweepSpec sweep_spec_from_json(const sim::JsonValue& value) {
-  check_known_keys(value, {"base", "measures"}, "sweep spec");
+  sim::check_known_keys(value, {"base", "measures"}, "sweep spec");
   const sim::JsonValue* base = value.find("base");
   const sim::JsonValue* measures = value.find("measures");
   if (base == nullptr || measures == nullptr || !measures->is_array() ||
@@ -379,8 +352,8 @@ SweepSpec sweep_spec_from_json(const sim::JsonValue& value) {
 }
 
 check::SimcheckOptions simcheck_spec_from_json(const sim::JsonValue& value) {
-  check_known_keys(value, {"count", "base_seed", "faulty", "max_failures"},
-                   "simcheck spec");
+  sim::check_known_keys(
+      value, {"count", "base_seed", "faulty", "max_failures"}, "simcheck spec");
   check::SimcheckOptions options;
   options.count = 20;
   if (const sim::JsonValue* v = value.find("count")) {

@@ -352,6 +352,33 @@ JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
+void check_known_keys(const JsonValue& value,
+                      std::initializer_list<const char*> known,
+                      const char* what) {
+  if (!value.is_object()) {
+    throw std::runtime_error(std::string(what) + " must be an object");
+  }
+  for (const auto& [key, member] : value.members()) {
+    (void)member;
+    bool ok = false;
+    for (const char* k : known) ok = ok || key == k;
+    if (!ok) {
+      throw std::runtime_error(std::string("unknown ") + what + " field '" +
+                               key + "'");
+    }
+  }
+}
+
+std::optional<std::int64_t> whole_in(const JsonValue& v, std::int64_t min,
+                                     std::int64_t max) {
+  const double x = v.is_number() ? v.as_number() : 0.0;
+  if (!v.is_number() || x != std::trunc(x) || x < static_cast<double>(min) ||
+      x > static_cast<double>(max)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(x);
+}
+
 JsonValue read_json_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

@@ -6,7 +6,11 @@
 // diffing committed baselines).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,5 +94,29 @@ bool write_json_file(const JsonValue& value, const std::string& path);
 
 /// Read and parse `path`; throws std::runtime_error on I/O or parse errors.
 JsonValue read_json_file(const std::string& path);
+
+/// Throws std::runtime_error unless `value` is an object whose keys are
+/// all in `known`, naming the first stranger ("unknown <what> field 'k'").
+void check_known_keys(const JsonValue& value,
+                      std::initializer_list<const char*> known,
+                      const char* what);
+
+/// 2^53: a double represents every integer up to this magnitude exactly.
+inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+
+/// `v` as a whole number in [min, max]; nullopt when it is not a number,
+/// has a fractional part or lies outside. Every decoder reads its JSON
+/// integers through this one rule, so none truncates or wraps a value.
+std::optional<std::int64_t> whole_in(const JsonValue& v, std::int64_t min,
+                                     std::int64_t max = kMaxExactInt);
+
+/// T's range clipped to the integers a double holds exactly, [-2^53, 2^53].
+template <typename T>
+constexpr std::pair<std::int64_t, std::int64_t> whole_range() {
+  using Limits = std::numeric_limits<T>;
+  return {std::max<std::int64_t>(Limits::min(), -kMaxExactInt),
+          static_cast<std::int64_t>(
+              std::min<std::uint64_t>(Limits::max(), kMaxExactInt))};
+}
 
 }  // namespace wavesim::sim

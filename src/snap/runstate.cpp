@@ -8,29 +8,33 @@
 
 namespace wavesim::snap {
 
-void snap_runspec(Archive& ar, RunSpec& spec) {
+namespace {
+
+/// The spec in snapshot order; without `spans`, minus measure and
+/// drain_cap, which only affect post-boundary behavior (the warm key).
+void snap_fields(Archive& ar, RunSpec& spec, bool spans) {
   snap_config(ar, spec.config);
   ar.str(spec.pattern);
   ar.pod(spec.message_flits);
   ar.pod(spec.offered_load);
   ar.pod(spec.warmup);
-  ar.pod(spec.measure);
-  ar.pod(spec.drain_cap);
+  if (spans) {
+    ar.pod(spec.measure);
+    ar.pod(spec.drain_cap);
+  }
   ar.pod(spec.seed);
 }
 
+}  // namespace
+
+void snap_runspec(Archive& ar, RunSpec& spec) { snap_fields(ar, spec, true); }
+
 std::uint64_t warm_key(const RunSpec& spec) {
-  // Serialize the warm-sharable prefix (everything but measure and
-  // drain_cap, which only affect post-boundary behavior) and fold the
-  // bytes; Snapshot::digest gives an order-sensitive 64-bit fold.
+  // Fold the warm-sharable prefix's bytes; Snapshot::digest gives an
+  // order-sensitive 64-bit fold.
   Archive ar = Archive::writer();
   RunSpec copy = spec;
-  snap_config(ar, copy.config);
-  ar.str(copy.pattern);
-  ar.pod(copy.message_flits);
-  ar.pod(copy.offered_load);
-  ar.pod(copy.warmup);
-  ar.pod(copy.seed);
+  snap_fields(ar, copy, false);
   Snapshot snap;
   snap.set("warm", ar.take_bytes());
   return snap.digest();

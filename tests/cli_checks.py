@@ -7,7 +7,7 @@ tests/CMakeLists.txt registers one ctest per check:
   cli_checks.py seq-vs-par WAVESIM_CLI
   cli_checks.py simcheck SIMCHECK
   cli_checks.py wavecheck WAVECHECK
-  cli_checks.py bench BENCH_SWEEP BENCH_E1
+  cli_checks.py bench BENCH_SWEEP SPECS_DIR GOLDEN
   cli_checks.py wavesimd WAVESIMD CLIENT
   cli_checks.py mutation-escape WAVECHECK SIMCHECK  (-DWAVESIM_MUTATE_ESCAPE)
   cli_checks.py mutation-stale-route SIMCHECK  (-DWAVESIM_MUTATE_STALE_ROUTE)
@@ -169,22 +169,39 @@ def wavecheck_reports(wavecheck):
         assert cfg["replay"]["agreed"] is True, cfg["id"]
 
 
-def bench(sweep, e1):
-    """bench.v1 / sweep.v1 exports of the quick drivers, with e1 traced."""
-    run([sweep, "--quick", "--threads", "2", "--json", "sweep.json"])
-    run([e1, "--quick", "--json", "e1.json", "--trace", "e1_trace.json",
-         "--metrics", "e1_metrics.json", "--sample-every", "500"])
-    for path in ("sweep.json", "e1.json"):
-        doc = load(path)
-        assert doc["schema"] == "wavesim.bench.v1", (path, doc.get("schema"))
-        assert doc["ok"] is True and doc["tables"], path
-    result = load("sweep.json")["extra"]["sweep"]
-    assert result["schema"] == "wavesim.sweep.v1"
-    assert result["runs"] == len(result["points"]) * result["replicas"]
-    for point in result["points"]:
-        assert point["messages_delivered"] > 0, point["label"]
-        assert point["stuck_replicas"] == 0, point["label"]
-        assert "counters" in point, point["label"]
+def bench(sweep, specs, golden):
+    """Every experiment spec file runs --quick to a bench.v1 export with a
+    sweep.v1 document; the sweep grid's points are equal at --threads 1
+    and 4, and their integer fields equal the committed golden's."""
+    paths = sorted(glob.glob(os.path.join(specs, "*.json")))
+    assert paths, f"no spec files in {specs}"
+    for path in paths:
+        name = os.path.basename(path)
+        run([sweep, path, "--quick", "--threads", "2", "--json", name])
+        doc = load(name)
+        assert doc["schema"] == "wavesim.bench.v1", (name, doc.get("schema"))
+        assert doc["ok"] is True and doc["tables"], name
+        result = doc["extra"]["sweep"]
+        assert result["schema"] == "wavesim.sweep.v1", name
+        assert result["runs"] == len(result["points"]) * result["replicas"]
+        for point in result["points"]:
+            assert point["counters"]["messages_delivered"] > 0, point["label"]
+            assert point["stuck_replicas"] == 0, point["label"]
+
+    points = []
+    for threads in ("1", "4"):
+        run([sweep, os.path.join(specs, "sweep.json"), "--quick",
+             "--base-seed", "1", "--threads", threads, "--json", "smoke.json"])
+        points.append(load("smoke.json")["extra"]["sweep"]["points"])
+    assert points[0] == points[1], "sweep points depend on --threads"
+
+    def integers(point):
+        return {k: v for k, v in point.items() if isinstance(v, (int, str))}
+    expected = load(golden)["extra"]["sweep"]["points"]
+    assert len(points[0]) == len(expected), (len(points[0]), len(expected))
+    for got, want in zip(points[0], expected):
+        assert integers(got) == integers(want), (got["label"], want["label"])
+        assert got["counters"] == want["counters"], got["label"]
 
 
 def wavesimd(daemon, client):

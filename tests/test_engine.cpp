@@ -421,14 +421,13 @@ TEST(ParallelEngine, CacheCapacityOneCornerUnderFourShards) {
 TEST(Sweep, EngineChoiceDoesNotChangeMergedResults) {
   harness::SweepPoint point;
   point.label = "engine-equivalence";
-  point.config = sim::SimConfig::default_torus();
-  point.config.protocol.protocol = sim::ProtocolKind::kClrp;
-  point.pattern = "uniform";
-  point.message_flits = 32;
-  point.offered_load = 0.08;
-  point.warmup = 200;
-  point.measure = 800;
-  point.drain_cap = 100'000;
+  point.spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  point.spec.pattern = "uniform";
+  point.spec.message_flits = 32;
+  point.spec.offered_load = 0.08;
+  point.spec.warmup = 200;
+  point.spec.measure = 800;
+  point.spec.drain_cap = 100'000;
 
   harness::SweepOptions seq_options;
   seq_options.base_seed = 5;

@@ -143,25 +143,28 @@ class LiveDaemon {
 
 // Both front ends read the one RunSpec field table, so a non-default
 // spec given as wavesim_cli flags and as a job.v1 run yields equal stats.
+// CLRP sets up circuits on demand, so m, k, cache and replacement all
+// shape the stats compared.
 TEST(Service, CliFlagsAndJobSpecGiveEqualStats) {
   const char* argv[] = {
-      "wavesim_cli", "--topo", "6x6", "--mesh", "--protocol", "carp",
+      "wavesim_cli", "--topo", "6x6", "--mesh", "--protocol", "clrp",
       "--routing", "duato", "--vcs", "3", "--pattern", "working-set",
       "--load", "0.15", "--length", "32", "--warmup", "300", "--cycles",
       "2000", "--seed", "11", "--cache", "4", "--replacement", "lfu",
-      "--m", "1"};
+      "--m", "1", "--k", "3"};
   snap::CheckpointableRun cli(service::runspec_from_args(
       static_cast<int>(std::size(argv)), argv,
       [](const std::string&, const std::function<const char*()>&,
          snap::RunSpec&) { return false; }));
   while (!cli.done()) cli.advance(std::numeric_limits<Cycle>::max());
+  ASSERT_GT(cli.result().stats.circuit_setup_count, 0u);
 
   LiveDaemon daemon(options("svc-frontends", 1, 25'000));
   ASSERT_TRUE(ok(submit(daemon.socket_path, "run", R"({
-      "topo": "6x6", "mesh": true, "protocol": "carp", "routing": "duato",
+      "topo": "6x6", "mesh": true, "protocol": "clrp", "routing": "duato",
       "vcs": 3, "pattern": "working-set", "load": 0.15, "length": 32,
       "warmup": 300, "measure": 2000, "seed": 11, "cache": 4,
-      "replacement": "lfu", "m": 1})")));
+      "replacement": "lfu", "m": 1, "k": 3})")));
   ASSERT_EQ(wait_for(daemon.socket_path, "job-1"), "done");
   EXPECT_EQ(result(daemon.socket_path, "job-1").at("stats").dump(),
             harness::stats_to_json(cli.result().stats).dump());

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "check/oracle.hpp"
 #include "check/scenario.hpp"
@@ -90,6 +91,24 @@ TEST(Scenario, FromJsonRejectsCorruptDocuments) {
   EXPECT_THROW(Scenario::from_json(bad_seed), std::runtime_error);
 
   EXPECT_THROW(Scenario::from_json(sim::JsonValue(1.0)), std::runtime_error);
+
+  // Integers are read whole and within their field's type (job.v1's
+  // rule): never truncated, wrapped or cast from an out-of-range double.
+  const std::pair<const char*, double> bad_integers[] = {
+      {"wave_switches", 2.5},  {"wave_switches", 3e9},
+      {"inject_cycles", -5.0}, {"storm_at", -1.0},
+      {"drain_cap", 1e300},    {"engine_shards", 1e300}};
+  for (const auto& [field, number] : bad_integers) {
+    sim::JsonValue bad = good;
+    bad.set(field, number);
+    EXPECT_THROW(Scenario::from_json(bad), std::runtime_error)
+        << field << " = " << number;
+  }
+  sim::JsonValue fractional_radix = good;
+  sim::JsonValue radix = sim::JsonValue::array();
+  radix.push_back(4.5);
+  fractional_radix.set("radix", radix);
+  EXPECT_THROW(Scenario::from_json(fractional_radix), std::runtime_error);
 }
 
 TEST(Scenario, RepairCanonicalizesStormFields) {

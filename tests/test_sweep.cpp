@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "harness/sweep.hpp"
 #include "sim/json.hpp"
 #include "sim/stats.hpp"
+#include "snap/runstate.hpp"
 
 namespace wavesim {
 namespace {
@@ -129,12 +131,11 @@ std::vector<harness::SweepPoint> tiny_points() {
   for (const double load : {0.05, 0.12}) {
     harness::SweepPoint p;
     p.label = "clrp@" + std::to_string(load);
-    p.config = sim::SimConfig::default_torus();
-    p.config.topology.radix = {4, 4};
-    p.offered_load = load;
-    p.warmup = 200;
-    p.measure = 600;
-    p.drain_cap = 60'000;
+    p.spec.config.topology.radix = {4, 4};
+    p.spec.offered_load = load;
+    p.spec.warmup = 200;
+    p.spec.measure = 600;
+    p.spec.drain_cap = 60'000;
     points.push_back(std::move(p));
   }
   return points;
@@ -158,11 +159,12 @@ TEST(RunSweep, MergedStatsIndependentOfThreadCount) {
             harness::points_to_json(b).dump());
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].messages_delivered, b.points[i].messages_delivered);
-    EXPECT_EQ(a.points[i].metrics.latency_mean.mean(),
-              b.points[i].metrics.latency_mean.mean());
-    EXPECT_EQ(a.points[i].metrics.throughput.stddev(),
-              b.points[i].metrics.throughput.stddev());
+    EXPECT_EQ(a.points[i].counters.messages_delivered,
+              b.points[i].counters.messages_delivered);
+    EXPECT_EQ(a.points[i].metric("latency_mean").mean(),
+              b.points[i].metric("latency_mean").mean());
+    EXPECT_EQ(a.points[i].metric("throughput_flits_per_node_cycle").stddev(),
+              b.points[i].metric("throughput_flits_per_node_cycle").stddev());
   }
 }
 
@@ -176,15 +178,59 @@ TEST(RunSweep, ReplicasActuallyDiffer) {
   options.threads = 1;
   const auto result = harness::run_sweep(points, options);
   ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_GT(result.points[0].metrics.latency_mean.stddev(), 0.0);
+  EXPECT_GT(result.points[0].metric("latency_mean").stddev(), 0.0);
   EXPECT_EQ(result.points[0].replicas, 4);
   EXPECT_EQ(result.runs, 4u);
 }
 
 TEST(RunSweep, RejectsInvalidConfig) {
   auto points = tiny_points();
-  points[0].config.topology.radix = {};  // invalid: no dimensions
+  points[0].spec.config.topology.radix = {};  // invalid: no dimensions
   EXPECT_THROW(harness::run_sweep(points, {}), std::invalid_argument);
+}
+
+// Replica r of a point is the run every front end gives for the point's
+// spec at seed derive_seed(base, point, r): the sweep adds no seeding or
+// set-up of its own.
+TEST(RunSweep, ReplicaIsTheCheckpointableRunOfItsDerivedSeed) {
+  auto points = tiny_points();
+  points.resize(1);
+  harness::SweepOptions options;
+  options.base_seed = 7;
+  options.replicas = 3;
+  options.threads = 2;
+  const harness::PointSummary p =
+      harness::run_sweep(points, options).points.at(0);
+
+  std::vector<core::SimulationStats> runs;
+  for (std::int32_t r = 0; r < options.replicas; ++r) {
+    snap::RunSpec spec = points[0].spec;
+    spec.seed = harness::derive_seed(options.base_seed, 0, r);
+    spec.config.seed = spec.seed;  // the front ends' rule
+    snap::CheckpointableRun run(spec);
+    while (!run.done()) run.advance(std::numeric_limits<Cycle>::max());
+    runs.push_back(run.result().stats);
+  }
+  ASSERT_NE(runs[0].latency_mean, runs[1].latency_mean);
+  using Stats = core::SimulationStats;
+  for (const harness::StatsField& f : harness::stats_fields()) {
+    if (const auto* m = std::get_if<std::uint64_t Stats::*>(&f.member)) {
+      std::uint64_t sum = 0;
+      for (const Stats& s : runs) sum += s.*(*m);
+      EXPECT_EQ(p.counters.*(*m), sum) << f.key;
+      continue;
+    }
+    sim::OnlineStats expected;
+    for (const Stats& s : runs) {
+      expected.add(s.*std::get<double Stats::*>(f.member));
+    }
+    const sim::OnlineStats& got = p.metric(f.key);
+    EXPECT_EQ(got.count(), expected.count()) << f.key;
+    EXPECT_EQ(got.mean(), expected.mean()) << f.key;
+    EXPECT_EQ(got.stddev(), expected.stddev()) << f.key;
+    EXPECT_EQ(got.min(), expected.min()) << f.key;
+    EXPECT_EQ(got.max(), expected.max()) << f.key;
+  }
 }
 
 // ------------------------------------------------------------------ JSON
@@ -209,13 +255,14 @@ TEST(Json, SweepExportRoundTrips) {
   ASSERT_EQ(pts.size(), 1u);
   const sim::JsonValue& p0 = pts.at(0);
   EXPECT_EQ(p0.at("label").as_string(), result.points[0].label);
-  EXPECT_EQ(static_cast<std::uint64_t>(p0.at("messages_delivered").as_int()),
-            result.points[0].messages_delivered);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                p0.at("counters").at("messages_delivered").as_int()),
+            result.points[0].counters.messages_delivered);
   // Metric doubles survive the dump->parse cycle exactly (printed with
   // enough digits to round-trip).
   EXPECT_DOUBLE_EQ(
       p0.at("metrics").at("latency_mean").at("mean").as_number(),
-      result.points[0].metrics.latency_mean.mean());
+      result.points[0].metric("latency_mean").mean());
 }
 
 TEST(Json, ParserHandlesEscapesAndNesting) {

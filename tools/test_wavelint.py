@@ -18,7 +18,9 @@ Two layers of mutation testing:
    proves no escape in the tree is redundant dead weight: every tag is
    the only thing standing between a real hazard/skip and the lint.
    Likewise the canonical CI mutation (deleting a field from
-   Network::snap()) must be caught with the member named.
+   Network::snap()) must be caught with the member named. These legs
+   run concurrently (up to 4 workers), each worker on its own copy of
+   src/.
 
 Finally wavelint (all passes) must pass against the real repository.
 
@@ -26,11 +28,14 @@ Run directly (``python3 tools/test_wavelint.py``) or via ctest
 (``wavelint_self_test``). Exit 0 = all checks pass.
 """
 
+import os
+import queue
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -189,67 +194,99 @@ def fixture_checks(results):
 
 
 def real_tree_checks(results):
+    """Each leg lints a worker's own copy of src/ with one file rewritten,
+    then restores the file; the legs run concurrently."""
     tag_res = {"snap": re.compile(r"\[snap:\s*skip\]"),
                "det": re.compile(r"\[det:\s*local\]")}
+    workers = max(1, min(4, os.cpu_count() or 1))
     with tempfile.TemporaryDirectory(prefix="wavelint-mutate-") as tmp:
-        root = Path(tmp)
-        shutil.copytree(REPO / "src", root / "src")
+        free = queue.Queue()
+        for k in range(workers):
+            root = Path(tmp) / f"w{k}"
+            shutil.copytree(REPO / "src", root / "src")
+            free.put(root)
+
+        def lint_mutant(leg):
+            """leg = (relative path, edit, pass): lint with the edit applied."""
+            rel, edit, pass_name = leg
+            root = free.get()
+            path = root / rel
+            original = path.read_text()
+            try:
+                path.write_text(edit(original))
+                return run_lint(root, pass_name)
+            finally:
+                path.write_text(original)
+                free.put(root)
 
         # The canonical CI mutation: drop a field from Network::snap().
-        net = root / "src/core/network.cpp"
-        original = net.read_text()
-        mutated = original.replace("  ar.pod(delivered_msgs_);\n", "")
-        if mutated == original:
+        net = "src/core/network.cpp"
+        drop = "  ar.pod(delivered_msgs_);\n"
+        canonical = drop in (REPO / net).read_text()
+        if not canonical:
             results.append(check(
                 "Network::snap() serializes delivered_msgs_", False,
                 "expected 'ar.pod(delivered_msgs_);' in network.cpp"))
-        else:
-            net.write_text(mutated)
-            r = run_lint(root, "snap")
-            results.append(check(
-                "dropped Network::snap() field is caught by name",
-                r.returncode == 1 and "delivered_msgs_" in r.stdout,
-                r.stdout + r.stderr))
-            net.write_text(original)
+        legs = [(net, lambda text: text.replace(drop, ""), "snap")] \
+            if canonical else []
 
         # Every escape in the tree must be load-bearing: removing any
         # one [snap: skip] or [det: local] tag turns its pass red.
+        sites = {name: [] for name in tag_res}
         for pass_name, tag_re in tag_res.items():
-            sites = []
-            for path in sorted((root / "src").rglob("*")):
+            for path in sorted((REPO / "src").rglob("*")):
                 if path.suffix not in (".hpp", ".cpp"):
                     continue
                 for i, line in enumerate(path.read_text().split("\n")):
                     if tag_re.search(line):
-                        sites.append((path, i))
-            if not sites:
+                        sites[pass_name].append((path.relative_to(REPO), i))
+
+        def strip_tag(tag_re, i):
+            def edit(text):
+                lines = text.split("\n")
+                lines[i] = tag_re.sub("", lines[i])
+                return "\n".join(lines)
+            return edit
+
+        for pass_name, tag_re in tag_res.items():
+            legs += [(rel, strip_tag(tag_re, i), pass_name)
+                     for rel, i in sites[pass_name]]
+        with ThreadPoolExecutor(workers) as pool:
+            runs = list(pool.map(lint_mutant, legs))
+
+        if canonical:
+            r = runs.pop(0)
+            results.append(check(
+                "dropped Network::snap() field is caught by name",
+                r.returncode == 1 and "delivered_msgs_" in r.stdout,
+                r.stdout + r.stderr))
+        for pass_name in tag_res:
+            if not sites[pass_name]:
                 results.append(check(
                     f"real tree has [{pass_name}] escapes to test", False,
                     "tag scan found none -- grammar drifted?"))
                 continue
             failed = []
-            for path, i in sites:
-                original = path.read_text()
-                lines = original.split("\n")
-                lines[i] = tag_re.sub("", lines[i])
-                path.write_text("\n".join(lines))
-                r = run_lint(root, pass_name)
+            for rel, i in sites[pass_name]:
+                r = runs.pop(0)
                 if r.returncode != 1:
                     failed.append("%s:%d: tag removal not flagged (rc=%d)"
-                                  % (path.relative_to(root), i + 1,
-                                     r.returncode))
-                path.write_text(original)
+                                  % (rel, i + 1, r.returncode))
             results.append(check(
-                f"each of {len(sites)} [{pass_name}] escapes is "
+                f"each of {len(sites[pass_name])} [{pass_name}] escapes is "
                 "load-bearing", not failed, "\n".join(failed)))
 
 
 def main():
-    results = []
-    fixture_checks(results)
-    real_tree_checks(results)
-
-    r = run_lint(REPO)
+    results, fixture_results = [], []
+    with ThreadPoolExecutor(1) as side:
+        # The fixture legs and the clean-tree lint touch no worker copy,
+        # so they run beside the real-tree legs.
+        clean = side.submit(
+            lambda: (fixture_checks(fixture_results), run_lint(REPO))[1])
+        real_tree_checks(results)
+        r = clean.result()
+    results += fixture_results
     results.append(check("real repository is clean (all passes)",
                          r.returncode == 0, r.stdout + r.stderr))
 
