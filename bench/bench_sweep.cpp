@@ -8,18 +8,23 @@
 // experiment and holds one or more tables. A table's points are the
 // cartesian product of its axes; each point is a job.v1 run spec built
 // from `base`, then the `quick` overrides under --quick, then one value
-// per axis, and decoded by service::runspec_from_json. Every point runs
+// per axis, and decoded by service::runspec_from_json. An axis whose
+// values are objects is a bundle: each object's members go into the spec
+// together, for paired settings such as (k, split). Every point runs
 // `replicas` times with seeds derived from --base-seed. The merged
 // statistics are bit-identical for any --threads; the printed points
 // digest makes that easy to check.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "bench_util.hpp"
 #include "harness/sweep.hpp"
 #include "service/proto.hpp"
+#include "sim/number.hpp"
 
 namespace {
 
@@ -32,10 +37,17 @@ struct Column {
   std::string den;  ///< empty for a plain key
 };
 
+/// An axis as bundles: each value an object of job.v1 members (a scalar
+/// axis `k` has the one-member objects {"k": value}).
+struct Axis {
+  std::vector<sim::JsonValue> values;
+  std::vector<std::string> keys;  ///< the table columns it fills
+};
+
 struct TableSpec {
   std::string name;
   std::string title;
-  std::vector<std::string> axes;
+  std::vector<std::string> axis_keys;  ///< every axis's keys, in order
   std::vector<Column> columns;
   std::vector<std::vector<std::string>> cells;  ///< axis values per point
 };
@@ -76,6 +88,18 @@ std::string cell(const sim::JsonValue& v) {
   return std::string(buf, end);
 }
 
+/// Whether an axis's values are objects (a bundle); refuses a mix.
+bool is_bundle(const std::vector<sim::JsonValue>& values,
+               const std::string& name) {
+  const auto objects =
+      std::count_if(values.begin(), values.end(),
+                    [](const sim::JsonValue& v) { return v.is_object(); });
+  if (objects != 0 && static_cast<std::size_t>(objects) != values.size()) {
+    bad(name + " mixes objects and scalars");
+  }
+  return objects != 0;
+}
+
 Column column(const sim::JsonValue& v) {
   if (!v.is_string()) bad("a column must be a string");
   const std::string& text = v.as_string();
@@ -107,17 +131,34 @@ void add_table(Experiment& exp, const sim::JsonValue& t, bool quick) {
     for (const auto& [key, value] : q->members()) base.set(key, value);
   }
 
-  std::vector<std::vector<sim::JsonValue>> values;
-  if (const sim::JsonValue* axes = t.find("axes")) {
-    if (!axes->is_object()) bad(where + "'axes' must be an object");
-    for (const auto& [key, axis] : axes->members()) {
+  std::vector<Axis> axes;
+  if (const sim::JsonValue* all_axes = t.find("axes")) {
+    if (!all_axes->is_object()) bad(where + "'axes' must be an object");
+    for (const auto& [key, axis] : all_axes->members()) {
       const std::string name = where + "axis '" + key + "'";
       sim::check_known_keys(axis, {"values", "quick"}, name.c_str());
       const auto& all = items(axis.find("values"), name + " 'values'");
       const bool subset = quick && axis.find("quick") != nullptr;
-      table.axes.push_back(key);
-      values.push_back(subset ? items(axis.find("quick"), name + " 'quick'")
-                              : all);
+      const auto& used =
+          subset ? items(axis.find("quick"), name + " 'quick'") : all;
+      const bool bundle = is_bundle(all, name);
+      if (is_bundle(used, name) != bundle) {
+        bad(name + " mixes objects and scalars");
+      }
+      // One column per member key, in first-seen order.
+      Axis a;
+      for (const sim::JsonValue& v : used) {
+        a.values.push_back(bundle ? v : sim::JsonValue::object().set(key, v));
+        for (const auto& [member, value] : a.values.back().members()) {
+          if (std::find(a.keys.begin(), a.keys.end(), member) ==
+              a.keys.end()) {
+            a.keys.push_back(member);
+          }
+        }
+      }
+      table.axis_keys.insert(table.axis_keys.end(), a.keys.begin(),
+                             a.keys.end());
+      axes.push_back(std::move(a));
     }
   }
   for (const auto& c : items(t.find("columns"), where + "'columns'")) {
@@ -125,25 +166,31 @@ void add_table(Experiment& exp, const sim::JsonValue& t, bool quick) {
   }
 
   // The cartesian product, first axis outermost.
-  std::vector<std::size_t> at(values.size(), 0);
+  std::vector<std::size_t> at(axes.size(), 0);
   while (true) {
     sim::JsonValue spec = base;
     std::vector<std::string> cells;
-    std::string label = table.name + "/";
-    for (std::size_t a = 0; a < values.size(); ++a) {
-      const sim::JsonValue& v = values[a][at[a]];
-      spec.set(table.axes[a], v);
-      cells.push_back(cell(v));
-      label += (a > 0 ? "," : "") + table.axes[a] + "=" + cell(v);
+    std::string label;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      const sim::JsonValue& v = axes[a].values[at[a]];
+      for (const auto& [key, member] : v.members()) {
+        spec.set(key, member);
+        label += (label.empty() ? "" : ",") + key + "=" + cell(member);
+      }
+      for (const std::string& key : axes[a].keys) {
+        const sim::JsonValue* member = v.find(key);
+        cells.push_back(member != nullptr ? cell(*member) : "-");
+      }
     }
     try {
-      exp.points.push_back({label, service::runspec_from_json(spec)});
+      exp.points.push_back(
+          {table.name + "/" + label, service::runspec_from_json(spec)});
     } catch (const std::runtime_error& e) {
       bad(where + e.what());
     }
     table.cells.push_back(std::move(cells));
-    std::size_t a = values.size();
-    while (a > 0 && ++at[a - 1] == values[a - 1].size()) at[--a] = 0;
+    std::size_t a = axes.size();
+    while (a > 0 && ++at[a - 1] == axes[a - 1].values.size()) at[--a] = 0;
     if (a == 0) break;
   }
   exp.tables.push_back(std::move(table));
@@ -186,6 +233,13 @@ std::uint64_t fnv1a(const std::string& text) {
   return hash;
 }
 
+constexpr const char* kFlagsHelp =
+    "  --replicas N      replicas per point (default: the spec's, else 1)\n"
+    "  --base-seed N     base RNG seed in [0, 2^53] (default 1)\n"
+    "  --engine seq|par  step engine per simulation (default seq;\n"
+    "                    par never changes results, only wall time)\n"
+    "  --shards N        shard count for --engine par (default auto)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -194,11 +248,30 @@ int main(int argc, char** argv) {
   bench::Cli cli("SWEEP", "usage: bench_sweep SPEC.json [flags]");
   std::int64_t replicas = 0;
   std::int64_t base_seed = 1;
-  cli.add_int_flag("--replicas", &replicas,
-                   "replicas per point (default: the spec's, else 1)");
-  cli.add_int_flag("--base-seed", &base_seed, "base RNG seed (default 1)");
-  if (!cli.parse(argc - has_spec, argv + has_spec)) return cli.exit_code();
+  std::string engine = "seq";
+  std::optional<std::int32_t> shards;
+  const auto flag = [&](const std::string& arg,
+                        const std::function<const char*()>& value) {
+    if (arg == "--replicas") {
+      replicas = sim::parse_number<std::int64_t>(arg, value());
+    } else if (arg == "--base-seed") {
+      base_seed = sim::parse_number<std::int64_t>(arg, value());
+    } else if (arg == "--engine") {
+      engine = value();
+    } else if (arg.starts_with("--engine=")) {
+      engine = arg.substr(std::string_view("--engine=").size());
+    } else if (arg == "--shards") {
+      shards = sim::parse_number<std::int32_t>(arg, value());
+    } else {
+      return false;
+    }
+    return true;
+  };
+  if (!cli.parse(argc - has_spec, argv + has_spec, flag, kFlagsHelp)) {
+    return cli.exit_code();
+  }
   Experiment exp;
+  harness::SweepOptions options;
   try {
     if (!has_spec) {
       bad("missing spec file (usage: bench_sweep SPEC.json [flags])");
@@ -206,7 +279,12 @@ int main(int argc, char** argv) {
     if (replicas < 0 || replicas > 1'000'000) {
       bad("--replicas must be in [1, 1000000]");
     }
-    if (base_seed < 0) bad("--base-seed must be >= 0");
+    // sweep.v1 records the base seed as a JSON number, exact up to 2^53.
+    if (base_seed < 0 || base_seed > sim::kMaxExactInt) {
+      bad("--base-seed must be a whole number in [0, " +
+          std::to_string(sim::kMaxExactInt) + "]");
+    }
+    options.engine = engine::engine_config(engine, shards);
     exp = load_spec(argv[1], cli.quick());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_sweep: %s%s\n",
@@ -215,21 +293,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   cli.rename(exp.id, exp.title);
+  cli.set_engine(options.engine);
 
   return cli.run([&] {
     bench::banner(exp.id, exp.title, exp.setup);
-    harness::SweepOptions options;
     options.base_seed = static_cast<std::uint64_t>(base_seed);
     options.replicas =
         replicas > 0 ? static_cast<std::int32_t>(replicas) : exp.replicas;
     options.threads = cli.threads();
-    options.engine = cli.engine_config();
     const harness::SweepResult result = harness::run_sweep(exp.points, options);
 
     auto point = result.points.begin();
     for (const TableSpec& t : exp.tables) {
       if (!t.title.empty()) std::printf("\n%s\n", t.title.c_str());
-      std::vector<std::string> header = t.axes;
+      std::vector<std::string> header = t.axis_keys;
       for (const Column& c : t.columns) header.push_back(c.text);
       bench::Table table(header);
       for (const auto& cells : t.cells) {

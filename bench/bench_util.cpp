@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cinttypes>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -130,29 +129,17 @@ Cli::Cli(std::string experiment, std::string title)
     : experiment_(std::move(experiment)), title_(std::move(title)),
       start_(std::chrono::steady_clock::now()) {}
 
-void Cli::add_int_flag(std::string flag, std::int64_t* target,
-                       std::string help) {
-  int_flags_.push_back({std::move(flag), target, std::move(help)});
-}
-
-bool Cli::parse(int argc, char** argv) {
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      throw std::invalid_argument(std::string("missing value for ") + argv[i]);
-    }
-    return argv[++i];
-  };
-  auto find_int_flag = [&](const std::string& arg) -> const IntFlag* {
-    for (const IntFlag& f : int_flags_) {
-      if (f.flag == arg) return &f;
-    }
-    return nullptr;
-  };
-  std::string engine = "seq";
-  std::optional<std::int32_t> shards;
+bool Cli::parse(int argc, char** argv, const DriverFlag& driver,
+                const char* driver_help) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      const std::function<const char*()> value = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          throw std::invalid_argument("missing value for " + arg);
+        }
+        return argv[++i];
+      };
       if (arg == "--help" || arg == "-h") {
         std::printf(
             "%s -- %s\n\n"
@@ -161,35 +148,20 @@ bool Cli::parse(int argc, char** argv) {
             "  --threads N       worker threads for the sweep "
             "(default: all cores)\n"
             "  --quick           tiny parameters for CI smoke runs\n"
-            "  --engine seq|par  step engine per simulation (default seq;\n"
-            "                    par never changes results, only wall time)\n"
-            "  --shards N        shard count for --engine par (default auto)\n"
-            "  --help            this text\n",
-            experiment_.c_str(), title_.c_str());
-        for (const IntFlag& f : int_flags_) {
-          std::printf("  %-15s %s\n", (f.flag + " N").c_str(), f.help.c_str());
-        }
+            "  --help            this text\n%s",
+            experiment_.c_str(), title_.c_str(), driver_help);
         exit_code_ = 0;
         return false;
-      } else if (const IntFlag* f = find_int_flag(arg); f != nullptr) {
-        *f->target = sim::parse_number<std::int64_t>(arg, need(i));
       } else if (arg == "--json") {
-        json_path_ = need(i);
+        json_path_ = value();
       } else if (arg == "--threads") {
-        threads_ = sim::parse_number<unsigned>(arg, need(i));
+        threads_ = sim::parse_number<unsigned>(arg, value());
       } else if (arg == "--quick") {
         quick_ = true;
-      } else if (arg == "--engine") {
-        engine = need(i);
-      } else if (arg.rfind("--engine=", 0) == 0) {
-        engine = arg.substr(std::string("--engine=").size());
-      } else if (arg == "--shards") {
-        shards = sim::parse_number<std::int32_t>(arg, need(i));
-      } else {
+      } else if (!driver || !driver(arg, value)) {
         throw std::invalid_argument("unknown flag " + arg + " (try --help)");
       }
     }
-    engine_ = engine::engine_config(engine, shards);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", experiment_.c_str(), e.what());
     exit_code_ = 2;
@@ -207,19 +179,7 @@ void Cli::note(const std::string& key, sim::JsonValue value) {
   extra_.set(key, std::move(value));
 }
 
-void Cli::install_engine(core::Simulation& sim) const {
-  engine_installed_ = true;
-  if (!engine_.parallel()) return;
-  sim.set_engine(engine::make_engine(engine_, sim.topology().num_nodes()));
-}
-
 int Cli::finish(bool ok) {
-  if (engine_.parallel() && !engine_installed_) {
-    std::fprintf(stderr,
-                 "%s: warning: --engine par given but this driver installed "
-                 "no step engine; runs were sequential\n",
-                 experiment_.c_str());
-  }
   if (!json_path_.empty()) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)

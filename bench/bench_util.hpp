@@ -47,18 +47,25 @@ std::string fmt_pct(double fraction, int precision = 1);
 /// this to turn silently-ignored failure paths into non-zero exit codes.
 void require(bool ok, const std::string& message);
 
-/// Common command-line surface of every bench_e* driver:
+/// Common command-line surface of every bench driver:
 ///   --json <path>     write a wavesim.bench.v1 metrics file
 ///   --threads N       worker threads for the points (0/default = all cores)
 ///   --quick           shrink the experiment for CI smoke runs
-///   --engine seq|par  step engine for each simulation (default seq)
-///   --shards N        shard count for --engine par (default: auto)
 ///   --help            usage
+/// A driver adds its own flags through parse()'s `driver` handler
+/// (bench_sweep: --replicas, --base-seed, --engine, --shards).
 /// After parse(), report() both prints a table and records it for export;
 /// finish(ok) writes the JSON file and maps ok to the process exit code.
 /// (wavesim_cli --trace/--metrics observes a single run.)
 class Cli {
  public:
+  /// A driver's own flag: called with each argument the common surface
+  /// does not know; `value()` consumes the flag's value and throws
+  /// std::invalid_argument if there is none. Returns false for an
+  /// unknown flag.
+  using DriverFlag = std::function<bool(
+      const std::string& arg, const std::function<const char*()>& value)>;
+
   Cli(std::string experiment, std::string title);
 
   /// Rename the run for the export (bench_sweep takes it from its spec).
@@ -67,30 +74,19 @@ class Cli {
     title_ = std::move(title);
   }
 
-  /// Register a driver-specific integer flag (e.g. "--replicas") that
-  /// parse() will accept and store into *target. Call before parse().
-  void add_int_flag(std::string flag, std::int64_t* target, std::string help);
-
   /// Returns false when the run should not proceed; exit_code() is then 0
-  /// after --help and 2 after an unknown flag / missing value.
-  bool parse(int argc, char** argv);
+  /// after --help and 2 after an unknown flag, a missing value or a
+  /// std::invalid_argument from `driver`. `driver_help` is appended to
+  /// --help.
+  bool parse(int argc, char** argv, const DriverFlag& driver = {},
+             const char* driver_help = "");
   int exit_code() const noexcept { return exit_code_; }
 
   unsigned threads() const noexcept { return threads_; }
   bool quick() const noexcept { return quick_; }
 
-  /// The step engine selected by --engine/--shards (default sequential).
-  /// A driver that hands it on (bench_sweep) counts as installing it.
-  const engine::EngineConfig& engine_config() const noexcept {
-    engine_installed_ = true;
-    return engine_;
-  }
-
-  /// Install the selected step engine on a simulation (no-op for seq;
-  /// results never change either way — the engine only affects wall
-  /// time). Drivers that never call this warn at finish() when a parallel
-  /// engine was requested.
-  void install_engine(core::Simulation& sim) const;
+  /// The step engine the export records (default sequential).
+  void set_engine(const engine::EngineConfig& engine) { engine_ = engine; }
 
   /// Print the table (CSV side effect included) and record it for JSON
   /// export under `name`.
@@ -109,18 +105,10 @@ class Cli {
   int run(const std::function<bool()>& body);
 
  private:
-  struct IntFlag {
-    std::string flag;
-    std::int64_t* target;
-    std::string help;
-  };
-
   std::string experiment_;
   std::string title_;
   std::string json_path_;
   engine::EngineConfig engine_;
-  mutable bool engine_installed_ = false;
-  std::vector<IntFlag> int_flags_;
   unsigned threads_ = 0;
   bool quick_ = false;
   int exit_code_ = 0;

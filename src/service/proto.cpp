@@ -13,6 +13,7 @@
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 
 #include "sim/number.hpp"
 
@@ -161,9 +162,16 @@ std::vector<RunField> run_fields(snap::RunSpec& s) {
       {"pattern", "--pattern", "P",
        "uniform | hotspot | transpose | bit-reversal |\n"
        "bit-complement | tornado | neighbor | working-set", &s.pattern},
+      // The working-set shape and channel splitting are job.v1-only, and
+      // runspec_to_json leaves them out at their defaults.
+      {"ws_size", nullptr, nullptr, "working-set size", &s.working_set.size},
+      {"ws_locality", nullptr, nullptr, "reuse rate", &s.working_set.locality},
+      {"ws_skew", nullptr, nullptr, "reuse skew", &s.working_set.skew},
       {"vcs", "--vcs", "N", "wormhole VCs", &c.router.wormhole_vcs},
       {"k", "--k", "N", "wave switches (0 under --protocol wormhole)",
        &c.router.wave_switches},
+      {"split", nullptr, nullptr, "split the wave bandwidth over k switches",
+       &c.router.split_channels},
       {"m", "--m", "N", "MB-m misroute budget", &c.protocol.max_misroutes},
       {"cache", "--cache", "N", "circuit-cache entries per node",
        &c.protocol.circuit_cache_entries},
@@ -228,12 +236,22 @@ std::string format_radices(const std::vector<std::int32_t>& radix) {
 
 sim::JsonValue runspec_to_json(const snap::RunSpec& spec) {
   snap::RunSpec copy = spec;  // run_fields hands out mutable pointers
+  snap::RunSpec defaults;
+  const std::vector<RunField> fields = run_fields(copy);
+  const std::vector<RunField> base = run_fields(defaults);
   sim::JsonValue doc = sim::JsonValue::object();
-  for (const RunField& f : run_fields(copy)) {
-    const bool storm = std::string_view(f.key).starts_with("storm_");
-    if (!storm || spec.config.faults.storm.at > 0) {
-      doc.set(f.key, json_of(f.at));
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    // The storm block appears only with a storm, the keys added after it
+    // only away from their defaults: older specs keep their bytes.
+    const std::string_view key = fields[i].key;
+    sim::JsonValue value = json_of(fields[i].at);
+    bool emit = true;
+    if (key.starts_with("storm_")) {
+      emit = spec.config.faults.storm.at > 0;
+    } else if (key.starts_with("ws_") || key == "split") {
+      emit = value.dump() != json_of(base[i].at).dump();
     }
+    if (emit) doc.set(fields[i].key, std::move(value));
   }
   return doc;
 }
@@ -258,6 +276,13 @@ snap::RunSpec runspec_from_json(const sim::JsonValue& value) {
   }
   if (storm.at > 0 && value.find("storm_fraction") == nullptr) {
     storm.fraction = 0.10;
+  }
+  if (spec.pattern != "working-set") {
+    for (const char* key : {"ws_size", "ws_locality", "ws_skew"}) {
+      if (value.find(key) != nullptr) {
+        bad_field(key, "requires pattern 'working-set'");
+      }
+    }
   }
   try {
     finish(spec, value.find("drain_cap") != nullptr);

@@ -73,10 +73,12 @@ using DriverFlag =
 snap::RunSpec runspec_from_args(int argc, const char* const* argv,
                                 const DriverFlag& driver);
 
-/// Canonical JSON form of a run spec (fixed field order, every field
-/// present). runspec_from_json(runspec_to_json(s)) reproduces s for all
-/// fields the schema covers; result files echo this canonical form so
-/// resumed jobs emit byte-identical results.
+/// Canonical JSON form of a run spec: fixed field order, every field
+/// present except the storm block when no storm is scheduled and ws_size,
+/// ws_locality, ws_skew and split at their defaults.
+/// runspec_from_json(runspec_to_json(s)) reproduces s for all fields the
+/// schema covers; result files echo this canonical form so resumed jobs
+/// emit byte-identical results.
 sim::JsonValue runspec_to_json(const snap::RunSpec& spec);
 
 /// Parse a wavesim.job.v1 run spec. Strict: an unknown key, a bad enum

@@ -1,5 +1,6 @@
 #include "snap/runstate.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -10,8 +11,18 @@ namespace wavesim::snap {
 
 namespace {
 
+/// A skew of -0.0 is not the default 0, so each spec has one encoding.
+bool default_working_set(const load::WorkingSetParams& ws) {
+  const load::WorkingSetParams d;
+  return ws.size == d.size && ws.locality == d.locality &&
+         ws.skew == d.skew && !std::signbit(ws.skew);
+}
+
 /// The spec in snapshot order; without `spans`, minus measure and
 /// drain_cap, which only affect post-boundary behavior (the warm key).
+/// The working-set values trail the seed only when they differ from the
+/// defaults, so specs that keep the defaults keep their bytes and warm
+/// keys; a reader takes them only if bytes remain.
 void snap_fields(Archive& ar, RunSpec& spec, bool spans) {
   snap_config(ar, spec.config);
   ar.str(spec.pattern);
@@ -23,6 +34,15 @@ void snap_fields(Archive& ar, RunSpec& spec, bool spans) {
     ar.pod(spec.drain_cap);
   }
   ar.pod(spec.seed);
+  load::WorkingSetParams& ws = spec.working_set;
+  if (ar.writing() ? !default_working_set(ws) : !ar.exhausted()) {
+    ar.pod(ws.size);
+    ar.pod(ws.locality);
+    ar.pod(ws.skew);
+    if (default_working_set(ws)) {
+      throw ArchiveError("snapshot: runspec repeats the default working set");
+    }
+  }
 }
 
 }  // namespace
@@ -55,6 +75,21 @@ void validate(const RunSpec& spec) {
   if (!(spec.offered_load >= 0.0 &&
         spec.offered_load / static_cast<double>(spec.message_flits) <= 1.0)) {
     bad("load", "must be a number in [0, length]");
+  }
+  const load::WorkingSetParams& ws = spec.working_set;
+  if (ws.size < 1) bad("ws_size", "must be >= 1");
+  if (!(ws.locality >= 0.0 && ws.locality <= 1.0)) {
+    bad("ws_locality", "must be a number in [0, 1]");
+  }
+  if (!(ws.skew >= 0.0 && ws.skew < 1.0)) {
+    bad("ws_skew", "must be a number in [0, 1)");
+  }
+  if (spec.pattern != "working-set" && !default_working_set(ws)) {
+    const load::WorkingSetParams d;
+    bad(ws.size != d.size           ? "ws_size"
+        : ws.locality != d.locality ? "ws_locality"
+                                    : "ws_skew",
+        "requires pattern 'working-set'");
   }
 }
 
@@ -93,7 +128,8 @@ void CheckpointableRun::build(const RunSpec& spec) {
   spec_ = spec;
   sim_ = std::make_unique<core::Simulation>(spec_.config);
   pattern_ = load::make_traffic(spec_.pattern, sim_->topology(),
-                                sim::Rng{spec_.seed * 31 + 7});
+                                sim::Rng{spec_.seed * 31 + 7},
+                                spec_.working_set);
   sizes_ = std::make_unique<load::FixedSize>(spec_.message_flits);
   driver_ = std::make_unique<load::OpenLoopDriver>(
       *sim_, *pattern_, *sizes_, spec_.offered_load, spec_.warmup,

@@ -11,11 +11,12 @@
 // (core/step_engine.hpp's quiesce seam).
 //
 // Warm starting: every run whose spec shares warm_key() — same config,
-// pattern, load, message length, seed and warmup, any measure/drain —
-// passes through the same state at the warmup/measure boundary. A
-// checkpoint taken there seeds all such runs: restore, rebind() the
-// measurement window, and only the measured span is simulated
-// (tests/test_snap.cpp's SnapWarmStart suite checks it equals cold replay).
+// pattern and working set, load, message length, seed and warmup, any
+// measure/drain — passes through the same state at the warmup/measure
+// boundary. A checkpoint taken there seeds all such runs: restore,
+// rebind() the measurement window, and only the measured span is
+// simulated (tests/test_snap.cpp's SnapWarmStart suite checks it equals
+// cold replay).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@ namespace wavesim::snap {
 struct RunSpec {
   sim::SimConfig config;
   std::string pattern = "uniform";
+  load::WorkingSetParams working_set;  ///< used by pattern "working-set"
   std::int32_t message_flits = 64;
   double offered_load = 0.10;
   Cycle warmup = 2000;
@@ -51,15 +53,18 @@ inline Cycle default_drain_cap(Cycle warmup, Cycle measure) {
 
 /// Throws std::invalid_argument unless CheckpointableRun can build the
 /// spec: a valid config, a pattern that fits its topology
-/// (load::check_traffic), length >= 1 and 0 <= load/length <= 1.
-/// Workload errors name their job.v1 field ("spec field 'load': ...").
-/// Builds no topology or network.
+/// (load::check_traffic), length >= 1, 0 <= load/length <= 1, and
+/// working-set values in range (size >= 1, locality in [0, 1], skew in
+/// [0, 1)) that differ from the defaults only under pattern
+/// "working-set". Workload errors name their job.v1 field ("spec field
+/// 'load': ..."). Builds no topology or network.
 void validate(const RunSpec& spec);
 
-/// Hash over the warm-sharable prefix of a spec: config, pattern, load,
-/// message length, seed, warmup — NOT measure or drain_cap. Two specs
-/// with equal warm keys reach identical simulation state at the
-/// warmup/measure boundary, so they can share a post-warmup checkpoint.
+/// Hash over the warm-sharable prefix of a spec: config, pattern and its
+/// working-set values, load, message length, seed, warmup — NOT measure
+/// or drain_cap. Two specs with equal warm keys reach identical
+/// simulation state at the warmup/measure boundary, so they can share a
+/// post-warmup checkpoint.
 std::uint64_t warm_key(const RunSpec& spec);
 
 class CheckpointableRun {

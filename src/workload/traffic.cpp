@@ -176,9 +176,9 @@ void check_traffic(const std::string& name,
   }
 }
 
-std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
-                                             const topo::KAryNCube& topology,
-                                             sim::Rng seed_rng) {
+std::unique_ptr<TrafficPattern> make_traffic(
+    const std::string& name, const topo::KAryNCube& topology,
+    sim::Rng seed_rng, const WorkingSetParams& working_set) {
   check_traffic(name, topology.radices());
   if (name == "uniform") return std::make_unique<UniformTraffic>(topology);
   if (name == "hotspot") {
@@ -195,7 +195,9 @@ std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
   if (name == "tornado") return std::make_unique<TornadoTraffic>(topology);
   if (name == "neighbor") return std::make_unique<NeighborTraffic>(topology);
   // check_traffic admits no other name.
-  return std::make_unique<WorkingSetTraffic>(topology, 4, 0.8, seed_rng);
+  return std::make_unique<WorkingSetTraffic>(
+      topology, working_set.size, working_set.locality, seed_rng,
+      working_set.skew);
 }
 
 void WorkingSetTraffic::snap(snap::Archive& ar) {

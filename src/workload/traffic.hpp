@@ -137,6 +137,14 @@ class WorkingSetTraffic final : public TrafficPattern {
   std::vector<std::vector<NodeId>> sets_;
 };
 
+/// The working-set pattern's shape: job.v1's ws_size, ws_locality and
+/// ws_skew (WorkingSetTraffic's set_size, p_in_set and skew).
+struct WorkingSetParams {
+  std::int32_t size = 4;
+  double locality = 0.8;
+  double skew = 0.0;
+};
+
 /// Throws std::invalid_argument unless `name` is a pattern make_traffic
 /// builds and it fits a network of these radices: transpose needs equal
 /// radices, bit-reversal and bit-complement a power-of-two node count.
@@ -145,9 +153,10 @@ void check_traffic(const std::string& name,
 
 /// Factory over pattern names used by benches and examples:
 /// uniform | hotspot | transpose | bit-reversal | bit-complement | tornado
-/// | neighbor | working-set. Calls check_traffic first.
-std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
-                                             const topo::KAryNCube& topology,
-                                             sim::Rng seed_rng);
+/// | neighbor | working-set (shaped by `working_set`). Calls check_traffic
+/// first.
+std::unique_ptr<TrafficPattern> make_traffic(
+    const std::string& name, const topo::KAryNCube& topology,
+    sim::Rng seed_rng, const WorkingSetParams& working_set = {});
 
 }  // namespace wavesim::load

@@ -200,6 +200,77 @@ TEST(ServiceProto, EveryRunFlagMatchesItsKey) {
   EXPECT_THROW(from_args({"--load"}), std::invalid_argument);
 }
 
+// The working-set shape and channel splitting are job.v1-only keys. The
+// canonical form leaves them out at their defaults, so the specs and
+// result files written before they existed keep their bytes.
+TEST(ServiceProto, WorkingSetAndSplitKeysRoundTripAndHideTheirDefaults) {
+  const snap::RunSpec spec = parse(
+      R"({"pattern": "working-set", "ws_size": 6, "ws_locality": 0.9,
+          "ws_skew": 0.6, "split": true})");
+  EXPECT_EQ(spec.working_set.size, 6);
+  EXPECT_EQ(spec.working_set.locality, 0.9);
+  EXPECT_EQ(spec.working_set.skew, 0.6);
+  EXPECT_TRUE(spec.config.router.split_channels);
+  const sim::JsonValue canon = runspec_to_json(spec);
+  const char* const keys[] = {"ws_size", "ws_locality", "ws_skew", "split"};
+  for (const char* key : keys) EXPECT_NE(canon.find(key), nullptr) << key;
+  EXPECT_EQ(bytes_of(runspec_from_json(canon)), bytes_of(spec));
+
+  const snap::RunSpec spelled = parse(
+      R"({"pattern": "working-set", "ws_size": 4, "ws_locality": 0.8,
+          "ws_skew": 0, "split": false})");
+  const sim::JsonValue plain = runspec_to_json(spelled);
+  for (const char* key : keys) EXPECT_EQ(plain.find(key), nullptr) << key;
+  EXPECT_EQ(plain.dump(),
+            runspec_to_json(parse(R"({"pattern": "working-set"})")).dump());
+}
+
+TEST(ServiceProto, BadWorkingSetValuesAreRefusedAtSubmitByName) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"ws_size", "0"},       {"ws_size", "-3"},     {"ws_size", "2.5"},
+      {"ws_locality", "-0.1"}, {"ws_locality", "1.5"},
+      {"ws_skew", "-0.1"},    {"ws_skew", "1"},      {"ws_skew", "1.5"}};
+  for (const auto& [key, number] : cases) {
+    const std::string err =
+        error_of(std::string(R"({"pattern": "working-set", ")") + key +
+                 "\": " + number + "}");
+    EXPECT_NE(err.find(std::string("spec field '") + key + "'"),
+              std::string::npos)
+        << key << " = " << number << ": " << err;
+  }
+  // JSON has no NaN; snap::validate, which restore runs too, refuses it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool locality : {true, false}) {
+    snap::RunSpec spec;
+    spec.pattern = "working-set";
+    (locality ? spec.working_set.locality : spec.working_set.skew) = nan;
+    try {
+      snap::validate(spec);
+      ADD_FAILURE() << "NaN accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(locality ? "'ws_locality'"
+                                                    : "'ws_skew'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Like storm_fraction without storm_at: a working-set value under another
+// pattern would be silently ignored, so it is refused, even at its
+// default.
+TEST(ServiceProto, WorkingSetKeysRequireTheWorkingSetPattern) {
+  EXPECT_NE(error_of(R"({"pattern": "uniform", "ws_locality": 0.9})")
+                .find("spec field 'ws_locality'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"ws_size": 4})").find("spec field 'ws_size'"),
+            std::string::npos);
+  snap::RunSpec spec;
+  spec.pattern = "tornado";
+  spec.working_set.skew = 0.5;
+  EXPECT_THROW(snap::validate(spec), std::invalid_argument);
+}
+
 // snap::validate is the one check both front ends and both
 // CheckpointableRun constructors run: it must refuse exactly the specs a
 // run cannot be built from.

@@ -312,6 +312,26 @@ TEST(SnapRestore, RejectsNonFiniteLoad) {
   EXPECT_THROW(snap::CheckpointableRun{decoded}, std::invalid_argument);
 }
 
+// Each spec has one encoding: a runspec section that spells out the
+// default working set after the seed is refused, not read as the same
+// spec.
+TEST(SnapRestore, RejectsDefaultWorkingSetBlock) {
+  snap::CheckpointableRun run(small_clrp_spec());
+  run.advance(64);
+  snap::Snapshot snap = run.checkpoint();
+  snap::Archive w = snap::Archive::writer();
+  load::WorkingSetParams defaults;
+  w.pod(defaults.size);
+  w.pod(defaults.locality);
+  w.pod(defaults.skew);
+  std::vector<std::uint8_t> bytes = snap.section("runspec");
+  const std::vector<std::uint8_t> block = w.take_bytes();
+  bytes.insert(bytes.end(), block.begin(), block.end());
+  snap.set("runspec", bytes);
+  const snap::Snapshot decoded = snap::Snapshot::decode(snap.encode());
+  EXPECT_THROW(snap::CheckpointableRun{decoded}, snap::ArchiveError);
+}
+
 // -- Round-trip determinism across scenarios and phases ----------------------
 
 TEST(SnapRoundTrip, ClrpWorkingSetMidWarmup) {
@@ -322,6 +342,16 @@ TEST(SnapRoundTrip, ClrpWorkingSetMidMeasure) {
   // Cut mid-measurement: probes, teardowns and circuit transfers are all
   // in flight at a busy CLRP cut point.
   check_round_trip(small_clrp_spec(), 1100);
+}
+
+// A shaped working set and split channels: the working-set values trail
+// the runspec section (only away from their defaults) and must come back
+// on restore, or the resumed run draws from a different pattern.
+TEST(SnapRoundTrip, ShapedWorkingSetWithSplitChannelsMidMeasure) {
+  snap::RunSpec spec = small_clrp_spec();
+  spec.working_set = {6, 0.9, 0.6};
+  spec.config.router.split_channels = true;
+  check_round_trip(spec, 1100);
 }
 
 TEST(SnapRoundTrip, CarpTransposeMidMeasure) {
@@ -495,6 +525,9 @@ TEST(SnapWarmStart, WarmKeySeparatesDifferentPrefixes) {
   EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
   other = spec;
   other.seed += 1;
+  EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
+  other = spec;
+  other.working_set.locality = 0.9;
   EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
   other = spec;
   other.drain_cap *= 2;  // not part of the warm prefix
