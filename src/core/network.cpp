@@ -12,13 +12,11 @@ Network::Network(const sim::SimConfig& config)
       topology_(config.topology.radix, config.topology.torus),
       routing_(route::make_routing(config.router.routing, topology_,
                                    config.router.wormhole_vcs)),
-      gate_(topology_),
       fabric_(topology_, *routing_,
               wh::FabricParams{
                   wh::RouterParams{config.router.wormhole_vcs,
                                    config.router.vc_buffer_depth},
-                  static_cast<Cycle>(config.router.wormhole_pipeline_latency)},
-              &gate_),
+                  static_cast<Cycle>(config.router.wormhole_pipeline_latency)}),
       rng_(config.seed) {
   config_.validate();
   if (config_.router.wave_switches > 0) {
@@ -26,8 +24,8 @@ Network::Network(const sim::SimConfig& config)
                                  config_.protocol.max_misroutes,
                                  config_.router.control_hop_cycles};
     cp_params.mutate_force_unacked = config_.protocol.mutate_force_unacked;
-    control_ = std::make_unique<ControlPlane>(topology_, circuits_, gate_,
-                                              cp_params, &instrumentation_);
+    control_ = std::make_unique<ControlPlane>(
+        topology_, circuits_, fabric_.gate(), cp_params, &instrumentation_);
     data_ = std::make_unique<DataPlane>(
         circuits_,
         DataPlaneParams{config_.circuit_flits_per_cycle(),
@@ -194,14 +192,13 @@ void Network::step_begin() {
   // Due scheduled sends next: exactly where a direct send() call before
   // the step would have run.
   offer_due_sends();
-  gate_.reset();
+  fabric_.begin_cycle(now_);  // resets the gate before control claims links
   if (control_ != nullptr) control_->step(now_);
   if (data_ != nullptr) data_->step(now_);
   dispatch_events();
   if (config_.protocol.pcs_only) {
     for (auto& ni : interfaces_) ni.pump_retries(now_);
   }
-  fabric_.begin_cycle(now_);
 }
 
 void Network::step_shard(NodeId begin, NodeId end, ShardContext& ctx) {
@@ -283,7 +280,7 @@ void Network::snap(snap::Archive& ar) {
   if (control_ != nullptr) control_->snap(ar);
   if (data_ != nullptr) data_->snap(ar);
   if (fault_ != nullptr) fault_->snap(ar);
-  fabric_.snap(ar);
+  fabric_.snap(ar, now_);
   log_.snap(ar);
   for (auto& iface : interfaces_) iface.snap(ar);
   rng_.snap(ar);

@@ -82,15 +82,18 @@ class Network {
   // in node order, the result is bit-identical to the sequential step for
   // any shard/thread count (see docs/ENGINE.md).
 
-  /// Sequential prologue: gate reset, control/data planes, event dispatch,
-  /// PCS retry pumping, delay-line drain. All sequential id allocation
-  /// (probes, circuits) happens here.
+  /// Sequential prologue: fault events, due sends, fabric begin_cycle
+  /// (gate reset), control/data planes, event dispatch, PCS retry
+  /// pumping. All sequential id allocation (probes, circuits) happens
+  /// here.
   void step_begin();
   /// Parallel-safe on disjoint node ranges: wormhole injection pumping,
-  /// router pipelines and message reassembly for nodes [begin, end).
+  /// arrivals from earlier cycles, router pipelines and message
+  /// reassembly for nodes [begin, end).
   void step_shard(NodeId begin, NodeId end, ShardContext& ctx);
-  /// Sequential epilogue: merge shard outboxes in the given order (must be
-  /// ascending node ranges), replay staged events, advance the clock.
+  /// Sequential epilogue: file shard outboxes and sum their counters in
+  /// the given order (must be ascending node ranges), replay staged
+  /// events, advance the clock.
   void step_commit(std::span<ShardContext* const> contexts);
 
   // -- component access ----------------------------------------------------
@@ -162,11 +165,6 @@ class Network {
   topo::KAryNCube topology_;  // [shard: ro] [snap: skip] derived from config
   // [snap: skip] stateless strategy object, derived from config.
   std::unique_ptr<route::RoutingAlgorithm> routing_;  // [shard: ro]
-  /// Gate claims are owner-partitioned: router n only claims channels
-  /// leaving n, which belong to n's shard. [shard: owned]
-  /// [snap: skip] claims are mid-step scratch, all released at the
-  /// quiesce seam where snapshots are taken (docs/ENGINE.md).
-  wh::ExclusiveLinkGate gate_;
   CircuitTable circuits_;                  // [shard: seq]
   std::unique_ptr<ControlPlane> control_;  // [shard: seq]
   std::unique_ptr<DataPlane> data_;        // [shard: seq]

@@ -97,7 +97,8 @@ void read_json(const RunField& f, const sim::JsonValue& v) {
 }
 
 /// Set a field from its wavesim_cli flag; `value()` consumes the flag's
-/// value (a switch takes none).
+/// value (a switch takes none). Integers obey read_json's bound, so every
+/// value a flag accepts survives the run.v1 echo exactly.
 void read_flag(const RunField& f, const std::function<const char*()>& value) {
   std::visit(
       [&](auto r) {
@@ -106,7 +107,18 @@ void read_flag(const RunField& f, const std::function<const char*()>& value) {
           *r.torus = false;
         } else if constexpr (std::is_same_v<T, bool>) {
           *r = true;
-        } else if constexpr (std::is_arithmetic_v<T>) {
+        } else if constexpr (std::is_integral_v<T>) {
+          const char* text = value();
+          const T parsed = sim::parse_number<T>(f.flag, text);
+          const auto [min, max] = sim::whole_range<T>();
+          if (std::cmp_less(parsed, min) || std::cmp_greater(parsed, max)) {
+            throw std::invalid_argument(
+                std::string(f.flag) + " must be a whole number in [" +
+                std::to_string(min) + ", " + std::to_string(max) +
+                "] (got '" + text + "')");
+          }
+          *r = parsed;
+        } else if constexpr (std::is_floating_point_v<T>) {
           *r = sim::parse_number<T>(f.flag, value());
         } else {
           set_text(r, f.flag, value());

@@ -125,8 +125,10 @@ void SimConfig::validate() const {
   if (router.wave_switches < 0) fail("wave_switches must be >= 0");
   if (router.wave_clock_factor <= 0.0) fail("wave_clock_factor must be > 0");
   if (router.circuit_window < 1) fail("circuit_window must be >= 1");
-  if (router.wormhole_pipeline_latency < 1) {
-    fail("wormhole_pipeline_latency must be >= 1");
+  if (router.wormhole_pipeline_latency < 1 ||
+      router.wormhole_pipeline_latency > kMaxPipelineLatency) {
+    fail("wormhole_pipeline_latency must be in [1, " +
+         std::to_string(kMaxPipelineLatency) + "]");
   }
   if (router.control_hop_cycles < 1) fail("control_hop_cycles must be >= 1");
   if (protocol.max_misroutes < 0) fail("max_misroutes must be >= 0");

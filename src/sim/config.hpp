@@ -57,6 +57,10 @@ struct TopologyConfig {
   bool torus = true;
 };
 
+/// Largest wormhole_pipeline_latency: the wormhole fabric keeps one
+/// outbox slot per cycle a flit can spend on a link.
+inline constexpr std::int32_t kMaxPipelineLatency = 1024;
+
 struct RouterConfig {
   /// Wormhole data virtual channels per S0 physical channel ("w").
   std::int32_t wormhole_vcs = 2;
@@ -83,7 +87,7 @@ struct RouterConfig {
   /// contribution in ablations.
   bool virtual_circuits = false;
   /// Router pipeline latency (cycles a flit spends per hop beyond link
-  /// traversal) for the wormhole plane.
+  /// traversal) for the wormhole plane, in [1, kMaxPipelineLatency].
   std::int32_t wormhole_pipeline_latency = 2;
   /// Cycles a control flit (probe, ack, teardown, release request) spends
   /// per hop on the control channels. Control flits cross the same links

@@ -10,13 +10,15 @@
 // [begin, end) owns exactly the contiguous range of each array between
 // their slices.
 //
-// Transport is per-node: each node has a credit inbox ring and a flit
-// inbox ring ordered by due cycle, fed by the sequential commit phase. A
-// per-node
-// activity byte records whether the node has any work at all — buffered or
-// arriving flits, non-idle VCs, or pending NI injections — so the step
-// sweep skips idle nodes with a single byte load instead of running their
-// pipeline stages.
+// Transport is receiver-drained: a shard stages the credits and flits it
+// sends in cycle t in its own outbox (ShardIo::out), the commit files
+// that outbox whole under cycle t, and at the start of cycle t + 1
+// (credits) or t + link_latency (flits) each shard applies the entries
+// addressed to its own nodes straight to their routers. A per-node
+// activity byte records whether the node has any work at all — buffered
+// flits, non-idle VCs, or pending NI injections — so the step sweep skips
+// idle nodes with a single byte load instead of running their pipeline
+// stages.
 #pragma once
 
 #include <cstring>
@@ -24,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/inbox_ring.hpp"
 #include "wormhole/router.hpp"
 
 namespace wavesim::snap {
@@ -62,30 +63,29 @@ struct EjectedFlit {
   Flit flit;
 };
 
-/// Inbox-ring entries: a credit / flit plus the cycle it reaches its
-/// destination node.
-struct TimedCredit {
-  Cycle due;
-  Credit credit;
-};
-struct TimedFlit {
-  Cycle due;
-  LinkFlit flit;
-};
-
 /// Bits of the per-node activity byte (see node_busy()).
 inline constexpr std::uint8_t kNodeBusyRouter = 1;  ///< router not quiet
-inline constexpr std::uint8_t kNodeBusyInbox = 2;   ///< inbox ring nonempty
-inline constexpr std::uint8_t kNodeBusyNi = 4;      ///< NI has injections
+/// Credits or flits on their way to the node. Set only in the bytes a
+/// snapshot records (Fabric::snap), never in the live ones.
+inline constexpr std::uint8_t kNodeBusyInbox = 2;
+inline constexpr std::uint8_t kNodeBusyNi = 4;  ///< NI has injections
+
+/// The transport one shard sends in one cycle, in staging (= node, then
+/// switch-move) order: credits due the next cycle, flits due
+/// link_latency cycles later.
+struct Staged {
+  std::vector<Credit> credits;
+  std::vector<LinkFlit> flits;
+};
 
 /// Per-shard outbox for one cycle's node-local work. Every cross-node
 /// effect of stepping nodes [begin, end) is buffered here instead of
-/// touching shared state; commit_cycle() drains outboxes in ascending
-/// shard order, which — with shards covering contiguous ascending node
-/// ranges — reproduces the exact push order of a sequential sweep.
+/// touching shared state. commit_cycle() files `out` under its cycle
+/// without copying; shards commit in ascending order, and with shards
+/// covering contiguous ascending node ranges the receivers then see the
+/// exact arrival order of a sequential sweep.
 struct ShardIo {
-  std::vector<TimedCredit> credits;
-  std::vector<TimedFlit> flits;
+  Staged out;
   std::vector<EjectedFlit> ejected;
   /// Per-node switch-move scratch, reused across nodes (cleared before
   /// each router's switch allocation; never read across nodes).
@@ -97,8 +97,8 @@ struct ShardIo {
   bool activity = false;
 
   void clear() noexcept {
-    credits.clear();
-    flits.clear();
+    out.credits.clear();
+    out.flits.clear();
     ejected.clear();
     moves.clear();
     injected = 0;
@@ -111,18 +111,19 @@ struct ShardIo {
 
 class Fabric {
  public:
-  /// `gate` may be nullptr, in which case the fabric owns an exclusive
-  /// gate (pure wormhole network). The caller keeps ownership otherwise
-  /// and must reset it each cycle before step().
+  /// Throws std::invalid_argument unless 1 <= link_latency <=
+  /// sim::kMaxPipelineLatency and the router has >= 1 VC of depth >= 1.
   Fabric(const topo::KAryNCube& topology,
-         const route::RoutingAlgorithm& routing, const FabricParams& params,
-         LinkGate* gate = nullptr);
+         const route::RoutingAlgorithm& routing, const FabricParams& params);
 
   const topo::KAryNCube& topology() const noexcept { return topology_; }
   std::int32_t num_vcs() const noexcept { return params_.router.num_vcs; }
   Cycle link_latency() const noexcept { return params_.link_latency; }
   Router& router(NodeId node) { return routers_.at(node); }
   const Router& router(NodeId node) const { return routers_.at(node); }
+  /// The link gate, lent to the PCS control plane, whose flits claim
+  /// links before the switch allocators do.
+  LinkGate& gate() noexcept { return gate_; }
 
   /// Injection-side buffer space on (local port, vc) of `node`.
   bool can_inject(NodeId node, VcId vc) const;
@@ -137,31 +138,36 @@ class Fabric {
     delivery_ = std::move(handler);
   }
 
-  /// Advance one cycle. When an external gate was supplied, the caller is
-  /// responsible for resetting it and stepping higher-priority traffic
-  /// (the PCS control plane) first.
+  /// Advance one cycle (standalone wormhole plane).
   void step(Cycle now);
 
   // -- sharded stepping ----------------------------------------------------
   // step(now) is exactly begin_cycle + step_nodes over the full node range
   // + commit_cycle; an engine may instead call step_nodes concurrently on
-  // disjoint node ranges. step_nodes touches only state owned by its nodes
-  // (routers, inbox rings, the activity bytes, the per-source-node link
-  // counters and gate channels), so concurrent calls on disjoint ranges
-  // are race-free, and buffering all cross-node transport in ShardIo keeps
-  // the outcome independent of shard and thread count.
+  // disjoint node ranges. step_nodes writes only state owned by its nodes
+  // (routers, the activity bytes, the per-source-node link counters and
+  // gate channels) and its own ShardIo, and reads the outboxes of earlier
+  // cycles, which nothing writes during the shard phase; so concurrent
+  // calls on disjoint ranges are race-free and the outcome is independent
+  // of shard and thread count.
 
-  /// Sequential: reset the owned gate for the new cycle.
+  /// Sequential, first thing in the cycle (before the control plane
+  /// claims links): reset the gate and retire the outbox slot the cycle
+  /// will stage into.
   void begin_cycle(Cycle now);
-  /// Parallel-safe on disjoint ranges: for every node of [begin, end) with
-  /// work, apply due inbox arrivals, then run switch allocation, VC
-  /// allocation and route computation, buffering every cross-node effect
-  /// into `io`. Nodes whose activity byte is zero are skipped unchanged.
+  /// Parallel-safe on disjoint ranges: apply the credits staged at
+  /// now - 1 and the flits staged at now - link_latency that are addressed
+  /// to [begin, end), in commit order, then, for every node of the range
+  /// with work, run switch allocation, VC allocation and route
+  /// computation, buffering every cross-node effect into `io`. Nodes whose
+  /// activity byte is zero are skipped unchanged.
   void step_nodes(Cycle now, NodeId begin, NodeId end, ShardIo& io);
   /// Sequential: absorb one shard's outbox. Must be called once per shard
-  /// in ascending shard order; ejected flits are delivered to the handler
-  /// here (in node order) when one is installed.
-  void commit_cycle(Cycle now, const ShardIo& io);
+  /// in ascending shard order; the outbox moves into the fabric (io.out
+  /// keeps only spent storage), the counters are summed, and ejected
+  /// flits are delivered to the handler here (in node order) when one is
+  /// installed.
+  void commit_cycle(Cycle now, ShardIo& io);
 
   /// The per-node activity byte (kNodeBusy* bits); 0 = stepping the node
   /// would be a no-op.
@@ -178,9 +184,12 @@ class Fabric {
       node_busy_[node] &= static_cast<std::uint8_t>(~kNodeBusyNi);
     }
   }
-  /// Any node of [begin, end) with a nonzero activity byte? Tests eight
-  /// bytes per load; an idle range costs (end - begin) / 8 compares.
+  /// Does stepping [begin, end) this cycle have any effect? True when a
+  /// node of the range has a nonzero activity byte (tested eight bytes
+  /// per load; an idle range costs (end - begin) / 8 compares) or when
+  /// credits or flits arrive this cycle anywhere.
   bool any_work(NodeId begin, NodeId end) const {
+    if (arrivals_due_) return true;
     const std::uint8_t* p = node_busy_.data() + begin;
     const std::uint8_t* const last = node_busy_.data() + end;
     for (; last - p >= 8; p += 8) {
@@ -208,14 +217,23 @@ class Fabric {
   std::int64_t flits_in_flight() const noexcept {
     return flits_on_links_ + flits_buffered_;
   }
+  /// Flits sent onto links and not yet received.
+  std::int64_t flits_on_links() const noexcept { return flits_on_links_; }
+  /// Credits sent but not yet returned, between whole steps of cycles
+  /// now - 1 and now.
+  std::size_t credits_in_transit(Cycle now) const;
   /// Cycle of the most recent flit movement anywhere in the plane
   /// (progress watchdog input).
   Cycle last_activity() const noexcept { return last_activity_; }
 
-  /// Serialize routers, inbox rings, activity bytes, and the transport
-  /// counters (snapshot/restore). The delivery handler, gate claims
-  /// (reset every cycle), and scratch outbox are not state.
-  void snap(snap::Archive& ar);
+  /// Serialize routers, the credits and flits in transit, activity bytes
+  /// and the transport counters (snapshot/restore), between whole steps
+  /// of cycle `now` - 1 and `now`. Transit is laid out per destination
+  /// node, credits then flits, each due-ordered with its due cycle, and
+  /// the activity bytes carry kNodeBusyInbox for nodes with transit
+  /// pending. The delivery handler, gate claims (reset every cycle), and
+  /// scratch outbox are not state.
+  void snap(snap::Archive& ar, Cycle now);
 
  private:
   /// Frees the flit arena (raw storage from ::operator new).
@@ -225,7 +243,7 @@ class Fabric {
 
   // Shard-safety tags (docs/ENGINE.md, enforced by wavelint --pass shard).
   const topo::KAryNCube& topology_;  // [shard: ro]
-  FabricParams params_;  // [shard: ro] [snap: skip] config, fixed at construction
+  FabricParams params_;  // [shard: ro] config, fixed at construction
   /// Every input VC's ring buffer, [node][slot][vc_buffer_depth]. Raw
   /// storage: construction writes no flit, InputVc::push copies each in.
   /// [shard: owned] [snap: skip] structural backing store; the ring
@@ -242,20 +260,29 @@ class Fabric {
   /// through Router::snap; the sets are rebuilt from the VC states.
   std::vector<std::uint64_t> slot_words_;
   std::vector<Router> routers_;  ///< views of the arrays above [shard: owned]
-  /// [shard: seq] [snap: skip] claims are mid-step scratch, released
-  /// at the quiesce seam (docs/ENGINE.md).
-  std::unique_ptr<ExclusiveLinkGate> owned_gate_;
   /// Claims are owner-partitioned over source channels. [shard: owned]
-  LinkGate* gate_;  // [snap: skip] wiring; claim state is mid-step scratch
-  bool gate_is_owned_;  // [shard: ro] [snap: skip] structural, fixed at construction
-  /// Per-node arrival rings. Pushed by the sequential commit, popped by
-  /// the owning shard. [shard: owned]
-  std::vector<sim::InboxRing<TimedCredit>> credit_in_;
-  /// [shard: owned]
-  std::vector<sim::InboxRing<TimedFlit>> flit_in_;
-  /// Activity byte per node; owner-written in the shard phase (router and
-  /// inbox bits recomputed after stepping, NI bit via set_ni_work), and
-  /// commit-written for arrival destinations. [shard: owned]
+  /// [snap: skip] claims are mid-step scratch, released at the quiesce
+  /// seam (docs/ENGINE.md).
+  LinkGate gate_;
+  /// Everything staged in one cycle: the outboxes of the shards that
+  /// committed it, in commit order; the first `used` sources are live.
+  struct Transit {
+    std::vector<Staged> sources;
+    std::size_t used = 0;
+  };
+  /// Outboxes by staging cycle, slot `cycle & transit_mask_`: written
+  /// by the commit of cycle t, read by receivers in t + 1 .. t +
+  /// link_latency, retired by begin_cycle(t + size). [shard: outbox]
+  std::vector<Transit> transit_;
+  /// Slot count - 1, a power of two minus one, >= link_latency.
+  /// [shard: ro]
+  Cycle transit_mask_;
+  /// Credits or flits arrive this cycle (set by begin_cycle).
+  /// [shard: seq] [snap: skip] derived from transit_ every cycle.
+  bool arrivals_due_ = false;
+  /// Activity byte per node; owner-written in the shard phase (router bit
+  /// recomputed after stepping and set by arrivals, NI bit via
+  /// set_ni_work). [shard: owned]
   std::vector<std::uint8_t> node_busy_;
   /// For the sequential step(). [shard: seq] [snap: skip] mid-step
   /// scratch, drained at the quiesce seam.
@@ -267,7 +294,7 @@ class Fabric {
   /// Per unidirectional channel, owner-partitioned: node n only counts
   /// channels leaving n. [shard: owned]
   std::vector<std::uint64_t> link_flits_;
-  /// Flits inside inbox rings / router buffers; maintained at commit from
+  /// Flits on links / inside router buffers; maintained at commit from
   /// the outbox counters, so flits_in_flight() is O(1). [shard: seq]
   std::int64_t flits_on_links_ = 0;
   std::int64_t flits_buffered_ = 0;  // [shard: seq]

@@ -1,10 +1,13 @@
 // Per-cycle physical-link bandwidth sharing between the wormhole data VCs
 // and the PCS control VCs that live on the same S0 physical channel
 // (paper section 2: each physical channel is split into k + w virtual
-// channels). The control plane steps first each cycle and claims the links
-// it uses; the wormhole switch allocator then skips claimed links.
+// channels). Every link carries one flit per cycle. The fabric owns the
+// gate and resets it at the start of each cycle; the control plane steps
+// first and claims the links it uses, and the wormhole switch allocator
+// then skips claimed links.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -14,22 +17,15 @@ namespace wavesim::wh {
 
 class LinkGate {
  public:
-  virtual ~LinkGate() = default;
-  /// Claim one flit-time on the link leaving `node` through `port` this
-  /// cycle. Returns false if the link is already spoken for.
-  virtual bool try_acquire(NodeId node, PortId port) = 0;
-};
-
-/// Default gate: every link carries one flit per cycle, no sharing.
-class ExclusiveLinkGate final : public LinkGate {
- public:
-  explicit ExclusiveLinkGate(const topo::KAryNCube& topology)
+  explicit LinkGate(const topo::KAryNCube& topology)
       : used_(topology.num_channels(), 0), topology_(&topology) {}
 
-  /// Call at the start of every cycle.
+  /// Release every claim (start of a cycle).
   void reset() noexcept { std::fill(used_.begin(), used_.end(), 0); }
 
-  bool try_acquire(NodeId node, PortId port) override {
+  /// Claim one flit-time on the link leaving `node` through `port` this
+  /// cycle. Returns false if the link is already spoken for.
+  bool try_acquire(NodeId node, PortId port) {
     auto& slot = used_[topology_->channel_index(node, port)];
     if (slot != 0) return false;
     slot = 1;

@@ -75,6 +75,9 @@ TEST(SimConfig, RejectsBadScalars) {
   check([](SimConfig& c) { c.router.wave_clock_factor = 0.0; });
   check([](SimConfig& c) { c.router.circuit_window = 0; });
   check([](SimConfig& c) { c.router.wormhole_pipeline_latency = 0; });
+  check([](SimConfig& c) {
+    c.router.wormhole_pipeline_latency = kMaxPipelineLatency + 1;
+  });
   check([](SimConfig& c) { c.protocol.max_misroutes = -1; });
   check([](SimConfig& c) { c.protocol.circuit_cache_entries = 0; });
   check([](SimConfig& c) { c.protocol.min_circuit_message_flits = -1; });

@@ -53,7 +53,7 @@ class ControlPlaneTest : public ::testing::Test {
   }
 
   KAryNCube topo_;
-  wh::ExclusiveLinkGate gate_;
+  wh::LinkGate gate_;
   CircuitTable circuits_;
   ControlPlane plane_;
   Cycle now_ = 0;

@@ -234,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(ManySeeds, SeedSweep,
 // torn down.
 TEST(ForceCorner, ForceProbeBacktracksOffPendingChannelsOnly) {
   const topo::KAryNCube topo({4, 4}, /*torus=*/true);
-  wh::ExclusiveLinkGate gate(topo);
+  wh::LinkGate gate(topo);
   core::CircuitTable circuits;
   core::Instrumentation instr;
   std::vector<core::Event> events;

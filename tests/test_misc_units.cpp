@@ -5,29 +5,12 @@
 #include <deque>
 
 #include "core/simulation.hpp"
-#include "sim/inbox_ring.hpp"
 #include "sim/ring.hpp"
 #include "snap/archive.hpp"
 #include "wormhole/link_gate.hpp"
 
 namespace wavesim {
 namespace {
-
-TEST(InboxRing, AppendsInDueOrderAndRefusesADecreasingDue) {
-  struct Entry {
-    Cycle due;
-    int tag;
-  };
-  sim::InboxRing<Entry> ring;
-  for (int i = 0; i < 20; ++i) ring.push_back(Entry{Cycle(i / 2), i});
-  EXPECT_THROW(ring.push_back(Entry{3, -1}), std::logic_error);
-  EXPECT_EQ(ring.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(ring.front().tag, i);  // equal dues keep push order
-    ring.pop_front();
-  }
-  EXPECT_TRUE(ring.empty());
-}
 
 // The node interfaces' queues moved from std::deque to sim::Ring: the
 // snapshot bytes must be the Archive::deq layout, across a wrapped ring.
@@ -68,7 +51,7 @@ TEST(Ring, SnapBytesMatchTheDequeLayoutAndAMovedFromRingIsEmpty) {
 
 TEST(LinkGate, OneClaimPerLinkPerCycle) {
   topo::KAryNCube mesh({4, 4}, false);
-  wh::ExclusiveLinkGate gate(mesh);
+  wh::LinkGate gate(mesh);
   EXPECT_TRUE(gate.try_acquire(0, 0));
   EXPECT_FALSE(gate.try_acquire(0, 0));   // same link, same cycle
   EXPECT_TRUE(gate.try_acquire(0, 2));    // different port

@@ -193,9 +193,14 @@ TEST(ServiceProto, EveryRunFlagMatchesItsKey) {
               bytes_of(keys))
         << c.json;
   }
-  // --seed keeps its full 64-bit range on the command line.
-  EXPECT_EQ(from_args({"--seed", "18446744073709551615"}).seed,
-            std::numeric_limits<std::uint64_t>::max());
+  // --seed takes job.v1's range, [0, 2^53]: run.v1 echoes it as a JSON
+  // number, which holds no larger integer exactly.
+  EXPECT_EQ(from_args({"--seed", "9007199254740992"}).seed,
+            std::uint64_t{1} << 53);
+  EXPECT_THROW(from_args({"--seed", "9007199254740993"}),
+               std::invalid_argument);
+  EXPECT_THROW(from_args({"--seed", "18446744073709551615"}),
+               std::invalid_argument);
   EXPECT_THROW(from_args({"--frobnicate"}), std::invalid_argument);
   EXPECT_THROW(from_args({"--load"}), std::invalid_argument);
 }

@@ -12,6 +12,7 @@
 #include "core/network.hpp"
 #include "core/simulation.hpp"
 #include "engine/engine.hpp"
+#include "harness/sweep.hpp"
 #include "snap/runstate.hpp"
 #include "snap/snapshot.hpp"
 
@@ -476,6 +477,78 @@ TEST(SnapEngines, ParCheckpointRestoresUnderSeq) {
   EXPECT_EQ(finish(seq_run), want);
   expect_same_result(seq_run.result(), par_run.result());
 }
+
+// -- Link latencies ------------------------------------------------------------
+
+/// 8x8 wormhole torus (DOR, w = 2) under heavy uniform load at link
+/// latency `latency`. perfbench runs latency 2 only: at 1, credits and
+/// flits staged in one cycle both arrive the next; at 3, flits of three
+/// staging cycles are on the links at once.
+snap::RunSpec latency_spec(std::int32_t latency) {
+  snap::RunSpec spec;
+  spec.config = sim::SimConfig::wormhole_baseline();
+  spec.config.router.wormhole_pipeline_latency = latency;
+  spec.pattern = "uniform";
+  spec.message_flits = 16;
+  spec.offered_load = 0.4;
+  spec.warmup = 300;
+  spec.measure = 900;
+  spec.drain_cap = 100'000;
+  spec.seed = 17;
+  return spec;
+}
+
+std::string result_bytes(const snap::CheckpointableRun& run) {
+  const load::ExperimentResult& r = run.result();
+  return harness::stats_to_json(r.stats).dump() + " cycles " +
+         std::to_string(r.cycles_total) + " drained " +
+         std::to_string(r.drained);
+}
+
+class SnapLatency : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(SnapLatency, MidRunCutIsEngineIndependentAndRestoresUnderOtherShards) {
+  const snap::RunSpec spec = latency_spec(GetParam());
+  const std::int32_t nodes = spec.config.num_nodes();
+  constexpr Cycle kCut = 700;
+
+  snap::CheckpointableRun one_shot(spec);
+  const std::uint64_t want = finish(one_shot);
+  const std::string want_result = result_bytes(one_shot);
+
+  // The cut under seq, par with 2 shards and par with 3 shards, each with
+  // credits and flits still on their way: the bytes must be equal.
+  std::vector<std::vector<std::uint8_t>> cuts;
+  for (const std::int32_t shards : {0, 2, 3}) {  // 0: the seq engine
+    snap::CheckpointableRun run(spec);
+    if (shards > 0) run.set_engine(par_engine(nodes, shards));
+    run.advance(kCut);
+    const wh::Fabric& fabric = run.sim().network().fabric();
+    EXPECT_GT(fabric.flits_on_links(), 0) << "shards=" << shards;
+    EXPECT_GT(fabric.credits_in_transit(run.now()), 0u) << "shards=" << shards;
+    cuts.push_back(run.checkpoint().encode());
+  }
+  EXPECT_EQ(cuts[1], cuts[0]) << "par with 2 shards";
+  EXPECT_EQ(cuts[2], cuts[0]) << "par with 3 shards";
+
+  // Restored under a shard count other than the one that cut it.
+  const struct {
+    std::size_t cut;
+    std::int32_t shards;
+  } restores[] = {{0, 3}, {1, 3}, {2, 2}};
+  for (const auto& r : restores) {
+    snap::CheckpointableRun restored(snap::Snapshot::decode(cuts[r.cut]));
+    restored.set_engine(par_engine(nodes, r.shards));
+    EXPECT_EQ(finish(restored), want) << "restored under " << r.shards;
+    EXPECT_EQ(result_bytes(restored), want_result)
+        << "restored under " << r.shards;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Latencies, SnapLatency, ::testing::Values(1, 3),
+                         [](const ::testing::TestParamInfo<std::int32_t>& p) {
+                           return "latency" + std::to_string(p.param);
+                         });
 
 // -- Warm start --------------------------------------------------------------
 

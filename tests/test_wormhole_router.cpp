@@ -174,7 +174,7 @@ class SingleRouter : public ::testing::Test {
   route::DimensionOrderRouting dor_;
   Fabric fabric_;
   Router& router_;
-  ExclusiveLinkGate gate_;
+  LinkGate gate_;
   std::vector<SwitchMove> moves_;
 };
 

@@ -15,6 +15,11 @@ layout the shard pass expects) and checks the pass's contracts:
    lint quiet — and is flagged the moment shard-phase code calls it.
 5. A view over the fabric's node-major arrays (wh::Router) is held to
    the same rule: an untagged member of it is flagged.
+6. A [shard: outbox] member (per-cycle outboxes, filed when cycle t
+   commits and read by receivers in t + 1 .. t + latency) read by
+   shard-phase code at the cycle being staged (`transit_[now & 3]`) is
+   flagged, and so is a shard-phase write to it; reads at `now - k`
+   pass.
 
 Finally the lint must pass against the real repository this file sits in.
 
@@ -101,17 +106,48 @@ FABRIC_HPP = """
 namespace wavesim::wh {
 class Fabric {
  public:
-  void step_nodes(int at);
+  void step_nodes(int now);
  private:
   int arrivals_ = 0;  // [shard: owned]
+  /// Per-cycle outboxes, slot `cycle & 3`. [shard: outbox]
+  std::vector<Transit> transit_;
 };
 }  // namespace wavesim::wh
 """
 
+# Receivers read the outboxes of earlier cycles: credits staged at
+# now - 1, flits at now - latency.
 FABRIC_CPP = """
 #include "wormhole/fabric.hpp"
 namespace wavesim::wh {
-void Fabric::step_nodes(int at) { arrivals_ += at; }
+void Fabric::step_nodes(int now) {
+  arrivals_ += transit_[(now - 1) & 3].used;
+  arrivals_ += transit_[(now - latency_) & 3].used;
+}
+}  // namespace wavesim::wh
+"""
+
+# The outbox of the cycle being staged, read in that same cycle: the
+# entries of shards still running would race with the read.
+FABRIC_CPP_OUTBOX_SAME_CYCLE = """
+#include "wormhole/fabric.hpp"
+namespace wavesim::wh {
+void Fabric::step_nodes(int now) {
+  arrivals_ += transit_[(now - 1) & 3].used;
+  arrivals_ += transit_[now & 3].used;
+}
+}  // namespace wavesim::wh
+"""
+
+# A receiver retiring an outbox it drained: outboxes are filed and
+# retired by the sequential phases only.
+FABRIC_CPP_OUTBOX_WRITE = """
+#include "wormhole/fabric.hpp"
+namespace wavesim::wh {
+void Fabric::step_nodes(int now) {
+  arrivals_ += transit_[(now - 1) & 3].used;
+  transit_[(now - 1) & 3].used = 0;
+}
 }  // namespace wavesim::wh
 """
 
@@ -133,10 +169,10 @@ void NodeInterface::pump_streams(int at) { streams_ += at; }
 }  // namespace wavesim::core
 """
 
-INBOX_RING_TAGGED = """
+RING_TAGGED = """
 namespace wavesim::sim {
 template <typename T>
-class InboxRing {
+class Ring {
  public:
   bool empty() const noexcept { return count_ == 0; }
  private:
@@ -148,26 +184,15 @@ class InboxRing {
 
 # The relocated-field regression: `count_` moved into the container
 # without its tag.
-INBOX_RING_UNTAGGED = """
+RING_UNTAGGED = """
 namespace wavesim::sim {
 template <typename T>
-class InboxRing {
+class Ring {
  public:
   bool empty() const noexcept { return count_ == 0; }
  private:
   int head_ = 0;   // [shard: owned]
   int count_ = 0;
-};
-}  // namespace wavesim::sim
-"""
-
-RING_HPP = """
-namespace wavesim::sim {
-template <typename T>
-class Ring {
- private:
-  int head_ = 0;   // [shard: owned]
-  int count_ = 0;  // [shard: owned]
 };
 }  // namespace wavesim::sim
 """
@@ -211,7 +236,7 @@ class RegisterFile {
 
 LINK_GATE_HPP = """
 namespace wavesim::wh {
-class ExclusiveLinkGate {
+class LinkGate {
  private:
   int used_ = 0;  // [shard: owned]
 };
@@ -219,17 +244,18 @@ class ExclusiveLinkGate {
 """
 
 
-def write_fixture(root: Path, *, inbox_ring: str, network_cpp: str,
+def write_fixture(root: Path, *, ring: str = RING_TAGGED,
+                  network_cpp: str = NETWORK_CPP_CLEAN,
+                  fabric_cpp: str = FABRIC_CPP,
                   router: str = ROUTER_TAGGED) -> None:
     files = {
         "src/core/network.hpp": NETWORK_HPP,
         "src/core/network.cpp": network_cpp,
         "src/wormhole/fabric.hpp": FABRIC_HPP,
-        "src/wormhole/fabric.cpp": FABRIC_CPP,
+        "src/wormhole/fabric.cpp": fabric_cpp,
         "src/core/node_interface.hpp": NODE_IFACE_HPP,
         "src/core/node_interface.cpp": NODE_IFACE_CPP,
-        "src/sim/inbox_ring.hpp": inbox_ring,
-        "src/sim/ring.hpp": RING_HPP,
+        "src/sim/ring.hpp": ring,
         "src/wormhole/link_gate.hpp": LINK_GATE_HPP,
         "src/wormhole/router.hpp": router,
         "src/pcs/registers.hpp": REGISTERS_HPP,
@@ -259,25 +285,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="shardlint-fixture-") as tmp:
         root = Path(tmp)
 
-        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
-                      network_cpp=NETWORK_CPP_CLEAN)
+        write_fixture(root)
         r = run_lint(root)
         results.append(check("clean fixture passes", r.returncode == 0,
                              r.stdout + r.stderr))
 
-        write_fixture(root, inbox_ring=INBOX_RING_UNTAGGED,
-                      network_cpp=NETWORK_CPP_CLEAN)
+        write_fixture(root, ring=RING_UNTAGGED)
         r = run_lint(root)
         results.append(check(
             "relocated untagged container field is flagged",
-            r.returncode == 1 and "InboxRing::count_" in r.stdout,
+            r.returncode == 1 and "Ring::count_" in r.stdout,
             r.stdout + r.stderr))
         results.append(check(
             "tagged sibling field is not flagged",
-            "InboxRing::head_" not in r.stdout, r.stdout))
+            "Ring::head_" not in r.stdout, r.stdout))
 
-        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
-                      network_cpp=NETWORK_CPP_CLEAN, router=ROUTER_UNTAGGED)
+        write_fixture(root, router=ROUTER_UNTAGGED)
         r = run_lint(root)
         results.append(check(
             "untagged member of the router view is flagged",
@@ -285,29 +308,42 @@ def main() -> int:
             and "Router::inputs_" not in r.stdout,
             r.stdout + r.stderr))
 
-        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
-                      network_cpp=NETWORK_CPP_SEQ_WRITE)
+        write_fixture(root, network_cpp=NETWORK_CPP_SEQ_WRITE)
         r = run_lint(root)
         results.append(check(
             "shard-phase write to a seq member is flagged",
             r.returncode == 1 and "counter_" in r.stdout,
             r.stdout + r.stderr))
 
-        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
-                      network_cpp=NETWORK_CPP_SNAP_ACCESSOR)
+        write_fixture(root, network_cpp=NETWORK_CPP_SNAP_ACCESSOR)
         r = run_lint(root)
         results.append(check(
             "sequential-phase serialization accessor passes untouched",
             r.returncode == 0, r.stdout + r.stderr))
 
-        write_fixture(root, inbox_ring=INBOX_RING_TAGGED,
-                      network_cpp=NETWORK_CPP_SNAP_IN_SHARD)
+        write_fixture(root, network_cpp=NETWORK_CPP_SNAP_IN_SHARD)
         r = run_lint(root)
         results.append(check(
             "shard-reachable serialization accessor is flagged",
             r.returncode == 1 and "Network::snap" in r.stdout
             and "counter_" in r.stdout,
             r.stdout + r.stderr))
+
+        write_fixture(root, fabric_cpp=FABRIC_CPP_OUTBOX_SAME_CYCLE)
+        r = run_lint(root)
+        results.append(check(
+            "outbox read in the cycle it is written is flagged",
+            r.returncode == 1 and "transit_[now & 3]" in r.stdout
+            and "in the cycle it is written" in r.stdout
+            and "(now - 1)" not in r.stdout,
+            r.stdout + r.stderr))
+
+        write_fixture(root, fabric_cpp=FABRIC_CPP_OUTBOX_WRITE)
+        r = run_lint(root)
+        results.append(check(
+            "shard-phase write to an outbox is flagged",
+            r.returncode == 1 and "writes [shard: outbox] member transit_"
+            in r.stdout, r.stdout + r.stderr))
 
     r = run_lint(REPO)
     results.append(check("real repository is clean", r.returncode == 0,

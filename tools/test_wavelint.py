@@ -18,7 +18,9 @@ Two layers of mutation testing:
    proves no escape in the tree is redundant dead weight: every tag is
    the only thing standing between a real hazard/skip and the lint.
    Likewise the canonical CI mutation (deleting a field from
-   Network::snap()) must be caught with the member named. These legs
+   Network::snap()) must be caught with the member named, and the shard
+   pass must flag Fabric::step_nodes reading the outbox of the cycle it
+   is staging (the outbox rule's fixtures live in test_shardlint.py). These legs
    run concurrently (up to 4 workers), each worker on its own copy of
    src/.
 
@@ -230,6 +232,19 @@ def real_tree_checks(results):
         legs = [(net, lambda text: text.replace(drop, ""), "snap")] \
             if canonical else []
 
+        # The outbox rule on the real fabric: the shard-phase drain reading
+        # the outbox of the cycle still being staged must be flagged.
+        fab = "src/wormhole/fabric.cpp"
+        drain = "transit_[(now - 1) & transit_mask_]"
+        outbox = drain in (REPO / fab).read_text()
+        if not outbox:
+            results.append(check(
+                "Fabric::step_nodes drains transit_ at now - 1", False,
+                "expected '%s' in fabric.cpp" % drain))
+        if outbox:
+            legs.append((fab, lambda text: text.replace(
+                drain, "transit_[now & transit_mask_]"), "shard"))
+
         # Every escape in the tree must be load-bearing: removing any
         # one [snap: skip] or [det: local] tag turns its pass red.
         sites = {name: [] for name in tag_res}
@@ -259,6 +274,13 @@ def real_tree_checks(results):
             results.append(check(
                 "dropped Network::snap() field is caught by name",
                 r.returncode == 1 and "delivered_msgs_" in r.stdout,
+                r.stdout + r.stderr))
+        if outbox:
+            r = runs.pop(0)
+            results.append(check(
+                "same-cycle outbox read in Fabric::step_nodes is flagged",
+                r.returncode == 1 and "Fabric::step_nodes reads" in r.stdout
+                and "transit_[now & transit_mask_]" in r.stdout,
                 r.stdout + r.stderr))
         for pass_name in tag_res:
             if not sites[pass_name]:

@@ -12,9 +12,13 @@ exit 2):
 
 * Pass `shard` -- the engine shard-safety conventions.
   Every `_`-suffixed member of the classes with a shard phase carries a
-  `[shard: seq|owned|ro]` tag; the call graph is closed over from the
-  shard-phase roots and a write to a seq/ro member inside the closure is
-  a violation. See docs/ENGINE.md rule 1.
+  `[shard: seq|owned|ro|outbox]` tag; the call graph is closed over from
+  the shard-phase roots and a write to a seq/ro/outbox member inside the
+  closure is a violation. An outbox member holds per-cycle outboxes:
+  the owning shard's outbox is filed under cycle t when t commits, and
+  receivers read it in t + 1 .. t + latency, so shard-phase code may
+  only subscript it with an earlier cycle (`now - k`). See
+  docs/ENGINE.md rule 1.
 
 * Pass `snap` -- snapshot completeness (docs/SERVICE.md: wavesim.snap.v1
   captures "every mutable bit" of simulation state). For every class
@@ -273,9 +277,8 @@ SHARD_TARGETS = [
 # its classification); there is no closure to walk -- their methods run
 # in the caller's phase.
 SHARD_HEADER_TARGETS = [
-    ("src/sim/inbox_ring.hpp", "InboxRing"),
     ("src/sim/ring.hpp", "Ring"),
-    ("src/wormhole/link_gate.hpp", "ExclusiveLinkGate"),
+    ("src/wormhole/link_gate.hpp", "LinkGate"),
     ("src/wormhole/router.hpp", "Router"),
     ("src/pcs/registers.hpp", "RegisterFile"),
 ]
@@ -295,7 +298,7 @@ CROSS_CLASS_CALLS = [
      "NodeInterface"),
 ]
 
-SHARD_TAG_RE = re.compile(r"\[shard:\s*(seq|owned|ro)\]")
+SHARD_TAG_RE = re.compile(r"\[shard:\s*(seq|owned|ro|outbox)\]")
 MUTATING_METHODS = (
     "push_back|emplace_back|pop_back|push_front|pop_front|push|pop|insert|"
     "erase|clear|resize|assign|emplace|reserve|swap|mark_delivered|"
@@ -311,7 +314,8 @@ def parse_tagged_members(header_path, cls):
     for name, idx, _ in parse_member_decls(body):
         tag_line, tag = find_tag(lines, idx, SHARD_TAG_RE)
         if tag is None:
-            missing.append("%s:%d: %s::%s has no [shard: seq|owned|ro] tag" %
+            missing.append("%s:%d: %s::%s has no [shard: seq|owned|ro|outbox] "
+                           "tag" %
                            (header_path, first_line + idx + 2, cls, name))
         else:
             members[name] = tag.group(1)
@@ -369,6 +373,48 @@ def shard_write_violations(cls, method, body, start_line, members, impl_path):
     return found
 
 
+def outbox_violations(cls, method, body, start_line, members, impl_path):
+    """Shard-phase uses of [shard: outbox] members other than a read of
+    an earlier cycle. An outbox staged in cycle t is filed when t commits
+    and read by receivers in t + 1 .. t + latency, so every use must be a
+    read through a subscript whose index mentions `now - ...`; a
+    subscript at `now` reads the cycle that is still being staged."""
+    found = []
+    for name, tag in sorted(members.items()):
+        if tag != "outbox":
+            continue
+        for m in re.finditer(r"(?<![\w.])%s\b" % name, body):
+            line = start_line + body.count("\n", 0, m.start())
+            rest = body[m.end():]
+            sub = re.match(r"\s*\[", rest)
+            if not sub:
+                found.append(
+                    "%s:%d: %s::%s uses [shard: outbox] member %s outside a "
+                    "cycle subscript during the shard phase"
+                    % (impl_path, line, cls, method, name))
+                continue
+            depth, i = 1, sub.end()
+            while i < len(rest) and depth:
+                depth += {"[": 1, "]": -1}.get(rest[i], 0)
+                i += 1
+            index = rest[sub.end():i - 1]
+            if re.match(r"(?:\s*(?:\.|->)\s*\w+)*\s*(?:(?:=(?!=)|\+=|-=|"
+                        r"\|=|&=|\+\+|--)|(?:\.|->)\s*(?:%s)\s*\()"
+                        % MUTATING_METHODS, rest[i:]):
+                found.append(
+                    "%s:%d: %s::%s writes [shard: outbox] member %s[%s] "
+                    "during the shard phase; outboxes are filed by the "
+                    "commit" % (impl_path, line, cls, method, name,
+                                index.strip()))
+            elif not re.search(r"\bnow\s*-", index):
+                found.append(
+                    "%s:%d: %s::%s reads [shard: outbox] member %s[%s] in "
+                    "the cycle it is written; receivers read an outbox in a "
+                    "later cycle (index now - k)"
+                    % (impl_path, line, cls, method, name, index.strip()))
+    return found
+
+
 def run_shard_pass(root):
     errors, members_by_class, methods_by_class, impls = [], {}, {}, {}
     for header, impl, cls in SHARD_TARGETS:
@@ -407,6 +453,8 @@ def run_shard_pass(root):
     for cls, method, body, line in bodies:
         errors += shard_write_violations(cls, method, body, line,
                                          members_by_class[cls], impls[cls])
+        errors += outbox_violations(cls, method, body, line,
+                                    members_by_class[cls], impls[cls])
     tagged = sum(len(m) for m in members_by_class.values())
     return errors, ("%d tagged members, %d shard-reachable bodies"
                     % (tagged, len(bodies)))
