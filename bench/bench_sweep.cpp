@@ -8,7 +8,7 @@
 // experiment and holds one or more tables. A table's points are the
 // cartesian product of its axes; each point is a job.v1 run spec built
 // from `base`, then the `quick` overrides under --quick, then one value
-// per axis, and decoded by service::runspec_from_json. An axis whose
+// per axis, and decoded by snap::runspec_from_json. An axis whose
 // values are objects is a bundle: each object's members go into the spec
 // together, for paired settings such as (k, split). Every point runs
 // `replicas` times with seeds derived from --base-seed. The merged
@@ -23,8 +23,8 @@
 
 #include "bench_util.hpp"
 #include "harness/sweep.hpp"
-#include "service/proto.hpp"
 #include "sim/number.hpp"
+#include "snap/runspec_codec.hpp"
 
 namespace {
 
@@ -184,7 +184,7 @@ void add_table(Experiment& exp, const sim::JsonValue& t, bool quick) {
     }
     try {
       exp.points.push_back(
-          {table.name + "/" + label, service::runspec_from_json(spec)});
+          {table.name + "/" + label, snap::runspec_from_json(spec)});
     } catch (const std::runtime_error& e) {
       bad(where + e.what());
     }
@@ -206,9 +206,8 @@ Experiment load_spec(const char* path, bool quick) {
   exp.setup = text_of(doc.find("setup"), "setup");
   exp.note = text_of(doc.find("note"), "note");
   if (const sim::JsonValue* r = doc.find("replicas")) {
-    const auto n = sim::whole_in(*r, 1, 1'000'000);
-    if (!n) bad("'replicas' must be a whole number in [1, 1000000]");
-    exp.replicas = static_cast<std::int32_t>(*n);
+    exp.replicas = static_cast<std::int32_t>(
+        sim::whole_or_throw(*r, "'replicas'", 1, 1'000'000));
   }
   for (const sim::JsonValue& t : items(doc.find("tables"), "'tables'")) {
     add_table(exp, t, quick);

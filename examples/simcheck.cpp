@@ -46,11 +46,11 @@ void usage() {
       "  --no-shrink         keep failures as found, skip delta debugging\n"
       "  --faulty            force a failure storm onto every scenario\n"
       "                      (dynamic-fault + reachability oracles)\n"
-      "  --artifact-dir DIR  write each failure as a wavesim.repro.v1 file\n"
+      "  --artifact-dir DIR  write each failure as a wavesim.repro.v2 file\n"
       "  --json PATH         write the run report as JSON\n"
       "  --one SEED          run the single scenario of SEED (hex ok) and\n"
       "                      print its outcome\n"
-      "  --replay FILE       re-execute a wavesim.repro.v1 artifact and\n"
+      "  --replay FILE       re-execute a wavesim.repro.v2 artifact and\n"
       "                      verify it reproduces bit-identically\n");
 }
 
@@ -97,7 +97,7 @@ bool parse(int argc, char** argv, Options& opt) {
 
 void print_failure(const check::Failure& failure) {
   std::printf("FAIL scenario #%zu seed %s\n", failure.index,
-              check::to_hex_u64(failure.original.seed).c_str());
+              check::to_hex_u64(failure.original.spec.seed).c_str());
   std::printf("  original: %s\n", failure.original.label().c_str());
   std::printf("            %s\n", failure.original_outcome.summary().c_str());
   if (!(failure.shrunk == failure.original)) {

@@ -32,7 +32,7 @@
 #include "check/bmc_replay.hpp"
 #include "cli_number.hpp"
 #include "model/bmc.hpp"
-#include "service/proto.hpp"
+#include "snap/runspec_codec.hpp"
 
 namespace {
 
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       json_path = value_of(i);
     } else if (arg == "--radix") {
       try {
-        config.topology.radix = wavesim::service::parse_radices(value_of(i));
+        config.topology.radix = wavesim::snap::parse_radices(value_of(i));
       } catch (const std::invalid_argument& e) {
         die(std::string("bad --radix: ") + e.what());
       }

@@ -17,10 +17,10 @@
 #include "fault/schedule.hpp"
 #include "harness/sweep.hpp"
 #include "obs/observer.hpp"
-#include "service/proto.hpp"
 #include "sim/build_info.hpp"
 #include "sim/json.hpp"
 #include "sim/number.hpp"
+#include "snap/runspec_codec.hpp"
 #include "snap/runstate.hpp"
 #include "verify/delivery.hpp"
 #include "workload/generator.hpp"
@@ -30,7 +30,7 @@ namespace {
 using namespace wavesim;
 
 /// Driver flags: how to run, export and checkpoint. The run itself (config
-/// and workload) is a snap::RunSpec built by service::runspec_from_args.
+/// and workload) is a snap::RunSpec built by snap::runspec_from_args.
 struct Options {
   bool histogram = false;
   std::string json_path;
@@ -49,7 +49,7 @@ struct Options {
 
 void usage() {
   std::printf("wavesim_cli -- wave-switching network simulator\n\n%s",
-              service::run_flags_help().c_str());
+              snap::run_flags_help().c_str());
   std::printf(
       "  --hist              print an ASCII latency histogram\n"
       "  --json PATH         write the statistics as JSON\n"
@@ -147,7 +147,7 @@ void check_checkpoint_flags(const Options& opt) {
 int main(int argc, char** argv) {
   try {
     Options opt;
-    const snap::RunSpec flags_spec = service::runspec_from_args(
+    const snap::RunSpec flags_spec = snap::runspec_from_args(
         argc, argv,
         [&opt](const std::string& arg,
                const std::function<const char*()>& value,
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       }
       const snap::RunSpec& spec = flags_spec;
       const harness::SweepPoint point{
-          service::format_radices(spec.config.topology.radix) + "/" +
+          snap::format_radices(spec.config.topology.radix) + "/" +
               sim::to_string(spec.config.protocol.protocol) + "@" +
               spec.pattern,
           spec};
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
 
     const auto& s = result.stats;
     std::printf("config: %s %s, %s routing, %s, w=%d k=%d m=%d cache=%d %s\n",
-                service::format_radices(cfg.topology.radix).c_str(),
+                snap::format_radices(cfg.topology.radix).c_str(),
                 cfg.topology.torus ? "torus" : "mesh",
                 sim::to_string(cfg.router.routing),
                 sim::to_string(cfg.protocol.protocol),

@@ -61,13 +61,14 @@ std::vector<std::int32_t> bfs_over_alive(const topo::KAryNCube& topo,
 }
 
 std::unique_ptr<load::SizeDist> make_size_dist(const Scenario& s) {
-  if (s.size_dist == "uniform" && s.max_flits > s.min_flits) {
-    return std::make_unique<load::UniformSize>(s.min_flits, s.max_flits);
+  const std::int32_t min_flits = s.spec.message_flits;
+  if (s.size_dist == "uniform" && s.max_flits > min_flits) {
+    return std::make_unique<load::UniformSize>(min_flits, s.max_flits);
   }
-  if (s.size_dist == "bimodal" && s.max_flits > s.min_flits) {
-    return std::make_unique<load::BimodalSize>(s.min_flits, s.max_flits, 0.3);
+  if (s.size_dist == "bimodal" && s.max_flits > min_flits) {
+    return std::make_unique<load::BimodalSize>(min_flits, s.max_flits, 0.3);
   }
-  return std::make_unique<load::FixedSize>(s.min_flits);
+  return std::make_unique<load::FixedSize>(min_flits);
 }
 
 }  // namespace
@@ -88,7 +89,8 @@ std::string RunOutcome::summary() const {
 RunOutcome run_scenario(const Scenario& scenario,
                         const OracleOptions& options) {
   RunOutcome out;
-  sim::SimConfig config = scenario.to_config();
+  const snap::RunSpec& spec = scenario.spec;
+  const sim::SimConfig& config = spec.config;
   try {
     config.validate();
   } catch (const std::exception& e) {
@@ -177,19 +179,20 @@ RunOutcome run_scenario(const Scenario& scenario,
   });
 
   // Workload streams fork deterministically from the scenario seed.
-  sim::Rng root(scenario.seed);
+  sim::Rng root(spec.seed);
   sim::Rng inject_rng = root.fork();
   sim::Rng pattern_rng = root.fork();
   sim::Rng carp_rng = root.fork();
   std::unique_ptr<load::TrafficPattern> pattern;
   try {
-    pattern = load::make_traffic(scenario.pattern, sim.topology(), pattern_rng);
+    pattern = load::make_traffic(spec.pattern, sim.topology(), pattern_rng,
+                                 spec.working_set);
   } catch (const std::exception& e) {
     out.violations.push_back(std::string("workload invalid: ") + e.what());
     return out;
   }
   const std::unique_ptr<load::SizeDist> sizes = make_size_dist(scenario);
-  const double p_message = scenario.load / sizes->mean();
+  const double p_message = spec.offered_load / sizes->mean();
 
   verify::ProgressWatchdog watchdog(sim.network(), options.watchdog_patience);
   const Cycle check_every =
@@ -218,8 +221,10 @@ RunOutcome run_scenario(const Scenario& scenario,
   };
 
   const std::int32_t n = sim.topology().num_nodes();
-  const bool carp = scenario.protocol == sim::ProtocolKind::kCarp;
-  for (Cycle c = 0; c < scenario.inject_cycles && !abort_run(); ++c) {
+  // The oracle injects itself rather than through load::OpenLoopDriver:
+  // under CARP it also establishes and releases circuits at random.
+  const bool carp = config.protocol.protocol == sim::ProtocolKind::kCarp;
+  for (Cycle c = 0; c < spec.measure && !abort_run(); ++c) {
     for (NodeId src = 0; src < n; ++src) {
       if (!inject_rng.chance(p_message)) continue;
       const NodeId dest = pattern->pick(src, inject_rng);
@@ -237,7 +242,7 @@ RunOutcome run_scenario(const Scenario& scenario,
 
   // Drain. Hitting the cap while the watchdog still sees movement is
   // saturation (offered > capacity), not a protocol violation.
-  const Cycle drain_deadline = sim.now() + scenario.drain_cap;
+  const Cycle drain_deadline = sim.now() + spec.drain_cap;
   while (!abort_run() && !sim.network().quiescent()) {
     if (sim.now() >= drain_deadline) {
       out.saturated = true;

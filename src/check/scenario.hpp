@@ -1,15 +1,15 @@
-// One simcheck scenario: everything Theorems 1-4 quantify over, flattened
-// into a plain struct so it can be (a) drawn from a single 64-bit seed,
-// (b) mutated by the shrinker one field at a time, and (c) round-tripped
-// through a wavesim.repro.v1 JSON file for bit-identical replay.
+// One simcheck scenario: everything Theorems 1-4 quantify over, held as a
+// snap::RunSpec plus the three knobs a run spec does not name, so it can be
+// (a) drawn from a single 64-bit seed, (b) mutated by the shrinker one
+// field at a time, and (c) round-tripped through a wavesim.repro.v2 JSON
+// file for bit-identical replay (check/simcheck.hpp), whose "spec" is a
+// job.v1 run spec read and written by the same codec as wavesimd jobs.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sim/config.hpp"
-#include "sim/json.hpp"
+#include "snap/runstate.hpp"
 
 namespace wavesim::check {
 
@@ -22,47 +22,19 @@ std::string to_hex_u64(std::uint64_t value);
 bool parse_hex_u64(const std::string& text, std::uint64_t& out);
 
 struct Scenario {
-  /// Drives both generation (which values below were drawn) and execution
-  /// (traffic arrivals, destinations, message lengths, CARP call sites).
-  std::uint64_t seed = 1;
-
-  // -- topology -----------------------------------------------------------
-  std::vector<std::int32_t> radix{4, 4};
-  bool torus = true;
-
-  // -- protocol / router --------------------------------------------------
-  sim::ProtocolKind protocol = sim::ProtocolKind::kClrp;
-  sim::ClrpVariant variant = sim::ClrpVariant::kFull;
-  bool pcs_only = false;
-  sim::RoutingKind routing = sim::RoutingKind::kDimensionOrder;
-  std::int32_t wormhole_vcs = 2;
-  std::int32_t wave_switches = 1;   ///< k
-  std::int32_t max_misroutes = 1;   ///< m of MB-m
-  std::int32_t cache_entries = 2;
-  sim::ReplacementPolicy replacement = sim::ReplacementPolicy::kLru;
-  std::int32_t max_packet_flits = 0;  ///< wormhole segmentation (0 = off)
-  double link_fault_rate = 0.0;
-
-  // -- dynamic faults ------------------------------------------------------
-  /// Failure storm: at cycle storm_at, storm_fraction of all bidirectional
-  /// circuit links fail at once; each recovers storm_repair cycles later
-  /// (0 = permanent). Inactive when storm_fraction == 0 (then the other
-  /// two fields are canonically zero). Exercises link-down/-up handling,
-  /// circuit invalidation and the distance-vector reachability layer.
-  double storm_fraction = 0.0;
-  std::uint64_t storm_at = 0;
-  std::uint64_t storm_repair = 0;
-
-  // -- workload -----------------------------------------------------------
-  std::string pattern = "uniform";   ///< load::make_traffic name
-  std::string size_dist = "fixed";   ///< fixed | uniform | bimodal
-  std::int32_t min_flits = 16;
-  std::int32_t max_flits = 16;       ///< == min_flits for "fixed"
-  double load = 0.02;                ///< offered flits per node per cycle
-  std::uint64_t inject_cycles = 1024;
-  std::uint64_t drain_cap = 400'000;
-
-  // -- execution engine -----------------------------------------------------
+  /// The run. `config` covers topology, protocol (CLRP variant included),
+  /// router, static faults and the failure storm; `message_flits` is the
+  /// minimum message length; `measure` is the injection span (`warmup` is
+  /// always 0); `drain_cap` bounds the drain. `seed` (== config.seed) is
+  /// the scenario's identity: it drives both generation (which values were
+  /// drawn) and execution (traffic arrivals, destinations, message lengths,
+  /// CARP call sites). A storm is active iff its fraction is > 0; the
+  /// inactive storm is all zero, so shrinking towards zero converges.
+  snap::RunSpec spec;
+  std::string size_dist = "fixed";  ///< fixed | uniform | bimodal
+  /// Longest message (== spec.message_flits for "fixed"); also the buffer
+  /// size of the circuits the oracle pre-establishes under CARP.
+  std::int32_t max_flits = 64;
   /// 0 = sequential stepper, >= 1 = sharded parallel engine with that many
   /// shards. By the engine's bit-identity contract this must never change
   /// the outcome; it is drawn from the seed so roughly half of all property
@@ -71,9 +43,6 @@ struct Scenario {
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
 
-  /// SimConfig this scenario runs under (seeded with `seed`).
-  sim::SimConfig to_config() const;
-
   /// Short one-line description for reports, e.g.
   /// "4x4 torus clrp/full dor k=1 m=1 cache=2/lru uniform load=0.02".
   std::string label() const;
@@ -81,7 +50,7 @@ struct Scenario {
   /// Make the scenario self-consistent: clamps every field into its legal
   /// range and resolves cross-field constraints (west-first needs a 2-D
   /// mesh, bit patterns need power-of-two node counts, ...) so that
-  /// to_config().validate() always passes. Deterministic, idempotent.
+  /// snap::validate(spec) always passes. Deterministic, idempotent.
   void repair();
 
   /// Draw a random scenario from `seed` alone (generate(s) == generate(s)
@@ -94,14 +63,6 @@ struct Scenario {
   /// are first switched to plain CLRP. No-op when a storm is already
   /// present. Backs simcheck --faulty: every scenario fault-bearing.
   void ensure_storm();
-
-  /// wavesim.repro.v1 "scenario" object (field name -> value).
-  sim::JsonValue to_json() const;
-
-  /// Strict inverse of to_json: throws std::runtime_error naming the field
-  /// on a missing member, a type mismatch or an unknown enum name, so a
-  /// corrupt repro artifact is rejected instead of misinterpreted.
-  static Scenario from_json(const sim::JsonValue& value);
 };
 
 }  // namespace wavesim::check

@@ -8,78 +8,83 @@ namespace wavesim::check {
 
 namespace {
 
-/// One candidate simplification. Ordered roughly by how much each removes:
-/// big structural cuts first so the expensive early runs shrink the search
-/// space fastest, cosmetic knob resets last.
-using Transform = std::function<void(Scenario&)>;
+/// One candidate simplification of a scenario and its config. Ordered
+/// roughly by how much each removes: big structural cuts first so the
+/// expensive early runs shrink the search space fastest, cosmetic knob
+/// resets last.
+using Transform = std::function<void(Scenario&, sim::SimConfig&)>;
 
 std::vector<Transform> transforms() {
+  using S = Scenario;
+  using C = sim::SimConfig;
   return {
       // -- traffic volume ---------------------------------------------------
-      [](Scenario& s) {
-        s.inject_cycles = std::max<std::uint64_t>(128, s.inject_cycles / 2);
+      [](S& s, C&) {
+        s.spec.measure = std::max<Cycle>(128, s.spec.measure / 2);
       },
-      [](Scenario& s) { s.load /= 2; },
+      [](S& s, C&) { s.spec.offered_load /= 2; },
       // -- topology ---------------------------------------------------------
-      [](Scenario& s) {
-        if (s.radix.size() > 1) s.radix.pop_back();
+      [](S&, C& c) {
+        if (c.topology.radix.size() > 1) c.topology.radix.pop_back();
       },
-      [](Scenario& s) {
-        auto largest = std::max_element(s.radix.begin(), s.radix.end());
+      [](S&, C& c) {
+        auto& radix = c.topology.radix;
+        auto largest = std::max_element(radix.begin(), radix.end());
         *largest = std::max(2, *largest / 2);
       },
-      [](Scenario& s) {
-        auto largest = std::max_element(s.radix.begin(), s.radix.end());
+      [](S&, C& c) {
+        auto& radix = c.topology.radix;
+        auto largest = std::max_element(radix.begin(), radix.end());
         *largest = std::max(2, *largest - 1);
       },
-      [](Scenario& s) { s.torus = false; },
+      [](S&, C& c) { c.topology.torus = false; },
       // -- engine -----------------------------------------------------------
       // Try the sequential stepper first (a failure that survives without
       // the engine is not a synchronization bug); otherwise walk the shard
       // count down to find the smallest parallel configuration that still
       // diverges. Both are strictly reducing toward engine_shards = 0.
-      [](Scenario& s) { s.engine_shards = 0; },
-      [](Scenario& s) {
-        s.engine_shards = std::max(0, s.engine_shards / 2);
-      },
+      [](S& s, C&) { s.engine_shards = 0; },
+      [](S& s, C&) { s.engine_shards = std::max(0, s.engine_shards / 2); },
       // -- workload shape ---------------------------------------------------
-      [](Scenario& s) { s.pattern = "uniform"; },
-      [](Scenario& s) {
+      [](S& s, C&) { s.spec.pattern = "uniform"; },
+      [](S& s, C&) {
         s.size_dist = "fixed";
-        s.max_flits = s.min_flits;
+        s.max_flits = s.spec.message_flits;
       },
-      [](Scenario& s) { s.min_flits = std::max(1, s.min_flits / 2); },
-      [](Scenario& s) { s.link_fault_rate = 0.0; },
-      [](Scenario& s) { s.max_packet_flits = 0; },
+      [](S& s, C&) {
+        s.spec.message_flits = std::max(1, s.spec.message_flits / 2);
+      },
+      [](S&, C& c) { c.faults.link_fault_rate = 0.0; },
+      [](S&, C& c) { c.protocol.max_packet_flits = 0; },
       // -- dynamic faults ---------------------------------------------------
       // Drop the storm entirely first; otherwise weaken it (fewer links,
       // no recovery wave). All strictly reducing toward the all-zero
       // canonical form repair() maintains.
-      [](Scenario& s) { s.storm_fraction = 0.0; },
-      [](Scenario& s) { s.storm_fraction /= 2; },
-      [](Scenario& s) { s.storm_repair = 0; },
+      [](S&, C& c) { c.faults.storm.fraction = 0.0; },
+      [](S&, C& c) { c.faults.storm.fraction /= 2; },
+      [](S&, C& c) { c.faults.storm.repair_after = 0; },
       // -- protocol ---------------------------------------------------------
-      [](Scenario& s) { s.pcs_only = false; },
-      [](Scenario& s) { s.variant = sim::ClrpVariant::kFull; },
+      [](S&, C& c) { c.protocol.pcs_only = false; },
+      [](S&, C& c) { c.protocol.clrp_variant = sim::ClrpVariant::kFull; },
       // Keep every transform idempotent-or-strictly-reducing so the greedy
       // fixpoint terminates (CLRP<->wormhole would oscillate otherwise).
-      [](Scenario& s) {
-        if (s.protocol == sim::ProtocolKind::kCarp) {
-          s.protocol = sim::ProtocolKind::kClrp;
+      [](S&, C& c) {
+        if (c.protocol.protocol == sim::ProtocolKind::kCarp) {
+          c.protocol.protocol = sim::ProtocolKind::kClrp;
         }
       },
-      [](Scenario& s) { s.protocol = sim::ProtocolKind::kWormholeOnly; },
-      [](Scenario& s) { s.wave_switches = 1; },
-      [](Scenario& s) {
-        s.max_misroutes = std::max(0, s.max_misroutes - 1);
+      [](S&, C& c) { c.protocol.protocol = sim::ProtocolKind::kWormholeOnly; },
+      [](S&, C& c) { c.router.wave_switches = 1; },
+      [](S&, C& c) {
+        c.protocol.max_misroutes = std::max(0, c.protocol.max_misroutes - 1);
       },
-      [](Scenario& s) { s.cache_entries = 1; },
-      [](Scenario& s) { s.replacement = sim::ReplacementPolicy::kLru; },
+      [](S&, C& c) { c.protocol.circuit_cache_entries = 1; },
+      [](S&, C& c) { c.protocol.replacement = sim::ReplacementPolicy::kLru; },
       // -- router -----------------------------------------------------------
-      [](Scenario& s) {
-        s.wormhole_vcs = std::max(1, s.wormhole_vcs - 1);
+      [](S&, C& c) {
+        c.router.wormhole_vcs = std::max(1, c.router.wormhole_vcs - 1);
       },
-      [](Scenario& s) { s.routing = sim::RoutingKind::kDimensionOrder; },
+      [](S&, C& c) { c.router.routing = sim::RoutingKind::kDimensionOrder; },
   };
 }
 
@@ -98,7 +103,7 @@ ShrinkResult shrink(const Scenario& scenario, const RunOutcome& outcome,
     for (const Transform& t : candidates) {
       if (result.runs >= options.max_runs) break;
       Scenario candidate = result.scenario;
-      t(candidate);
+      t(candidate, candidate.spec.config);
       candidate.repair();
       if (candidate == result.scenario) continue;  // no-op here
       RunOutcome candidate_outcome =

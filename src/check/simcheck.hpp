@@ -1,5 +1,5 @@
 // simcheck driver: fan scenarios across a thread pool, collect failures,
-// shrink them, and persist each as a `wavesim.repro.v1` JSON artifact that
+// shrink them, and persist each as a `wavesim.repro.v2` JSON artifact that
 // replays bit-identically (same seed => same event-stream fingerprint).
 //
 // Determinism contract: scenario i of a run is Scenario::generate(
@@ -60,13 +60,16 @@ struct Report {
 
 Report run_simcheck(const SimcheckOptions& options);
 
-/// wavesim.repro.v1 document for one failure: the shrunk scenario (what
+/// wavesim.repro.v2 document for one failure: the shrunk scenario (what
 /// --replay executes), the original scenario, the violations observed and
 /// the failing run's event fingerprint.
 sim::JsonValue repro_to_json(const Failure& failure);
 
-/// Parse a wavesim.repro.v1 document; throws std::runtime_error naming
-/// what is malformed (bad schema id, missing field, type mismatch).
+/// Parse a wavesim.repro.v2 document; throws std::runtime_error naming
+/// what is malformed: a bad schema id, a missing or unknown member (every
+/// member is required), a type mismatch, a counter that is not a whole
+/// number in range, a "seed" inside a scenario's "spec", or a spec that
+/// runspec_from_json (and so snap::validate) refuses.
 Failure repro_from_json(const sim::JsonValue& value);
 
 /// Load + parse a repro file (throws std::runtime_error on I/O or format).

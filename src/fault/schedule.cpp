@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace wavesim::fault {
@@ -12,35 +13,24 @@ namespace {
   throw std::runtime_error("faults schedule: " + why);
 }
 
-/// Strict member walk: every key must be consumed by `allowed`.
-void reject_unknown_keys(const sim::JsonValue& obj,
-                         std::initializer_list<const char*> allowed,
-                         const char* where) {
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* name : allowed) ok = ok || key == name;
-    if (!ok) bad(std::string("unknown key \"") + key + "\" in " + where);
-  }
+/// Member `key` of an event or block as a whole number of type T, or
+/// `fallback` when absent (sim::whole_as: never truncated or wrapped, so
+/// a node id cannot wrap into range before it is checked).
+template <typename T>
+T optional_whole(const sim::JsonValue& obj, const char* key, T fallback,
+                 const char* where) {
+  const sim::JsonValue* v = obj.find(key);
+  return v == nullptr ? fallback
+                      : sim::whole_as<T>(*v, std::string("faults schedule: ") +
+                                                 where + ": \"" + key + "\"");
 }
 
-std::int64_t require_int(const sim::JsonValue& obj, const char* key,
-                         const char* where) {
+template <typename T>
+T require_whole(const sim::JsonValue& obj, const char* key,
+                const char* where) {
   const sim::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    bad(std::string(where) + " needs numeric \"" + key + "\"");
-  }
-  return v->as_int();
-}
-
-std::int64_t optional_int(const sim::JsonValue& obj, const char* key,
-                          std::int64_t fallback, const char* where) {
-  const sim::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    bad(std::string(where) + ": \"" + key + "\" must be a number");
-  }
-  return v->as_int();
+  if (v == nullptr) bad(std::string(where) + " needs numeric \"" + key + "\"");
+  return optional_whole<T>(obj, key, T{}, where);
 }
 
 double optional_num(const sim::JsonValue& obj, const char* key,
@@ -53,27 +43,11 @@ double optional_num(const sim::JsonValue& obj, const char* key,
   return v->as_number();
 }
 
-Cycle require_cycle(const sim::JsonValue& obj, const char* key,
-                    const char* where) {
-  const std::int64_t v = require_int(obj, key, where);
-  if (v < 0) bad(std::string(where) + ": \"" + key + "\" must be >= 0");
-  return static_cast<Cycle>(v);
-}
-
-Cycle optional_cycle(const sim::JsonValue& obj, const char* key,
-                     Cycle fallback, const char* where) {
-  const std::int64_t v =
-      optional_int(obj, key, static_cast<std::int64_t>(fallback), where);
-  if (v < 0) bad(std::string(where) + ": \"" + key + "\" must be >= 0");
-  return static_cast<Cycle>(v);
-}
-
 }  // namespace
 
 sim::FaultConfig faults_from_json(const sim::JsonValue& doc) {
-  if (!doc.is_object()) bad("document must be an object");
-  reject_unknown_keys(doc, {"schema", "events", "storm", "churn", "dv"},
-                      "document");
+  sim::check_known_keys(doc, {"schema", "events", "storm", "churn", "dv"},
+                        "faults schedule");
   const sim::JsonValue* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->as_string() != kFaultsSchema) {
@@ -84,21 +58,21 @@ sim::FaultConfig faults_from_json(const sim::JsonValue& doc) {
   if (const sim::JsonValue* events = doc.find("events")) {
     if (!events->is_array()) bad("\"events\" must be an array");
     for (const sim::JsonValue& ev : events->elements()) {
-      if (!ev.is_object()) bad("every event must be an object");
-      reject_unknown_keys(ev, {"at", "kind", "node", "port"}, "event");
+      sim::check_known_keys(ev, {"at", "kind", "node", "port"},
+                            "faults schedule event");
       sim::FaultEvent out;
-      out.at = require_cycle(ev, "at", "event");
+      out.at = require_whole<Cycle>(ev, "at", "event");
       const sim::JsonValue* kind = ev.find("kind");
       if (kind == nullptr || !kind->is_string() ||
           !sim::from_string(kind->as_string(), out.kind)) {
         bad("event \"kind\" must be one of link-down, link-up, node-down, "
             "node-up");
       }
-      out.node = static_cast<NodeId>(require_int(ev, "node", "event"));
+      out.node = require_whole<NodeId>(ev, "node", "event");
       const bool link_event = out.kind == sim::FaultEventKind::kLinkDown ||
                               out.kind == sim::FaultEventKind::kLinkUp;
       if (link_event) {
-        out.port = static_cast<PortId>(require_int(ev, "port", "event"));
+        out.port = require_whole<PortId>(ev, "port", "event");
       } else if (ev.find("port") != nullptr) {
         bad("node events take no \"port\"");
       }
@@ -107,36 +81,34 @@ sim::FaultConfig faults_from_json(const sim::JsonValue& doc) {
   }
 
   if (const sim::JsonValue* storm = doc.find("storm")) {
-    if (!storm->is_object()) bad("\"storm\" must be an object");
-    reject_unknown_keys(*storm, {"at", "fraction", "repair_after"}, "storm");
-    faults.storm.at = optional_cycle(*storm, "at", 0, "storm");
+    sim::check_known_keys(*storm, {"at", "fraction", "repair_after"},
+                          "faults schedule storm");
+    faults.storm.at = optional_whole<Cycle>(*storm, "at", 0, "storm");
     faults.storm.fraction = optional_num(*storm, "fraction", 0.0, "storm");
     faults.storm.repair_after =
-        optional_cycle(*storm, "repair_after", 0, "storm");
+        optional_whole<Cycle>(*storm, "repair_after", 0, "storm");
   }
 
   if (const sim::JsonValue* churn = doc.find("churn")) {
-    if (!churn->is_object()) bad("\"churn\" must be an object");
-    reject_unknown_keys(*churn, {"rate", "from", "until", "mean_repair"},
-                        "churn");
+    sim::check_known_keys(*churn, {"rate", "from", "until", "mean_repair"},
+                          "faults schedule churn");
     faults.churn.rate = optional_num(*churn, "rate", 0.0, "churn");
-    faults.churn.from = optional_cycle(*churn, "from", 0, "churn");
-    faults.churn.until = optional_cycle(*churn, "until", 0, "churn");
+    faults.churn.from = optional_whole<Cycle>(*churn, "from", 0, "churn");
+    faults.churn.until = optional_whole<Cycle>(*churn, "until", 0, "churn");
     faults.churn.mean_repair =
-        optional_cycle(*churn, "mean_repair", 0, "churn");
+        optional_whole<Cycle>(*churn, "mean_repair", 0, "churn");
   }
 
   if (const sim::JsonValue* dv = doc.find("dv")) {
-    if (!dv->is_object()) bad("\"dv\" must be an object");
-    reject_unknown_keys(*dv,
-                        {"advert_period", "timeout_periods", "hop_cycles"},
-                        "dv");
-    faults.dv.advert_period = optional_cycle(
+    sim::check_known_keys(
+        *dv, {"advert_period", "timeout_periods", "hop_cycles"},
+        "faults schedule dv");
+    faults.dv.advert_period = optional_whole<Cycle>(
         *dv, "advert_period", faults.dv.advert_period, "dv");
-    faults.dv.timeout_periods = static_cast<std::int32_t>(optional_int(
-        *dv, "timeout_periods", faults.dv.timeout_periods, "dv"));
-    faults.dv.hop_cycles = static_cast<std::int32_t>(
-        optional_int(*dv, "hop_cycles", faults.dv.hop_cycles, "dv"));
+    faults.dv.timeout_periods = optional_whole<std::int32_t>(
+        *dv, "timeout_periods", faults.dv.timeout_periods, "dv");
+    faults.dv.hop_cycles = optional_whole<std::int32_t>(
+        *dv, "hop_cycles", faults.dv.hop_cycles, "dv");
   }
 
   if (!faults.dynamic()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "engine/pool.hpp"
 
@@ -75,11 +74,17 @@ void ThreadPool::for_each_index(std::size_t n,
 
 void ThreadPool::for_each_index_until(
     std::size_t n, const std::function<bool(std::size_t)>& fn) {
-  auto stop_flag = std::make_shared<std::atomic<bool>>(false);
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([&fn, stop_flag, i] {
-      if (stop_flag->load(std::memory_order_relaxed)) return;
-      if (!fn(i)) stop_flag->store(true, std::memory_order_relaxed);
+  // One task per worker pulling indices in order, so the queue holds
+  // size() entries however large n is.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  for (unsigned w = 0; w < size(); ++w) {
+    submit([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= n) return;
+        if (!fn(i)) stop.store(true, std::memory_order_relaxed);
+      }
     });
   }
   wait_idle();

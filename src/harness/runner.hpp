@@ -42,7 +42,9 @@ class ThreadPool {
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Like for_each_index, but fn returns false to request early exit:
-  /// indices not yet started are skipped (already-running tasks finish).
+  /// indices not yet started are skipped (already-running calls finish).
+  /// Indices are handed out in ascending order by one task per worker, so
+  /// the queue does not grow with n.
   /// Which indices ran may depend on scheduling — callers needing
   /// determinism must tolerate extra completed indices past the first
   /// false (the scenario checker re-ranks results by index afterwards).

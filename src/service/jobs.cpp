@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "check/scenario.hpp"
 #include "check/simcheck.hpp"
@@ -96,10 +97,14 @@ Job job_from_json(const sim::JsonValue& value) {
   job.kind = value.at("kind").as_string();
   job.spec = value.at("spec");
   job.state = job_state_from_string(value.at("state").as_string());
-  job.cycle = static_cast<Cycle>(value.at("cycle").as_int());
-  job.slices = static_cast<std::uint64_t>(value.at("slices").as_int());
-  job.completion_seq =
-      static_cast<std::uint64_t>(value.at("completion_seq").as_int());
+  // Counters are read whole (sim::whole_as), never wrapped.
+  const auto counter = [&](const char* key) {
+    return sim::whole_as<std::uint64_t>(
+        value.at(key), std::string("wavesim.jobfile.v1 field '") + key + "'");
+  };
+  job.cycle = counter("cycle");
+  job.slices = counter("slices");
+  job.completion_seq = counter("completion_seq");
   job.error = value.at("error").as_string();
   job.cancel_requested = value.at("cancel_requested").as_bool();
   return job;
@@ -240,7 +245,7 @@ SliceOutcome JobRunner::step_simcheck(Job& job) {
       failures.push_back(
           sim::JsonValue::object()
               .set("index", f.index)
-              .set("seed", check::to_hex_u64(f.original.seed)));
+              .set("seed", check::to_hex_u64(f.original.spec.seed)));
     }
     const sim::JsonValue doc =
         sim::JsonValue::object()

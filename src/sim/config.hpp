@@ -55,6 +55,7 @@ struct TopologyConfig {
   std::vector<std::int32_t> radix{8, 8};
   /// Wraparound links (torus) or not (mesh).
   bool torus = true;
+  friend bool operator==(const TopologyConfig&, const TopologyConfig&) = default;
 };
 
 /// Largest wormhole_pipeline_latency: the wormhole fabric keeps one
@@ -94,6 +95,7 @@ struct RouterConfig {
   /// as wormhole flits but skip VC/switch allocation, so this is slightly
   /// cheaper than a wormhole header hop.
   std::int32_t control_hop_cycles = 2;
+  friend bool operator==(const RouterConfig&, const RouterConfig&) = default;
 };
 
 struct ProtocolConfig {
@@ -121,6 +123,7 @@ struct ProtocolConfig {
   /// A runtime knob (wavecheck --bmc-mutate-force-unacked, tests) so no
   /// special build is needed to flip it per run.
   bool mutate_force_unacked = false;
+  friend bool operator==(const ProtocolConfig&, const ProtocolConfig&) = default;
 };
 
 /// Software messaging-layer model (paper section 1: buffer allocation,
@@ -144,6 +147,7 @@ struct SoftwareConfig {
   /// re-allocated for longer messages"). CARP avoids this by sizing the
   /// buffer to the longest message of the set.
   std::int32_t buffer_realloc_penalty = 0;
+  friend bool operator==(const SoftwareConfig&, const SoftwareConfig&) = default;
 };
 
 /// Dynamic fault event kinds (docs/FAULTS.md). Link events name the
@@ -223,6 +227,8 @@ struct FaultConfig {
   bool dynamic() const noexcept {
     return !events.empty() || storm.fraction > 0.0 || churn.rate > 0.0;
   }
+
+  friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };
 
 struct SimConfig {
@@ -250,6 +256,8 @@ struct SimConfig {
   static SimConfig small_mesh();    ///< 4x4 mesh, defaults
   static SimConfig default_torus(); ///< 8x8 torus, defaults
   static SimConfig wormhole_baseline();  ///< 8x8 torus, k=0, wormhole only
+
+  friend bool operator==(const SimConfig&, const SimConfig&) = default;
 };
 
 }  // namespace wavesim::sim

@@ -65,7 +65,7 @@ double JsonValue::as_number() const {
 }
 
 std::int64_t JsonValue::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  return whole_or_throw(*this, "JsonValue", -kMaxExactInt);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -377,6 +377,17 @@ std::optional<std::int64_t> whole_in(const JsonValue& v, std::int64_t min,
     return std::nullopt;
   }
   return static_cast<std::int64_t>(x);
+}
+
+std::int64_t whole_or_throw(const JsonValue& v, const std::string& what,
+                            std::int64_t min, std::int64_t max) {
+  const std::optional<std::int64_t> x = whole_in(v, min, max);
+  if (!x) {
+    throw std::runtime_error(what + " must be a whole number in [" +
+                             std::to_string(min) + ", " + std::to_string(max) +
+                             "]");
+  }
+  return *x;
 }
 
 JsonValue read_json_file(const std::string& path) {

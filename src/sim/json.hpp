@@ -45,6 +45,9 @@ class JsonValue {
 
   bool as_bool() const;
   double as_number() const;
+  /// A whole number in [-2^53, 2^53], else throws std::runtime_error (no
+  /// truncation, no out-of-range cast). Decoders read through whole_as
+  /// with their field's own type instead.
   std::int64_t as_int() const;
   const std::string& as_string() const;
 
@@ -110,6 +113,12 @@ inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
 std::optional<std::int64_t> whole_in(const JsonValue& v, std::int64_t min,
                                      std::int64_t max = kMaxExactInt);
 
+/// whole_in, or throws std::runtime_error "<what> must be a whole number
+/// in [min, max]", where `what` names the field.
+std::int64_t whole_or_throw(const JsonValue& v, const std::string& what,
+                            std::int64_t min,
+                            std::int64_t max = kMaxExactInt);
+
 /// T's range clipped to the integers a double holds exactly, [-2^53, 2^53].
 template <typename T>
 constexpr std::pair<std::int64_t, std::int64_t> whole_range() {
@@ -117,6 +126,13 @@ constexpr std::pair<std::int64_t, std::int64_t> whole_range() {
   return {std::max<std::int64_t>(Limits::min(), -kMaxExactInt),
           static_cast<std::int64_t>(
               std::min<std::uint64_t>(Limits::max(), kMaxExactInt))};
+}
+
+/// `v` as a T: whole_or_throw over whole_range<T>().
+template <typename T>
+T whole_as(const JsonValue& v, const std::string& what) {
+  const auto [min, max] = whole_range<T>();
+  return static_cast<T>(whole_or_throw(v, what, min, max));
 }
 
 }  // namespace wavesim::sim

@@ -40,6 +40,7 @@ struct RunSpec {
   Cycle measure = 10000;
   Cycle drain_cap = 300'000;
   std::uint64_t seed = 1;
+  friend bool operator==(const RunSpec&, const RunSpec&) = default;
 };
 
 /// RunSpec round trip (includes the embedded config).

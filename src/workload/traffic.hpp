@@ -143,6 +143,8 @@ struct WorkingSetParams {
   std::int32_t size = 4;
   double locality = 0.8;
   double skew = 0.0;
+  friend bool operator==(const WorkingSetParams&,
+                         const WorkingSetParams&) = default;
 };
 
 /// Throws std::invalid_argument unless `name` is a pattern make_traffic

@@ -310,7 +310,7 @@ TEST(ParallelEngine, IdenticalOnSimcheckScenarios) {
   // engine with 4 shards: the digest must never move.
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     const check::Scenario scenario = check::Scenario::generate(seed);
-    const sim::SimConfig config = scenario.to_config();
+    const sim::SimConfig& config = scenario.spec.config;
     EXPECT_EQ(run_digest(config, /*shards=*/0),
               run_digest(config, /*shards=*/4))
         << scenario.label() << " (simcheck seed " << seed << ") diverged";

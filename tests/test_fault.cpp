@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "fault/distvec.hpp"
 #include "fault/schedule.hpp"
@@ -269,6 +270,22 @@ TEST(Schedule, RejectsMalformedDocuments) {
       parse(R"({"schema":"wavesim.faults.v1",)"
             R"("events":[{"at":1,"kind":"node-down","node":0,"port":0}]})"),
       std::runtime_error);
+  // Integers are read whole and within their field's type: a fractional
+  // cycle is not truncated, and a node id past int32 does not wrap to a
+  // valid node before the range check sees it.
+  for (const char* event :
+       {R"({"at":100.7,"kind":"node-down","node":4})",
+        R"({"at":-1,"kind":"node-down","node":4})",
+        R"({"at":100,"kind":"node-down","node":4294967296})",
+        R"({"at":100,"kind":"link-down","node":4,"port":1e300})"}) {
+    const std::string doc = std::string(R"({"schema":"wavesim.faults.v1",)") +
+                            R"("events":[)" + event + "]}";
+    EXPECT_THROW(parse(doc.c_str()), std::runtime_error)
+        << event;
+  }
+  EXPECT_THROW(parse(R"({"schema":"wavesim.faults.v1",)"
+                     R"("storm":{"fraction":0.1},"dv":{"hop_cycles":3e9}})"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST(Service, CliFlagsAndJobSpecGiveEqualStats) {
       "--load", "0.15", "--length", "32", "--warmup", "300", "--cycles",
       "2000", "--seed", "11", "--cache", "4", "--replacement", "lfu",
       "--m", "1", "--k", "3"};
-  snap::CheckpointableRun cli(service::runspec_from_args(
+  snap::CheckpointableRun cli(snap::runspec_from_args(
       static_cast<int>(std::size(argv)), argv,
       [](const std::string&, const std::function<const char*()>&,
          snap::RunSpec&) { return false; }));

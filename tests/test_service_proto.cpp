@@ -19,6 +19,12 @@
 namespace wavesim::service {
 namespace {
 
+using snap::format_radices;
+using snap::parse_radices;
+using snap::run_fields;
+using snap::RunField;
+using snap::runspec_from_args;
+
 snap::RunSpec parse(const std::string& text) {
   return runspec_from_json(sim::JsonValue::parse(text));
 }
@@ -228,6 +234,25 @@ TEST(ServiceProto, WorkingSetAndSplitKeysRoundTripAndHideTheirDefaults) {
   for (const char* key : keys) EXPECT_EQ(plain.find(key), nullptr) << key;
   EXPECT_EQ(plain.dump(),
             runspec_to_json(parse(R"({"pattern": "working-set"})")).dump());
+}
+
+// The CLRP variant is a job-only key too, omitted at "full" so specs,
+// checkpoints and warm keys written before it keep their bytes.
+TEST(ServiceProto, VariantKeyRoundTripsAndHidesItsDefault) {
+  const snap::RunSpec spec = parse(R"({"variant": "single-switch"})");
+  EXPECT_EQ(spec.config.protocol.clrp_variant,
+            sim::ClrpVariant::kSingleSwitch);
+  const sim::JsonValue canon = runspec_to_json(spec);
+  ASSERT_NE(canon.find("variant"), nullptr);
+  EXPECT_EQ(runspec_from_json(canon), spec);
+  EXPECT_EQ(runspec_to_json(parse(R"({"variant": "full"})")).find("variant"),
+            nullptr);
+  EXPECT_EQ(runspec_to_json(parse("{}")).dump(),
+            runspec_to_json(parse(R"({"variant": "full"})")).dump());
+  EXPECT_NE(error_of(R"({"variant": "half"})").find("spec field 'variant'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"variant": 1})").find("spec field 'variant'"),
+            std::string::npos);
 }
 
 TEST(ServiceProto, BadWorkingSetValuesAreRefusedAtSubmitByName) {

@@ -1,19 +1,24 @@
 // Tests for the simcheck property harness itself: scenario generation is
-// deterministic and always-valid, repro files round-trip exactly, the
+// deterministic and always-valid, repro files round-trip exactly and carry
+// a job.v1 run spec, the
 // oracle stack is reproducible, and the shrinker minimizes while
 // preserving the violation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/oracle.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
 #include "check/simcheck.hpp"
 #include "harness/sweep.hpp"
+#include "service/proto.hpp"
 #include "sim/json.hpp"
+#include "snap/runstate.hpp"
 
 namespace wavesim::check {
 namespace {
@@ -45,7 +50,9 @@ TEST(Scenario, GeneratedScenariosAlwaysValidateAndRepairIsIdempotent) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     const Scenario s =
         Scenario::generate(harness::derive_seed(7, seed, 0));
-    EXPECT_NO_THROW(s.to_config().validate()) << s.label();
+    EXPECT_NO_THROW(snap::validate(s.spec)) << s.label();
+    EXPECT_EQ(s.spec.config.seed, s.spec.seed) << s.label();
+    EXPECT_EQ(s.spec.warmup, 0u) << s.label();
     Scenario again = s;
     again.repair();
     EXPECT_EQ(again, s) << "repair not idempotent for " << s.label();
@@ -54,107 +61,169 @@ TEST(Scenario, GeneratedScenariosAlwaysValidateAndRepairIsIdempotent) {
 
 TEST(Scenario, RepairResolvesCrossFieldConstraints) {
   Scenario s;
-  s.radix = {5, 5, 5};           // 125 nodes: over the size cap
-  s.routing = sim::RoutingKind::kWestFirst;  // needs a 2-D mesh
-  s.torus = true;
-  s.wormhole_vcs = 0;
-  s.pattern = "bit-reversal";    // needs power-of-two node count
+  sim::SimConfig& c = s.spec.config;
+  c.topology.radix = {5, 5, 5};  // 125 nodes: over the size cap
+  c.router.routing = sim::RoutingKind::kWestFirst;  // needs a 2-D mesh
+  c.topology.torus = true;
+  c.router.wormhole_vcs = 0;
+  s.spec.pattern = "bit-reversal";  // needs power-of-two node count
+  s.spec.warmup = 500;
   s.repair();
-  EXPECT_NO_THROW(s.to_config().validate()) << s.label();
+  EXPECT_NO_THROW(snap::validate(s.spec)) << s.label();
+  EXPECT_EQ(s.spec.warmup, 0u);
+}
+
+/// Scenarios the repro round trip covers: generated ones, and the same
+/// ones with a storm forced on (simcheck --faulty).
+std::vector<Scenario> round_trip_scenarios() {
+  std::vector<Scenario> out;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Scenario s = Scenario::generate(harness::derive_seed(11, seed, 0));
+    out.push_back(s);
+    s.ensure_storm();
+    out.push_back(s);
+  }
+  return out;
+}
+
+/// A repro document carrying `s` as both its scenarios.
+sim::JsonValue repro_of(const Scenario& s) {
+  Failure failure;
+  failure.original = s;
+  failure.shrunk = s;
+  return repro_to_json(failure);
+}
+
+/// The error repro_from_json raises for `doc`, or "" if it parses.
+std::string repro_error(const sim::JsonValue& doc) {
+  try {
+    repro_from_json(doc);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Scenario, JsonRoundTripIsExact) {
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const Scenario s =
-        Scenario::generate(harness::derive_seed(11, seed, 0));
+  for (const Scenario& s : round_trip_scenarios()) {
     // Through text, as a real repro file would travel.
-    const Scenario back =
-        Scenario::from_json(sim::JsonValue::parse(s.to_json().dump(2)));
-    EXPECT_EQ(back, s) << s.label();
+    const sim::JsonValue doc = sim::JsonValue::parse(repro_of(s).dump(2));
+    const Failure back = repro_from_json(doc);
+    EXPECT_EQ(back.shrunk, s) << s.label();
+    EXPECT_EQ(back.original, s) << s.label();
+    // The "spec" member is a plain job.v1 run spec: wavesimd accepts it
+    // as it stands.
+    const sim::JsonValue& spec = doc.at("scenario").at("spec");
+    EXPECT_EQ(spec.find("seed"), nullptr);
+    snap::RunSpec run;
+    ASSERT_NO_THROW(run = service::runspec_from_json(spec)) << spec.dump();
+    run.seed = s.spec.seed;
+    run.config.seed = s.spec.seed;
+    EXPECT_EQ(run, s.spec) << s.label();
   }
 }
 
+/// `doc` with member `key` of its scenario set to `value`.
+sim::JsonValue with_scenario_member(sim::JsonValue doc, const char* key,
+                                    sim::JsonValue value) {
+  sim::JsonValue scenario = doc.at("scenario");
+  scenario.set(key, std::move(value));
+  doc.set("scenario", std::move(scenario));
+  return doc;
+}
+
+/// `doc` with member `key` of its scenario's "spec" set to `value`.
+sim::JsonValue with_spec_member(const sim::JsonValue& doc, const char* key,
+                                sim::JsonValue value) {
+  sim::JsonValue spec = doc.at("scenario").at("spec");
+  spec.set(key, std::move(value));
+  return with_scenario_member(doc, "spec", std::move(spec));
+}
+
 TEST(Scenario, FromJsonRejectsCorruptDocuments) {
-  sim::JsonValue good = Scenario::generate(3).to_json();
-  EXPECT_NO_THROW(Scenario::from_json(good));
+  Scenario stormy = Scenario::generate(3);
+  stormy.ensure_storm();
+  const sim::JsonValue good = repro_of(stormy);
+  EXPECT_EQ(repro_error(good), "");
 
+  // Each case must be refused with the offending field named.
   sim::JsonValue missing = good;
-  missing.set("protocol", nullptr);  // type mismatch
-  EXPECT_THROW(Scenario::from_json(missing), std::runtime_error);
-
-  sim::JsonValue bad_enum = good;
-  bad_enum.set("routing", "shortest-path-first");
-  EXPECT_THROW(Scenario::from_json(bad_enum), std::runtime_error);
-
-  sim::JsonValue bad_seed = good;
-  bad_seed.set("seed", "12345");  // not 0x-hex
-  EXPECT_THROW(Scenario::from_json(bad_seed), std::runtime_error);
-
-  EXPECT_THROW(Scenario::from_json(sim::JsonValue(1.0)), std::runtime_error);
-
-  // Integers are read whole and within their field's type (job.v1's
-  // rule): never truncated, wrapped or cast from an out-of-range double.
-  const std::pair<const char*, double> bad_integers[] = {
-      {"wave_switches", 2.5},  {"wave_switches", 3e9},
-      {"inject_cycles", -5.0}, {"storm_at", -1.0},
-      {"drain_cap", 1e300},    {"engine_shards", 1e300}};
-  for (const auto& [field, number] : bad_integers) {
-    sim::JsonValue bad = good;
-    bad.set(field, number);
-    EXPECT_THROW(Scenario::from_json(bad), std::runtime_error)
-        << field << " = " << number;
+  sim::JsonValue no_max_flits = sim::JsonValue::object();
+  for (const auto& [key, value] : good.at("scenario").members()) {
+    if (key != "max_flits") no_max_flits.set(key, value);
   }
-  sim::JsonValue fractional_radix = good;
-  sim::JsonValue radix = sim::JsonValue::array();
-  radix.push_back(4.5);
-  fractional_radix.set("radix", radix);
-  EXPECT_THROW(Scenario::from_json(fractional_radix), std::runtime_error);
+  missing.set("scenario", no_max_flits);
+  const std::vector<std::pair<sim::JsonValue, const char*>> cases = {
+      {with_scenario_member(good, "inject_cycles", 128), "inject_cycles"},
+      {missing, "max_flits"},
+      {with_scenario_member(good, "seed", "12345"), "seed"},  // not 0x-hex
+      {with_scenario_member(good, "size_dist", 3), "size_dist"},
+      // The hex seed is the only seed: job.v1's is capped at 2^53.
+      {with_spec_member(good, "seed", 7), "spec.seed"},
+      {with_spec_member(good, "routing", "shortest-path-first"), "routing"},
+      {with_spec_member(good, "wormhole_vcs", 2), "wormhole_vcs"},
+      {with_spec_member(good, "protocol", nullptr), "protocol"},
+      {with_spec_member(good, "variant", "half"), "variant"},
+      // Integers are read whole and within their field's type (job.v1's
+      // rule): never truncated, wrapped or cast from an out-of-range
+      // double.
+      {with_spec_member(good, "k", 2.5), "k"},
+      {with_spec_member(good, "k", 3e9), "k"},
+      {with_spec_member(good, "measure", -5.0), "measure"},
+      {with_spec_member(good, "storm_at", -1.0), "storm_at"},
+      {with_spec_member(good, "drain_cap", 1e300), "drain_cap"},
+      {with_spec_member(good, "topo", "4.5"), "topo"},
+      {with_scenario_member(good, "engine_shards", 1e300), "engine_shards"},
+      {with_scenario_member(good, "max_flits", 2.5), "max_flits"},
+      {with_scenario_member(good, "spec", 1.0), "spec"},
+  };
+  for (const auto& [doc, field] : cases) {
+    const std::string err = repro_error(doc);
+    EXPECT_NE(err.find(std::string("'") + field + "'"), std::string::npos)
+        << field << ": " << (err.empty() ? "accepted" : err);
+  }
 }
 
 TEST(Scenario, RepairCanonicalizesStormFields) {
   // Wormhole-only and pcs-only configurations cannot carry a dynamic
   // storm (no circuit planes to fail / no fallback): repair zeroes it.
   Scenario s = Scenario::generate(4);
-  s.protocol = sim::ProtocolKind::kWormholeOnly;
-  s.storm_fraction = 0.3;
-  s.storm_at = 500;
-  s.storm_repair = 100;
+  s.spec.config.protocol.protocol = sim::ProtocolKind::kWormholeOnly;
+  s.spec.config.faults.storm = {500, 0.3, 100};
   s.repair();
-  EXPECT_EQ(s.storm_fraction, 0.0);
-  EXPECT_EQ(s.storm_at, 0u);
-  EXPECT_EQ(s.storm_repair, 0u);
+  EXPECT_EQ(s.spec.config.faults.storm, sim::FaultStorm{});
 
   Scenario p = Scenario::generate(4);
-  p.protocol = sim::ProtocolKind::kClrp;
-  p.pcs_only = true;
-  p.storm_fraction = 0.3;
+  p.spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  p.spec.config.protocol.pcs_only = true;
+  p.spec.config.faults.storm.fraction = 0.3;
   p.repair();
-  EXPECT_EQ(p.storm_fraction, 0.0);
+  EXPECT_EQ(p.spec.config.faults.storm.fraction, 0.0);
 
   // An active storm lands inside the injection window.
   Scenario a = Scenario::generate(4);
-  a.protocol = sim::ProtocolKind::kClrp;
-  a.pcs_only = false;
-  a.storm_fraction = 0.2;
-  a.storm_at = 1'000'000;
+  a.spec.config.protocol.protocol = sim::ProtocolKind::kClrp;
+  a.spec.config.protocol.pcs_only = false;
+  a.spec.config.faults.storm.fraction = 0.2;
+  a.spec.config.faults.storm.at = 1'000'000;
   a.repair();
-  EXPECT_GT(a.storm_fraction, 0.0);
-  EXPECT_LE(a.storm_at, a.inject_cycles);
-  EXPECT_GE(a.storm_at, 1u);
-  EXPECT_NO_THROW(a.to_config().validate()) << a.label();
-  EXPECT_GT(a.to_config().faults.storm.fraction, 0.0);
-  EXPECT_TRUE(a.to_config().faults.dynamic());
+  const sim::FaultStorm& storm = a.spec.config.faults.storm;
+  EXPECT_GT(storm.fraction, 0.0);
+  EXPECT_LE(storm.at, a.spec.measure);
+  EXPECT_GE(storm.at, 1u);
+  EXPECT_NO_THROW(snap::validate(a.spec)) << a.label();
+  EXPECT_TRUE(a.spec.config.faults.dynamic());
 }
 
 TEST(Scenario, GenerationDrawsStormsAndEnsureStormForcesOne) {
   std::size_t with_storm = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const Scenario s = Scenario::generate(harness::derive_seed(13, seed, 0));
-    if (s.storm_fraction > 0.0) ++with_storm;
+    if (s.spec.config.faults.storm.fraction > 0.0) ++with_storm;
     Scenario forced = s;
     forced.ensure_storm();
-    EXPECT_GT(forced.storm_fraction, 0.0) << s.label();
-    EXPECT_NO_THROW(forced.to_config().validate()) << forced.label();
+    EXPECT_GT(forced.spec.config.faults.storm.fraction, 0.0) << s.label();
+    EXPECT_NO_THROW(snap::validate(forced.spec)) << forced.label();
     // ensure_storm is deterministic and stable under re-application.
     Scenario again = s;
     again.ensure_storm();
@@ -170,8 +239,8 @@ TEST(Scenario, GenerationDrawsStormsAndEnsureStormForcesOne) {
 
 Scenario small_scenario() {
   Scenario s = Scenario::generate(5);
-  s.radix = {4, 4};
-  s.inject_cycles = 256;
+  s.spec.config.topology.radix = {4, 4};
+  s.spec.measure = 256;
   s.repair();
   return s;
 }
@@ -189,11 +258,12 @@ TEST(Oracle, RunIsBitIdenticallyReproducible) {
 }
 
 TEST(Oracle, FlagsInvalidConfigInsteadOfThrowing) {
-  Scenario s;              // deliberately NOT repaired:
-  s.radix = {4, 4};
-  s.torus = true;
-  s.routing = sim::RoutingKind::kDimensionOrder;
-  s.wormhole_vcs = 1;      // torus DOR needs >= 2 VCs
+  Scenario s;  // deliberately NOT repaired:
+  sim::SimConfig& c = s.spec.config;
+  c.topology.radix = {4, 4};
+  c.topology.torus = true;
+  c.router.routing = sim::RoutingKind::kDimensionOrder;
+  c.router.wormhole_vcs = 1;  // torus DOR needs >= 2 VCs
   const RunOutcome out = run_scenario(s);
   ASSERT_FALSE(out.ok());
   EXPECT_NE(out.violations.front().find("config invalid"), std::string::npos);
@@ -202,10 +272,11 @@ TEST(Oracle, FlagsInvalidConfigInsteadOfThrowing) {
 /// A scenario that always fails the oracle on a healthy build: the traffic
 /// pattern name is unknown, so workload construction is rejected. Because
 /// repair() leaves unknown names alone, the shrinker can minimize every
-/// other knob while the violation persists.
+/// other knob while the violation persists. A repro file cannot carry it:
+/// decoding runs snap::validate, which refuses the pattern.
 Scenario always_failing_scenario() {
   Scenario s = Scenario::generate(9);
-  s.pattern = "bogus-pattern";
+  s.spec.pattern = "bogus-pattern";
   return s;
 }
 
@@ -219,9 +290,9 @@ TEST(Shrink, MinimizesWhilePreservingTheViolation) {
   EXPECT_GT(result.runs, 0u);
   EXPECT_GT(result.accepted, 0u);
   // Floor values reached by the transformation chain.
-  EXPECT_EQ(result.scenario.inject_cycles, 128u);
-  EXPECT_EQ(result.scenario.radix.size(), 1u);
-  EXPECT_EQ(result.scenario.pattern, "bogus-pattern");
+  EXPECT_EQ(result.scenario.spec.measure, 128u);
+  EXPECT_EQ(result.scenario.spec.config.topology.radix.size(), 1u);
+  EXPECT_EQ(result.scenario.spec.pattern, "bogus-pattern");
   // Shrinking is deterministic.
   const ShrinkResult again = shrink(original, outcome);
   EXPECT_EQ(again.scenario, result.scenario);
@@ -249,26 +320,44 @@ TEST(Simcheck, ReportIsIndependentOfThreadCount) {
   }
 }
 
-TEST(Repro, JsonRoundTripsThroughTextExactly) {
+/// A failure record over valid scenarios (a repro file must decode, so
+/// it cannot carry always_failing_scenario), with a made-up outcome.
+Failure sample_failure() {
   Failure failure;
   failure.index = 3;
-  failure.original = always_failing_scenario();
-  failure.original_outcome = run_scenario(failure.original);
-  ShrinkResult shrunk = shrink(failure.original, failure.original_outcome);
-  failure.shrunk = shrunk.scenario;
-  failure.shrunk_outcome = shrunk.outcome;
-  failure.shrink_runs = shrunk.runs;
-  failure.shrink_accepted = shrunk.accepted;
+  failure.original = Scenario::generate(21);
+  failure.original.ensure_storm();
+  failure.shrunk = small_scenario();
+  failure.original_outcome.violations = {"deadlock: no progress", "fsck: x"};
+  failure.original_outcome.offered = 40;
+  failure.original_outcome.delivered = 39;
+  failure.original_outcome.final_cycle = 12'345;
+  failure.original_outcome.fingerprint = 0xfedcba9876543210ULL;
+  failure.shrunk_outcome = failure.original_outcome;
+  failure.shrunk_outcome.saturated = true;
+  failure.shrink_runs = 17;
+  failure.shrink_accepted = 4;
+  return failure;
+}
 
+TEST(Repro, JsonRoundTripsThroughTextExactly) {
+  const Failure failure = sample_failure();
   const std::string text = repro_to_json(failure).dump(2);
   const Failure back = repro_from_json(sim::JsonValue::parse(text));
   EXPECT_EQ(back.shrunk, failure.shrunk);
   EXPECT_EQ(back.original, failure.original);
-  EXPECT_EQ(back.shrunk_outcome.fingerprint,
-            failure.shrunk_outcome.fingerprint);
-  EXPECT_EQ(back.shrunk_outcome.violations,
-            failure.shrunk_outcome.violations);
+  for (const auto& [got, want] :
+       {std::pair{&back.shrunk_outcome, &failure.shrunk_outcome},
+        std::pair{&back.original_outcome, &failure.original_outcome}}) {
+    EXPECT_EQ(got->fingerprint, want->fingerprint);
+    EXPECT_EQ(got->violations, want->violations);
+    EXPECT_EQ(got->saturated, want->saturated);
+    EXPECT_EQ(got->offered, want->offered);
+    EXPECT_EQ(got->delivered, want->delivered);
+    EXPECT_EQ(got->final_cycle, want->final_cycle);
+  }
   EXPECT_EQ(back.shrink_runs, failure.shrink_runs);
+  EXPECT_EQ(back.shrink_accepted, failure.shrink_accepted);
 }
 
 TEST(Repro, RejectsWrongSchemaAndMissingPieces) {
@@ -278,16 +367,48 @@ TEST(Repro, RejectsWrongSchemaAndMissingPieces) {
       repro_from_json(sim::JsonValue::parse("{\"schema\": \"other.v9\"}")),
       std::runtime_error);
   sim::JsonValue no_scenario = sim::JsonValue::object();
-  no_scenario.set("schema", "wavesim.repro.v1");
+  no_scenario.set("schema", "wavesim.repro.v2");
   EXPECT_THROW(repro_from_json(no_scenario), std::runtime_error);
+
+  const sim::JsonValue good = repro_to_json(sample_failure());
+  ASSERT_EQ(repro_error(good), "");
+  // A version-1 file is refused by name: its run fields are not job.v1
+  // keys.
+  sim::JsonValue v1 = good;
+  v1.set("schema", "wavesim.repro.v1");
+  EXPECT_NE(repro_error(v1).find("wavesim.repro.v1"), std::string::npos)
+      << repro_error(v1);
+  sim::JsonValue unknown = good;
+  unknown.set("shrunk_runs", 3);
+  EXPECT_NE(repro_error(unknown).find("'shrunk_runs'"), std::string::npos)
+      << repro_error(unknown);
+
+  // Counters are read whole and in range: never truncated, wrapped or
+  // cast from an out-of-range double.
+  for (const double number : {-1.0, 2.5, 1e300}) {
+    for (const char* key : {"shrink_runs", "shrink_accepted"}) {
+      sim::JsonValue doc = good;
+      doc.set(key, number);
+      EXPECT_NE(repro_error(doc).find(key), std::string::npos)
+          << key << " = " << number;
+    }
+    for (const char* key : {"offered", "delivered", "final_cycle"}) {
+      for (const char* outcome : {"outcome", "original_outcome"}) {
+        sim::JsonValue inner = good.at(outcome);
+        inner.set(key, number);
+        sim::JsonValue doc = good;
+        doc.set(outcome, std::move(inner));
+        EXPECT_NE(repro_error(doc).find(key), std::string::npos)
+            << outcome << "." << key << " = " << number;
+      }
+    }
+  }
 }
 
 TEST(Repro, WriteAndLoadFile) {
-  Failure failure;
-  failure.original = always_failing_scenario();
-  failure.original_outcome = run_scenario(failure.original);
+  Failure failure = sample_failure();
   failure.shrunk = failure.original;
-  failure.shrunk_outcome = failure.original_outcome;
+  failure.shrunk_outcome = run_scenario(failure.shrunk);
 
   const char* dir = std::getenv("TMPDIR");
   const std::string path =

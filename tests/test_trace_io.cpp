@@ -17,7 +17,9 @@ class TraceIo : public ::testing::Test {
   TraceIo() {
     path_ = (std::filesystem::temp_directory_path() /
              ("wavesim_trace_" +
-              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()) +
               "_" + std::to_string(counter_++)))
                 .string();
   }
