@@ -46,11 +46,11 @@ void usage() {
       "  --no-shrink         keep failures as found, skip delta debugging\n"
       "  --faulty            force a failure storm onto every scenario\n"
       "                      (dynamic-fault + reachability oracles)\n"
-      "  --artifact-dir DIR  write each failure as a wavesim.repro.v2 file\n"
+      "  --artifact-dir DIR  write each failure as a wavesim.repro.v3 file\n"
       "  --json PATH         write the run report as JSON\n"
       "  --one SEED          run the single scenario of SEED (hex ok) and\n"
       "                      print its outcome\n"
-      "  --replay FILE       re-execute a wavesim.repro.v2 artifact and\n"
+      "  --replay FILE       re-execute a wavesim.repro.v3 artifact and\n"
       "                      verify it reproduces bit-identically\n");
 }
 

@@ -1,22 +1,18 @@
 #include "check/oracle.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
 
-#include <algorithm>
-
 #include "analysis/analyze.hpp"
-#include "core/simulation.hpp"
 #include "engine/engine.hpp"
 #include "fault/plane.hpp"
 #include "sim/rng.hpp"
+#include "snap/runstate.hpp"
 #include "verify/delivery.hpp"
 #include "verify/fsck.hpp"
-#include "verify/watchdog.hpp"
-#include "workload/size_dist.hpp"
-#include "workload/traffic.hpp"
 
 namespace wavesim::check {
 
@@ -29,8 +25,8 @@ namespace {
 ///   backtracks <= directed channels (history forbids re-reserving a
 ///                                    channel within an attempt)
 struct AttemptBudget {
-  std::uint64_t misroutes = 0;
-  std::uint64_t backtracks = 0;
+  std::int64_t misroutes = 0;
+  std::int64_t backtracks = 0;
 };
 
 /// Hop distances from `src` over the currently-alive links, by BFS. The
@@ -60,15 +56,150 @@ std::vector<std::int32_t> bfs_over_alive(const topo::KAryNCube& topo,
   return dist;
 }
 
-std::unique_ptr<load::SizeDist> make_size_dist(const Scenario& s) {
-  const std::int32_t min_flits = s.spec.message_flits;
-  if (s.size_dist == "uniform" && s.max_flits > min_flits) {
-    return std::make_unique<load::UniformSize>(min_flits, s.max_flits);
+/// Interval (cycles) between fscks and reads of the run's watchdog.
+constexpr Cycle kCheckEvery = 1024;
+/// Stop collecting after this many violations (the run aborts early).
+constexpr std::size_t kMaxViolations = 8;
+
+/// Run `spec` to completion under the dynamic and post-run oracles,
+/// with `shards` >= 1 selecting the parallel engine. At cycle `cut` (0 =
+/// never) the run is checkpointed, encoded, decoded and resumed from the
+/// decoded snapshot; the fingerprint, the attempt budgets and (inside
+/// the snapshot) the driver's watchdog carry across.
+RunOutcome execute(const snap::RunSpec& spec, std::int32_t shards, Cycle cut,
+                   const analysis::LivelockBounds& caps) {
+  RunOutcome out;
+  const auto violation = [&out](const std::string& text) {
+    if (out.violations.size() < kMaxViolations) out.violations.push_back(text);
+  };
+
+  // Event sink: order-sensitive fingerprint + per-attempt misroute budgets.
+  std::uint64_t fingerprint = 0x77617665u;  // "wave"
+  std::unordered_map<CircuitId, AttemptBudget> budgets;
+  const auto sink = [&](const core::Event& ev) {
+    using U = std::uint64_t;
+    for (const U field :
+         {U{ev.at}, static_cast<U>(ev.kind), static_cast<U>(ev.node),
+          static_cast<U>(ev.msg), static_cast<U>(ev.circuit),
+          static_cast<U>(ev.port)}) {
+      fingerprint = sim::hash_mix(fingerprint ^ field);
+    }
+    if (ev.circuit == kInvalidCircuit) return;
+    switch (ev.kind) {
+      case core::EventKind::kProbeLaunched:
+        budgets[ev.circuit] = AttemptBudget{};  // new attempt, fresh budget
+        break;
+      case core::EventKind::kMisrouted: {
+        AttemptBudget& b = budgets[ev.circuit];
+        if (++b.misroutes <= caps.misroute_budget + b.backtracks) break;
+        std::ostringstream os;
+        os << "livelock: circuit " << ev.circuit << " took " << b.misroutes
+           << " misroutes with " << b.backtracks
+           << " backtracks in one attempt (budget m="
+           << caps.misroute_budget << ") at cycle " << ev.at;
+        violation(os.str());
+        break;
+      }
+      case core::EventKind::kBacktracked: {
+        AttemptBudget& b = budgets[ev.circuit];
+        if (++b.backtracks <= caps.backtrack_cap) break;
+        std::ostringstream os;
+        os << "livelock: circuit " << ev.circuit << " backtracked "
+           << b.backtracks << " times in one attempt (channel count "
+           << caps.backtrack_cap << ") at cycle " << ev.at;
+        violation(os.str());
+        break;
+      }
+      default:
+        break;
+    }
+  };
+
+  auto run = std::make_unique<snap::CheckpointableRun>(spec);
+  const auto attach = [&] {
+    if (shards >= 1) {
+      run->set_engine(engine::make_engine(engine::engine_config("par", shards),
+                                          run->sim().topology().num_nodes()));
+    }
+    run->sim().set_event_sink(sink);
+  };
+  attach();
+
+  bool stuck = false;
+  const auto abort_run = [&] {
+    return stuck || out.violations.size() >= kMaxViolations;
+  };
+  while (!run->done() && !abort_run()) {
+    const Cycle now = run->now();
+    Cycle next = (now / kCheckEvery + 1) * kCheckEvery;
+    if (cut > now) next = std::min(next, cut);
+    run->advance(next - now);
+    if (run->now() == cut && !run->done()) {
+      const snap::Snapshot restored =
+          snap::Snapshot::decode(run->checkpoint().encode());
+      run = std::make_unique<snap::CheckpointableRun>(restored);
+      attach();
+    }
+    if (run->now() % kCheckEvery != 0) continue;
+    // The driver polls its watchdog every OpenLoopDriver::kPollEvery
+    // cycles, a divisor of kCheckEvery: its verdict is this cycle's.
+    const load::OpenLoopDriver& driver = run->driver();
+    const std::string at = std::to_string(run->now());
+    if (driver.verdict() == verify::Verdict::kStuck) {
+      violation("deadlock: no progress for " +
+                std::to_string(driver.stalled_for()) +
+                " cycles with work pending at cycle " + at);
+      stuck = true;
+    }
+    for (const auto& v :
+         verify::check_control_state(run->sim().network()).violations) {
+      violation("fsck at cycle " + at + ": " + v);
+    }
   }
-  if (s.size_dist == "bimodal" && s.max_flits > min_flits) {
-    return std::make_unique<load::BimodalSize>(min_flits, s.max_flits, 0.3);
+
+  const core::Network& net = run->sim().network();
+  // Drain cap elapsed while the watchdog still saw progress: saturation
+  // (offered > capacity), not a protocol violation.
+  out.saturated = run->done() && !run->result().drained;
+  out.offered = net.messages().size();
+  out.delivered = net.messages_delivered();
+  out.final_cycle = run->now();
+  out.fingerprint = fingerprint;
+  if (abort_run() || out.saturated) return out;
+
+  for (const auto check : {&verify::check_delivery, &verify::check_drained,
+                            &verify::check_control_state}) {
+    for (const auto& v : check(net).violations) violation("post-run: " + v);
   }
-  return std::make_unique<load::FixedSize>(min_flits);
+
+  // Reachability oracle: after a clean drain the fault plane is dormant
+  // (quiescent() requires it), so every node's distance-vector table must
+  // have converged to the BFS hop distances over the links that are
+  // actually alive, capped at the RIP infinity. A stale route that
+  // survived a link failure (or a withdrawal that never un-poisoned
+  // after repair) shows up here as an exact metric mismatch.
+  if (const fault::FaultPlane* fp = net.fault_plane(); fp != nullptr) {
+    const auto& topo = net.topology();
+    const std::int32_t n = topo.num_nodes();
+    const std::int32_t inf = fp->infinity();
+    for (NodeId src = 0; src < n && !abort_run(); ++src) {
+      const std::vector<std::int32_t> dist = bfs_over_alive(topo, *fp, src);
+      for (NodeId dest = 0; dest < n; ++dest) {
+        if (dest == src) continue;
+        const std::int32_t d = dist[static_cast<std::size_t>(dest)];
+        const std::int32_t expected = d < 0 ? inf : std::min(d, inf);
+        const std::int32_t actual = fp->metric(src, dest);
+        if (actual == expected) continue;
+        std::ostringstream os;
+        os << "reachability: node " << src << " route to " << dest
+           << " has metric " << actual << " but BFS over alive links says "
+           << (d < 0 ? "unreachable" : std::to_string(expected))
+           << " (infinity " << inf << ") at cycle " << out.final_cycle;
+        violation(os.str());
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -86,13 +217,11 @@ std::string RunOutcome::summary() const {
   return os.str();
 }
 
-RunOutcome run_scenario(const Scenario& scenario,
-                        const OracleOptions& options) {
+RunOutcome run_scenario(const Scenario& scenario) {
   RunOutcome out;
   const snap::RunSpec& spec = scenario.spec;
-  const sim::SimConfig& config = spec.config;
   try {
-    config.validate();
+    snap::validate(spec);
   } catch (const std::exception& e) {
     out.violations.push_back(std::string("config invalid: ") + e.what());
     return out;
@@ -104,225 +233,49 @@ RunOutcome run_scenario(const Scenario& scenario,
   // only tell us *whether* this run happens to trigger it. Fail fast and
   // deterministically with the analyzer's witness-bearing detail.
   const analysis::ConfigReport analysis_report =
-      analysis::analyze_config(config);
+      analysis::analyze_config(spec.config);
   for (const auto& row : analysis_report.rows) {
     if (row.status != analysis::CheckStatus::kViolation) continue;
     out.violations.push_back("structural: " + row.id + ": " + row.detail);
   }
   if (!out.violations.empty()) return out;
 
-  core::Simulation sim(config);
-  if (scenario.engine_shards >= 1) {
-    engine::EngineConfig engine_config;
-    engine_config.kind = engine::EngineKind::kPar;
-    engine_config.shards = scenario.engine_shards;
-    sim.set_engine(
-        engine::make_engine(engine_config, sim.topology().num_nodes()));
-  }
-
-  // Event sink: order-sensitive fingerprint + per-attempt misroute budgets.
-  // The caps come from the same static bounds wavecheck reports (Theorems
+  // The livelock caps are the static bounds wavecheck reports (Theorems
   // 3/4), so the runtime oracle and the analyzer cannot drift apart.
-  const std::uint64_t backtrack_cap =
-      static_cast<std::uint64_t>(analysis_report.bounds.backtrack_cap);
-  const std::uint64_t misroute_cap =
-      static_cast<std::uint64_t>(analysis_report.bounds.misroute_budget);
-  std::uint64_t fingerprint = 0x77617665u;  // "wave"
-  std::unordered_map<CircuitId, AttemptBudget> budgets;
-  sim.set_event_sink([&](const core::Event& ev) {
-    fingerprint = sim::hash_mix(fingerprint ^ ev.at);
-    fingerprint =
-        sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.kind));
-    fingerprint =
-        sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.node));
-    fingerprint =
-        sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.msg));
-    fingerprint =
-        sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.circuit));
-    fingerprint =
-        sim::hash_mix(fingerprint ^ static_cast<std::uint64_t>(ev.port));
-    if (ev.circuit == kInvalidCircuit) return;
-    switch (ev.kind) {
-      case core::EventKind::kProbeLaunched:
-        budgets[ev.circuit] = AttemptBudget{};  // new attempt, fresh budget
-        break;
-      case core::EventKind::kMisrouted: {
-        AttemptBudget& b = budgets[ev.circuit];
-        ++b.misroutes;
-        if (b.misroutes > misroute_cap + b.backtracks &&
-            out.violations.size() < options.max_violations) {
-          std::ostringstream os;
-          os << "livelock: circuit " << ev.circuit << " took " << b.misroutes
-             << " misroutes with " << b.backtracks
-             << " backtracks in one attempt (budget m=" << misroute_cap
-             << ") at cycle " << ev.at;
-          out.violations.push_back(os.str());
-        }
-        break;
-      }
-      case core::EventKind::kBacktracked: {
-        AttemptBudget& b = budgets[ev.circuit];
-        ++b.backtracks;
-        if (b.backtracks > backtrack_cap &&
-            out.violations.size() < options.max_violations) {
-          std::ostringstream os;
-          os << "livelock: circuit " << ev.circuit << " backtracked "
-             << b.backtracks << " times in one attempt (channel count "
-             << backtrack_cap << ") at cycle " << ev.at;
-          out.violations.push_back(os.str());
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  });
-
-  // Workload streams fork deterministically from the scenario seed.
-  sim::Rng root(spec.seed);
-  sim::Rng inject_rng = root.fork();
-  sim::Rng pattern_rng = root.fork();
-  sim::Rng carp_rng = root.fork();
-  std::unique_ptr<load::TrafficPattern> pattern;
-  try {
-    pattern = load::make_traffic(spec.pattern, sim.topology(), pattern_rng,
-                                 spec.working_set);
-  } catch (const std::exception& e) {
-    out.violations.push_back(std::string("workload invalid: ") + e.what());
-    return out;
-  }
-  const std::unique_ptr<load::SizeDist> sizes = make_size_dist(scenario);
-  const double p_message = spec.offered_load / sizes->mean();
-
-  verify::ProgressWatchdog watchdog(sim.network(), options.watchdog_patience);
-  const Cycle check_every =
-      options.check_every > 0 ? options.check_every : 1024;
-  bool stuck = false;
-  auto periodic_checks = [&]() {
-    if (watchdog.poll() == verify::Verdict::kStuck &&
-        out.violations.size() < options.max_violations) {
-      std::ostringstream os;
-      os << "deadlock: no progress for " << watchdog.stalled_for()
-         << " cycles with work pending at cycle " << sim.now();
-      out.violations.push_back(os.str());
-      stuck = true;
-    }
-    const verify::CheckResult fsck =
-        verify::check_control_state(sim.network());
-    for (const auto& v : fsck.violations) {
-      if (out.violations.size() >= options.max_violations) break;
-      std::ostringstream os;
-      os << "fsck at cycle " << sim.now() << ": " << v;
-      out.violations.push_back(os.str());
+  const analysis::LivelockBounds& caps = analysis_report.bounds;
+  // A simulator invariant that throws (a corrupt restore, a logic error)
+  // is a violation of the run, not a crash of the checker.
+  const auto guarded = [&](std::int32_t shards, Cycle cut) {
+    try {
+      return execute(spec, shards, cut, caps);
+    } catch (const std::exception& e) {
+      RunOutcome thrown;
+      thrown.violations.push_back(std::string("exception: ") + e.what());
+      return thrown;
     }
   };
-  auto abort_run = [&]() {
-    return stuck || out.violations.size() >= options.max_violations;
-  };
+  // The restore cycle is drawn from the seed, inside the injection span.
+  const Cycle cut =
+      spec.measure == 0 ? 0 : 1 + sim::hash_mix(spec.seed) % spec.measure;
+  out = guarded(scenario.engine_shards, cut);
 
-  const std::int32_t n = sim.topology().num_nodes();
-  // The oracle injects itself rather than through load::OpenLoopDriver:
-  // under CARP it also establishes and releases circuits at random.
-  const bool carp = config.protocol.protocol == sim::ProtocolKind::kCarp;
-  for (Cycle c = 0; c < spec.measure && !abort_run(); ++c) {
-    for (NodeId src = 0; src < n; ++src) {
-      if (!inject_rng.chance(p_message)) continue;
-      const NodeId dest = pattern->pick(src, inject_rng);
-      const std::int32_t length = sizes->sample(inject_rng);
-      if (carp && carp_rng.chance(0.3)) {
-        sim.establish_circuit(src, dest, scenario.max_flits);
-      }
-      sim.send(src, dest, length);
-      ++out.offered;
-      if (carp && carp_rng.chance(0.1)) sim.release_circuit(src, dest);
-    }
-    sim.step();
-    if (sim.now() % check_every == 0) periodic_checks();
-  }
-
-  // Drain. Hitting the cap while the watchdog still sees movement is
-  // saturation (offered > capacity), not a protocol violation.
-  const Cycle drain_deadline = sim.now() + spec.drain_cap;
-  while (!abort_run() && !sim.network().quiescent()) {
-    if (sim.now() >= drain_deadline) {
-      out.saturated = true;
-      break;
-    }
-    sim.step();
-    if (sim.now() % check_every == 0) periodic_checks();
-  }
-
-  out.final_cycle = sim.now();
-  out.delivered = sim.network().messages_delivered();
-  out.fingerprint = fingerprint;
-
-  if (!abort_run() && !out.saturated) {
-    const auto append = [&](const verify::CheckResult& result) {
-      for (const auto& v : result.violations) {
-        if (out.violations.size() >= options.max_violations) break;
-        out.violations.push_back("post-run: " + v);
-      }
+  // Identity oracle: neither the engine nor a checkpoint/restore may change
+  // a run, so the one-shot sequential twin must match every observable,
+  // the order-sensitive event fingerprint included.
+  const RunOutcome twin = guarded(0, 0);
+  if (twin != out) {
+    const auto brief = [](const RunOutcome& o) {
+      std::ostringstream os;
+      os << "{fp " << to_hex_u64(o.fingerprint) << ", " << o.delivered << "/"
+         << o.offered << " delivered, cycle " << o.final_cycle << ", "
+         << o.violations.size() << " violation(s)}";
+      return os.str();
     };
-    append(verify::check_delivery(sim.network()));
-    append(verify::check_drained(sim.network()));
-    append(verify::check_control_state(sim.network()));
-
-    // Reachability oracle: after a clean drain the fault plane is dormant
-    // (quiescent() requires it), so every node's distance-vector table must
-    // have converged to the BFS hop distances over the links that are
-    // actually alive, capped at the RIP infinity. A stale route that
-    // survived a link failure (or a withdrawal that never un-poisoned
-    // after repair) shows up here as an exact metric mismatch.
-    if (const fault::FaultPlane* fp = sim.network().fault_plane();
-        fp != nullptr) {
-      const auto& topo = sim.topology();
-      const std::int32_t inf = fp->infinity();
-      for (NodeId src = 0;
-           src < n && out.violations.size() < options.max_violations; ++src) {
-        const std::vector<std::int32_t> dist = bfs_over_alive(topo, *fp, src);
-        for (NodeId dest = 0; dest < n; ++dest) {
-          if (dest == src) continue;
-          const std::int32_t d = dist[static_cast<std::size_t>(dest)];
-          const std::int32_t expected = d < 0 ? inf : std::min(d, inf);
-          const std::int32_t actual = fp->metric(src, dest);
-          if (actual == expected) continue;
-          if (out.violations.size() >= options.max_violations) break;
-          std::ostringstream os;
-          os << "reachability: node " << src << " route to " << dest
-             << " has metric " << actual << " but BFS over alive links says "
-             << (d < 0 ? "unreachable" : std::to_string(expected))
-             << " (infinity " << inf << ") at cycle " << sim.now();
-          out.violations.push_back(os.str());
-        }
-      }
-    }
-  }
-
-  // Equivalence oracle: the parallel engine promises bit-identical results,
-  // so a sequential re-run of the same scenario must match every observable
-  // — including the order-sensitive event fingerprint. The twin has
-  // engine_shards = 0, so the recursion terminates after one level.
-  if (scenario.engine_shards >= 1 && options.check_engine_equivalence) {
-    Scenario twin = scenario;
-    twin.engine_shards = 0;
-    const RunOutcome seq = run_scenario(twin, options);
-    if (seq.fingerprint != out.fingerprint || seq.offered != out.offered ||
-        seq.delivered != out.delivered ||
-        seq.final_cycle != out.final_cycle ||
-        seq.saturated != out.saturated ||
-        seq.violations != out.violations) {
-      std::ostringstream os;
-      os << "engine equivalence: parallel run (shards="
-         << scenario.engine_shards
-         << ") diverged from the sequential stepper: par {fp "
-         << to_hex_u64(out.fingerprint) << ", " << out.delivered << "/"
-         << out.offered << " delivered, cycle " << out.final_cycle << ", "
-         << out.violations.size() << " violation(s)} vs seq {fp "
-         << to_hex_u64(seq.fingerprint) << ", " << seq.delivered << "/"
-         << seq.offered << " delivered, cycle " << seq.final_cycle << ", "
-         << seq.violations.size() << " violation(s)}";
-      out.violations.push_back(os.str());
-    }
+    out.violations.push_back(
+        "identity: the run (shards=" + std::to_string(scenario.engine_shards) +
+        ", restored at cycle " + std::to_string(cut) +
+        ") diverged from the one-shot sequential run: " + brief(out) +
+        " vs " + brief(twin));
   }
   return out;
 }

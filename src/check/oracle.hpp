@@ -8,11 +8,14 @@
 //                 Theorem 3), periodic control-plane fsck (I1-I6);
 //   post-run    — delivery completeness/causality/ordering/conservation,
 //                 drained-state leak check, probe-step bound;
-//   equivalence — a scenario that ran under the sharded parallel engine
-//                 (engine_shards >= 1) is re-run under the sequential
-//                 stepper and every observable (event fingerprint, offered,
-//                 delivered, final cycle, saturation, violations) must
-//                 match, so synchronization bugs surface as violations.
+//   identity    — the run is the production one (snap::CheckpointableRun
+//                 of the scenario's spec, under the parallel engine when
+//                 engine_shards >= 1), checkpointed, encoded, decoded and
+//                 restored at a cycle drawn from the seed. A one-shot
+//                 sequential twin must match every observable (event
+//                 fingerprint, offered, delivered, final cycle,
+//                 saturation, violations), so engine and restore bugs
+//                 surface as violations.
 //
 // The run also folds every instrumentation event into an order-sensitive
 // 64-bit fingerprint, which is what "bit-identical replay" is checked
@@ -29,20 +32,6 @@
 
 namespace wavesim::check {
 
-struct OracleOptions {
-  /// Interval (cycles) between watchdog polls and control-plane fscks.
-  Cycle check_every = 1024;
-  /// No movement with pending work for this many cycles => stuck verdict.
-  Cycle watchdog_patience = 20'000;
-  /// Stop collecting after this many violations (the run aborts early).
-  std::size_t max_violations = 8;
-  /// Re-run engine_shards >= 1 scenarios under the sequential stepper and
-  /// require identical outcomes (the engine's bit-identity contract).
-  /// Costs one extra sequential run per parallel scenario. Stays on while
-  /// shrinking so a minimized repro preserves an equivalence violation.
-  bool check_engine_equivalence = true;
-};
-
 struct RunOutcome {
   std::vector<std::string> violations;
   /// Drain cap elapsed while the watchdog still saw progress: the offered
@@ -57,13 +46,13 @@ struct RunOutcome {
 
   bool ok() const noexcept { return violations.empty(); }
   std::string summary() const;
+  friend bool operator==(const RunOutcome&, const RunOutcome&) = default;
 };
 
 /// Run `scenario` under the full oracle stack. Deterministic: equal
 /// scenarios produce equal RunOutcomes (including the fingerprint).
-/// A scenario whose config fails validate() yields a violation rather
-/// than a throw, so hand-edited repro files degrade gracefully.
-RunOutcome run_scenario(const Scenario& scenario,
-                        const OracleOptions& options = {});
+/// A scenario whose spec fails snap::validate yields a violation rather
+/// than a throw, so hand-edited scenarios degrade gracefully.
+RunOutcome run_scenario(const Scenario& scenario);
 
 }  // namespace wavesim::check

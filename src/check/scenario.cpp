@@ -83,6 +83,7 @@ std::string Scenario::label() const {
        << " cache=" << c.protocol.circuit_cache_entries << "/"
        << sim::to_string(c.protocol.replacement);
   }
+  if (spec.carp != "none") os << " calls=" << spec.carp;
   if (c.protocol.max_packet_flits > 0) {
     os << " seg=" << c.protocol.max_packet_flits;
   }
@@ -97,8 +98,9 @@ std::string Scenario::label() const {
       os << "/perm";
     }
   }
-  os << " " << spec.pattern << "/" << size_dist << "[" << spec.message_flits
-     << "," << max_flits << "] load=" << spec.offered_load
+  os << " " << spec.pattern << "/" << spec.sizes << "["
+     << spec.message_flits << "," << spec.max_length()
+     << "] load=" << spec.offered_load
      << " inject=" << spec.measure;
   if (engine_shards >= 1) os << " engine=par:" << engine_shards;
   return os.str();
@@ -167,10 +169,13 @@ void Scenario::repair() {
     pattern = "uniform";
   }
   if (pattern != "working-set") spec.working_set = {};
-  if (size_dist != "uniform" && size_dist != "bimodal") size_dist = "fixed";
+  if (spec.sizes != "uniform" && spec.sizes != "bimodal") spec.sizes = "fixed";
   clamp(spec.message_flits, 1, kMaxFlits);
-  clamp(max_flits, spec.message_flits, kMaxFlits);
-  if (size_dist == "fixed") max_flits = spec.message_flits;
+  clamp(spec.max_flits, spec.message_flits, kMaxFlits);
+  if (spec.sizes == "fixed") spec.max_flits = 0;
+  if (protocol.protocol != sim::ProtocolKind::kCarp || spec.carp != "random") {
+    spec.carp = "none";
+  }
   clamp(spec.offered_load, kMinLoad, kMaxLoad);
   spec.warmup = 0;
   clamp(spec.measure, kMinInject, kMaxInject);
@@ -195,8 +200,8 @@ void Scenario::repair() {
 }
 
 Scenario Scenario::generate(std::uint64_t seed) {
-  // Decouple the draw stream from the execution streams (which fork from
-  // the same seed inside run_scenario) by salting the generator stream.
+  // Decouple the draw stream from the run's streams (which
+  // CheckpointableRun seeds from the same seed) by salting it.
   sim::Rng rng(sim::hash_mix(seed ^ 0x5ca1ab1e0ddba11ULL));
   Scenario s;
   snap::RunSpec& r = s.spec;
@@ -240,10 +245,11 @@ Scenario Scenario::generate(std::uint64_t seed) {
       "tornado", "neighbor",   "bit-complement", "working-set"};
   r.pattern = kPatterns[rng.next_below(std::size(kPatterns))];
   const double size_draw = rng.uniform01();
-  s.size_dist =
+  r.sizes =
       size_draw < 0.5 ? "fixed" : (size_draw < 0.8 ? "uniform" : "bimodal");
   r.message_flits = draw(1, 32);
-  s.max_flits = draw(r.message_flits, kMaxFlits);
+  r.max_flits = draw(r.message_flits, kMaxFlits);
+  r.carp = "random";  // kept under CARP only
   r.offered_load = kMinLoad + (kMaxLoad - kMinLoad) * rng.uniform01();
   r.warmup = 0;
   r.measure = static_cast<Cycle>(draw(kMinInject, kMaxInject));

@@ -1,9 +1,9 @@
 // One simcheck scenario: everything Theorems 1-4 quantify over, held as a
-// snap::RunSpec plus the three knobs a run spec does not name, so it can be
-// (a) drawn from a single 64-bit seed, (b) mutated by the shrinker one
-// field at a time, and (c) round-tripped through a wavesim.repro.v2 JSON
-// file for bit-identical replay (check/simcheck.hpp), whose "spec" is a
-// job.v1 run spec read and written by the same codec as wavesimd jobs.
+// snap::RunSpec plus the engine shard count, so it can be (a) drawn from
+// a single 64-bit seed, (b) mutated by the shrinker one field at a time,
+// and (c) round-tripped through a wavesim.repro.v3 JSON file for
+// bit-identical replay (check/simcheck.hpp), whose "spec" is a job.v1 run
+// spec read and written by the same codec as wavesimd jobs.
 #pragma once
 
 #include <cstdint>
@@ -22,23 +22,19 @@ std::string to_hex_u64(std::uint64_t value);
 bool parse_hex_u64(const std::string& text, std::uint64_t& out);
 
 struct Scenario {
-  /// The run. `config` covers topology, protocol (CLRP variant included),
-  /// router, static faults and the failure storm; `message_flits` is the
-  /// minimum message length; `measure` is the injection span (`warmup` is
-  /// always 0); `drain_cap` bounds the drain. `seed` (== config.seed) is
-  /// the scenario's identity: it drives both generation (which values were
-  /// drawn) and execution (traffic arrivals, destinations, message lengths,
-  /// CARP call sites). A storm is active iff its fraction is > 0; the
-  /// inactive storm is all zero, so shrinking towards zero converges.
+  /// The run, as snap::CheckpointableRun runs it. `config` covers
+  /// topology, protocol (CLRP variant included), router, static faults
+  /// and the failure storm; `message_flits`..`max_flits` span the message
+  /// lengths `sizes` draws, and under CARP `carp` is "random"; `measure`
+  /// is the injection span (`warmup` is always 0); `drain_cap` bounds the
+  /// drain. `seed` (== config.seed) is the scenario's identity: it drives
+  /// both generation (which values were drawn) and execution (traffic,
+  /// CARP calls, the restore cycle). A storm is active iff its fraction is
+  /// > 0; the inactive storm is all zero.
   snap::RunSpec spec;
-  std::string size_dist = "fixed";  ///< fixed | uniform | bimodal
-  /// Longest message (== spec.message_flits for "fixed"); also the buffer
-  /// size of the circuits the oracle pre-establishes under CARP.
-  std::int32_t max_flits = 64;
   /// 0 = sequential stepper, >= 1 = sharded parallel engine with that many
   /// shards. By the engine's bit-identity contract this must never change
-  /// the outcome; it is drawn from the seed so roughly half of all property
-  /// runs double as seq/par equivalence tests (see the oracle stack).
+  /// the outcome; the oracle's sequential twin checks it.
   std::int32_t engine_shards = 0;
 
   friend bool operator==(const Scenario&, const Scenario&) = default;

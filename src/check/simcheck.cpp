@@ -15,7 +15,7 @@ namespace wavesim::check {
 
 namespace {
 
-constexpr const char* kSchema = "wavesim.repro.v2";
+constexpr const char* kSchema = "wavesim.repro.v3";
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::runtime_error(std::string(kSchema) + ": " + what);
@@ -37,9 +37,8 @@ T whole(const sim::JsonValue& obj, const char* key) {
 }
 
 /// The "scenario" object: {"seed": "0x..", "spec": <job.v1 run spec
-/// without "seed">, "size_dist", "max_flits", "engine_shards"}. job.v1
-/// caps seeds at 2^53, so the full 64-bit seed travels beside the spec as
-/// a hex string.
+/// without "seed">, "engine_shards"}. job.v1 caps seeds at 2^53, so the
+/// full 64-bit seed travels beside the spec as a hex string.
 sim::JsonValue scenario_to_json(const Scenario& s) {
   const sim::JsonValue canonical = snap::runspec_to_json(s.spec);
   sim::JsonValue run = sim::JsonValue::object();
@@ -49,15 +48,12 @@ sim::JsonValue scenario_to_json(const Scenario& s) {
   return sim::JsonValue::object()
       .set("seed", to_hex_u64(s.spec.seed))
       .set("spec", std::move(run))
-      .set("size_dist", s.size_dist)
-      .set("max_flits", s.max_flits)
       .set("engine_shards", s.engine_shards);
 }
 
 Scenario scenario_from_json(const sim::JsonValue& value) {
-  sim::check_known_keys(
-      value, {"seed", "spec", "size_dist", "max_flits", "engine_shards"},
-      "wavesim.repro.v2 scenario");
+  sim::check_known_keys(value, {"seed", "spec", "engine_shards"},
+                        "wavesim.repro.v3 scenario");
   Scenario s;
   const sim::JsonValue& run = member(value, "spec");
   if (run.find("seed") != nullptr) {
@@ -73,10 +69,6 @@ Scenario scenario_from_json(const sim::JsonValue& value) {
     bad("'seed' is not a 0x-prefixed hex string");
   }
   s.spec.config.seed = s.spec.seed;
-  const sim::JsonValue& size_dist = member(value, "size_dist");
-  if (!size_dist.is_string()) bad("'size_dist' is not a string");
-  s.size_dist = size_dist.as_string();
-  s.max_flits = whole<std::int32_t>(value, "max_flits");
   s.engine_shards = whole<std::int32_t>(value, "engine_shards");
   return s;
 }
@@ -97,7 +89,7 @@ RunOutcome outcome_from_json(const sim::JsonValue& value) {
   sim::check_known_keys(value,
                         {"violations", "saturated", "offered", "delivered",
                          "final_cycle", "fingerprint"},
-                        "wavesim.repro.v2 outcome");
+                        "wavesim.repro.v3 outcome");
   RunOutcome out;
   const sim::JsonValue& violations = member(value, "violations");
   if (!violations.is_array()) bad("bad 'violations'");
@@ -134,7 +126,7 @@ Report run_simcheck(const SimcheckOptions& options) {
     Scenario scenario =
         Scenario::generate(harness::derive_seed(options.base_seed, i, 0));
     if (options.faulty) scenario.ensure_storm();
-    RunOutcome outcome = run_scenario(scenario, options.oracle);
+    RunOutcome outcome = run_scenario(scenario);
     ++scenarios_run;
     if (outcome.saturated) ++saturated;
     if (outcome.ok()) return failures_seen.load() < options.max_failures;
@@ -165,8 +157,7 @@ Report run_simcheck(const SimcheckOptions& options) {
 
   if (options.shrink_failures) {
     for (Failure& failure : report.failures) {
-      ShrinkResult shrunk =
-          shrink(failure.original, failure.original_outcome, options.shrink);
+      ShrinkResult shrunk = shrink(failure.original, failure.original_outcome);
       failure.shrunk = std::move(shrunk.scenario);
       failure.shrunk_outcome = std::move(shrunk.outcome);
       failure.shrink_runs = shrunk.runs;
@@ -192,8 +183,9 @@ Failure repro_from_json(const sim::JsonValue& value) {
   const sim::JsonValue* schema = value.find("schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->as_string() != kSchema) {
-    // Naming what was found tells a wavesim.repro.v1 file (whose run
-    // fields are not job.v1 keys) apart from a document of another kind.
+    // Naming what was found tells an older repro file (v1 run fields are
+    // not job.v1 keys; v2 runs an injection loop simcheck no longer has)
+    // apart from a document of another kind.
     const std::string found =
         schema != nullptr && schema->is_string() ? schema->as_string() : "";
     bad(std::string("'schema' must be \"") + kSchema + "\"" +

@@ -1,5 +1,5 @@
 // simcheck driver: fan scenarios across a thread pool, collect failures,
-// shrink them, and persist each as a `wavesim.repro.v2` JSON artifact that
+// shrink them, and persist each as a `wavesim.repro.v3` JSON artifact that
 // replays bit-identically (same seed => same event-stream fingerprint).
 //
 // Determinism contract: scenario i of a run is Scenario::generate(
@@ -33,8 +33,6 @@ struct SimcheckOptions {
   /// distance-vector reachability oracle, seq/par equivalence under
   /// faults. The CI fault leg runs with this on.
   bool faulty = false;
-  OracleOptions oracle;
-  ShrinkOptions shrink;
 };
 
 /// One failing scenario, before and after shrinking. When shrinking is
@@ -60,12 +58,12 @@ struct Report {
 
 Report run_simcheck(const SimcheckOptions& options);
 
-/// wavesim.repro.v2 document for one failure: the shrunk scenario (what
+/// wavesim.repro.v3 document for one failure: the shrunk scenario (what
 /// --replay executes), the original scenario, the violations observed and
 /// the failing run's event fingerprint.
 sim::JsonValue repro_to_json(const Failure& failure);
 
-/// Parse a wavesim.repro.v2 document; throws std::runtime_error naming
+/// Parse a wavesim.repro.v3 document; throws std::runtime_error naming
 /// what is malformed: a bad schema id, a missing or unknown member (every
 /// member is required), a type mismatch, a counter that is not a whole
 /// number in range, a "seed" inside a scenario's "spec", or a spec that

@@ -100,7 +100,7 @@ MessageId Network::dispatch_send(NodeId src, NodeId dest,
 }
 
 void Network::schedule_send(NodeId src, NodeId dest, std::int32_t length,
-                            Cycle at) {
+                            Cycle at, Call call) {
   if (src < 0 || src >= topology_.num_nodes() || dest < 0 ||
       dest >= topology_.num_nodes()) {
     throw std::invalid_argument("Network::schedule_send: node out of range");
@@ -118,13 +118,23 @@ void Network::schedule_send(NodeId src, NodeId dest, std::int32_t length,
     throw std::invalid_argument(
         "Network::schedule_send: cycles must be non-decreasing");
   }
-  sends_.push_back(ScheduledSend{at, src, dest, length});
+  sends_.push_back(ScheduledSend{at, src, dest, length, call});
 }
 
 void Network::offer_due_sends() {
   while (sends_head_ < sends_.size() && sends_[sends_head_].at <= now_) {
     const ScheduledSend& s = sends_[sends_head_++];
-    dispatch_send(s.src, s.dest, s.length);
+    switch (s.call) {
+      case Call::kSend:
+        dispatch_send(s.src, s.dest, s.length);
+        break;
+      case Call::kEstablish:
+        interfaces_[s.src].establish_circuit(s.dest, now_, s.length);
+        break;
+      case Call::kRelease:
+        interfaces_[s.src].release_circuit(s.dest, now_);
+        break;
+    }
   }
   if (sends_head_ == sends_.size()) {
     sends_.clear();
@@ -294,6 +304,7 @@ void Network::snap(snap::Archive& ar) {
       ar.pod(sends_[i].src);
       ar.pod(sends_[i].dest);
       ar.pod(sends_[i].length);
+      ar.pod(sends_[i].call);
     }
   } else {
     std::uint64_t n = 0;
@@ -305,6 +316,7 @@ void Network::snap(snap::Archive& ar) {
       ar.pod(send.src);
       ar.pod(send.dest);
       ar.pod(send.length);
+      ar.pod(send.call);
     }
   }
   ar.pod(faulty_channels_);

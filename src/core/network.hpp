@@ -56,12 +56,17 @@ class Network {
   /// Offer a message; protocol handling starts this cycle.
   MessageId send(NodeId src, NodeId dest, std::int32_t length);
 
-  /// Queue a message to be offered at cycle `at` (>= now, non-decreasing
-  /// across calls). Equivalent to calling send() at the top of cycle
-  /// `at`: step_begin() offers every due message, in schedule order,
-  /// before anything else runs. Pre-scheduling lets a workload generator
-  /// draw a whole span of traffic up front.
-  void schedule_send(NodeId src, NodeId dest, std::int32_t length, Cycle at);
+  /// What a scheduled entry does at its cycle: send(), or a CARP call
+  /// whose buffer size (establish) is the entry's `length`.
+  enum class Call : std::uint8_t { kSend, kEstablish, kRelease };
+
+  /// Queue a message (or a CARP call) for cycle `at` (>= now,
+  /// non-decreasing across calls). Equivalent to calling send() at the
+  /// top of cycle `at`: step_begin() makes every due call, in schedule
+  /// order, before anything else runs. Pre-scheduling lets a workload
+  /// generator draw a whole span of traffic up front.
+  void schedule_send(NodeId src, NodeId dest, std::int32_t length, Cycle at,
+                     Call call = Call::kSend);
 
   /// CARP primitives (valid on any circuit-capable configuration).
   /// `max_message_flits` sizes the circuit's end-point buffers (0 = use
@@ -140,12 +145,13 @@ class Network {
   void snap(snap::Archive& ar);
 
  private:
-  /// A send queued by schedule_send, waiting for its cycle.
+  /// A call queued by schedule_send, waiting for its cycle.
   struct ScheduledSend {
     Cycle at = 0;
     NodeId src = kInvalidNode;
     NodeId dest = kInvalidNode;
     std::int32_t length = 0;
+    Call call = Call::kSend;
   };
 
   void dispatch_events();
@@ -154,7 +160,7 @@ class Network {
   /// (first thing in the sequential prologue).
   void step_faults();
   MessageId dispatch_send(NodeId src, NodeId dest, std::int32_t length);
-  /// Offer every scheduled send due this cycle, in schedule order.
+  /// Make every scheduled call due this cycle, in schedule order.
   void offer_due_sends();
 
   // Shard-safety tags (docs/ENGINE.md, enforced by wavelint --pass shard):

@@ -189,6 +189,13 @@ void push_link(std::vector<sim::FaultEvent>& out, Cycle at,
 
 }  // namespace
 
+std::size_t storm_links(const sim::FaultStorm& storm, std::size_t links) {
+  if (!(storm.fraction > 0.0) || links == 0) return 0;
+  const auto count = static_cast<std::size_t>(
+      storm.fraction * static_cast<double>(links) + 0.5);
+  return std::clamp<std::size_t>(count, 1, links);
+}
+
 std::vector<sim::FaultEvent> expand_schedule(const sim::FaultConfig& faults,
                                              const topo::KAryNCube& topology,
                                              sim::Rng rng) {
@@ -231,10 +238,7 @@ std::vector<sim::FaultEvent> expand_schedule(const sim::FaultConfig& faults,
           static_cast<std::size_t>(rng.next_below(i + 1));
       std::swap(shuffled[i], shuffled[j]);
     }
-    auto count = static_cast<std::size_t>(
-        faults.storm.fraction * static_cast<double>(shuffled.size()) + 0.5);
-    count = std::max<std::size_t>(count, 1);
-    count = std::min(count, shuffled.size());
+    const std::size_t count = storm_links(faults.storm, shuffled.size());
     for (std::size_t i = 0; i < count; ++i) {
       push_link(timeline, faults.storm.at, sim::FaultEventKind::kLinkDown,
                 shuffled[i].node, shuffled[i].port);

@@ -39,6 +39,10 @@ sim::FaultConfig load_faults_file(const std::string& path);
 /// with the positive port. `links` lists them ascending by (node, port).
 std::vector<sim::FaultEvent> canonical_links(const topo::KAryNCube& topology);
 
+/// How many of `links` canonical links `storm` fails: its fraction of
+/// them, rounded, at least one; 0 without a storm.
+std::size_t storm_links(const sim::FaultStorm& storm, std::size_t links);
+
 /// Expand every fault source into one concrete timeline of kLinkDown /
 /// kLinkUp events in canonical direction, sorted by (at, node, port,
 /// kind). Node events become per-incident-link events; storms draw a

@@ -109,6 +109,45 @@ sim::JsonValue points_to_json(const SweepResult& result);
 /// Full export: schema id, build/host metadata, wall time, and the points.
 sim::JsonValue to_json(const SweepResult& result);
 
+// -- Experiment spec files ----------------------------------------------------
+// A spec file (docs/SWEEPS.md, "Experiment spec files") names an
+// experiment and holds one or more tables. A table's points
+// are the cartesian product of its axes; each point is a job.v1 run spec
+// built from `base`, then the `quick` overrides under quick mode, then
+// one value per axis, and decoded by snap::runspec_from_json. An axis
+// whose values are objects is a bundle: each object's members go into
+// the spec together, for paired settings such as (k, split).
+
+/// A table column: a point-summary key, or the ratio `num/den` of two.
+struct Column {
+  std::string text;
+  std::string num;
+  std::string den;  ///< empty for a plain key
+};
+
+/// One table of an experiment: its columns and each point's axis cells.
+struct TableSpec {
+  std::string name;
+  std::string title;
+  std::vector<std::string> axis_keys;  ///< every axis's keys, in order
+  std::vector<Column> columns;
+  std::vector<std::vector<std::string>> cells;  ///< axis values per point
+};
+
+/// A decoded spec file: its header, tables, and every table's points.
+struct Experiment {
+  std::string id, title, setup, note;
+  std::int32_t replicas = 1;
+  std::vector<TableSpec> tables;
+  std::vector<SweepPoint> points;  ///< every table's, in order
+};
+
+/// Decode an experiment spec document. Throws std::runtime_error naming
+/// what is wrong: an unknown key, an empty or mistyped member, an unknown
+/// column, a bundle axis mixing objects and scalars, or a point spec
+/// runspec_from_json refuses.
+Experiment load_spec(const sim::JsonValue& doc, bool quick);
+
 /// Single-run stats as JSON (shared schema fragment; also used by the
 /// service's results and wavesim_cli's run.v1).
 sim::JsonValue stats_to_json(const core::SimulationStats& stats);

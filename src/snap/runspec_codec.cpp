@@ -148,6 +148,10 @@ std::vector<RunField> run_fields(RunSpec& s) {
       // runspec_to_json leaves it out at "full".
       {"variant", nullptr, nullptr, "full | force-first | single-switch",
        &c.protocol.clrp_variant},
+      // The CARP calls, message-size distribution and longest message are
+      // job.v1-only, and runspec_to_json leaves them out at their defaults.
+      {"carp", nullptr, nullptr, "none | random (protocol carp only)",
+       &s.carp},
       {"routing", "--routing", "R", "dor | duato | west-first | negative-first",
        &c.router.routing},
       {"pattern", "--pattern", "P",
@@ -181,6 +185,9 @@ std::vector<RunField> run_fields(RunSpec& s) {
        &c.faults.link_fault_rate},
       {"load", "--load", "F", "offered flits/node/cycle", &s.offered_load},
       {"length", "--length", "N", "message length in flits", &s.message_flits},
+      {"sizes", nullptr, nullptr, "fixed | uniform | bimodal", &s.sizes},
+      {"max_flits", nullptr, nullptr, "longest message (0 = length)",
+       &s.max_flits},
       {"warmup", "--warmup", "N", "warmup cycles", &s.warmup},
       {"measure", "--cycles", "N", "measured cycles", &s.measure},
       {"drain_cap", nullptr, nullptr, "drain cycles before a run counts as "
@@ -240,7 +247,8 @@ sim::JsonValue runspec_to_json(const RunSpec& spec) {
     if (key.starts_with("storm_")) {
       emit = spec.config.faults.storm.at > 0;
     } else if (key.starts_with("ws_") || key == "split" ||
-               key == "variant") {
+               key == "variant" || key == "carp" || key == "sizes" ||
+               key == "max_flits") {
       emit = value.dump() != json_of(base[i].at).dump();
     }
     if (emit) doc.set(fields[i].key, std::move(value));

@@ -1,6 +1,6 @@
 // The run vocabulary: one table of RunSpec fields, read and written by
 // the wavesim.job.v1 run-spec codec, by wavesim_cli's run flags and by
-// the run spec a wavesim.repro.v2 scenario carries. Every front end that
+// the run spec a wavesim.repro.v3 scenario carries. Every front end that
 // names a run field goes through run_fields, so a job is a CLI
 // invocation by construction and a repro scenario is a job spec
 // (docs/SERVICE.md).
@@ -65,7 +65,8 @@ RunSpec runspec_from_args(int argc, const char* const* argv,
 
 /// Canonical JSON form of a run spec: fixed field order, every field
 /// present except the storm block when no storm is scheduled and ws_size,
-/// ws_locality, ws_skew, variant and split at their defaults.
+/// ws_locality, ws_skew, variant, carp, sizes, max_flits and split at
+/// their defaults.
 /// runspec_from_json(runspec_to_json(s)) reproduces s for all fields the
 /// schema covers; result files echo this canonical form so resumed jobs
 /// emit byte-identical results.

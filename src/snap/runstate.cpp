@@ -1,6 +1,7 @@
 #include "snap/runstate.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -18,11 +19,29 @@ bool default_working_set(const load::WorkingSetParams& ws) {
          ws.skew == d.skew && !std::signbit(ws.skew);
 }
 
+bool default_shape(const RunSpec& spec) {
+  return spec.sizes == "fixed" && spec.max_flits == 0 && spec.carp == "none";
+}
+
+/// The spec's `sizes` (validated) over [length, max_length()]: "fixed"
+/// is always length, "bimodal" the longest w.p. 0.3.
+std::unique_ptr<load::SizeDist> make_sizes(const RunSpec& spec) {
+  const std::int32_t lo = spec.message_flits;
+  const std::int32_t hi = spec.max_length();
+  if (spec.sizes == "fixed") return std::make_unique<load::FixedSize>(lo);
+  if (spec.sizes == "uniform") {
+    return std::make_unique<load::UniformSize>(lo, hi);
+  }
+  return std::make_unique<load::BimodalSize>(lo, hi, 0.3);
+}
+
 /// The spec in snapshot order; without `spans`, minus measure and
 /// drain_cap, which only affect post-boundary behavior (the warm key).
-/// The working-set values trail the seed only when they differ from the
-/// defaults, so specs that keep the defaults keep their bytes and warm
-/// keys; a reader takes them only if bytes remain.
+/// The working-set values trail the seed only when they or the message
+/// shape (sizes, max_flits, carp) differ from the defaults, and the shape
+/// trails them only when it does, so specs that keep the defaults keep
+/// their bytes and warm keys; a reader takes each group only if bytes
+/// remain.
 void snap_fields(Archive& ar, RunSpec& spec, bool spans) {
   snap_config(ar, spec.config);
   ar.str(spec.pattern);
@@ -35,11 +54,19 @@ void snap_fields(Archive& ar, RunSpec& spec, bool spans) {
   }
   ar.pod(spec.seed);
   load::WorkingSetParams& ws = spec.working_set;
-  if (ar.writing() ? !default_working_set(ws) : !ar.exhausted()) {
+  const bool shape = !default_shape(spec);
+  if (ar.writing() ? shape || !default_working_set(ws) : !ar.exhausted()) {
     ar.pod(ws.size);
     ar.pod(ws.locality);
     ar.pod(ws.skew);
-    if (default_working_set(ws)) {
+    if (ar.writing() ? shape : !ar.exhausted()) {
+      ar.str(spec.sizes);
+      ar.pod(spec.max_flits);
+      ar.str(spec.carp);
+      if (default_shape(spec)) {
+        throw ArchiveError("snapshot: runspec repeats the default sizes");
+      }
+    } else if (default_working_set(ws)) {
       throw ArchiveError("snapshot: runspec repeats the default working set");
     }
   }
@@ -91,6 +118,23 @@ void validate(const RunSpec& spec) {
                                     : "ws_skew",
         "requires pattern 'working-set'");
   }
+  if (spec.sizes != "fixed" && spec.sizes != "uniform" &&
+      spec.sizes != "bimodal") {
+    bad("sizes", "unknown size distribution '" + spec.sizes + "'");
+  }
+  if (spec.max_length() < spec.message_flits) {
+    bad("max_flits", "must be 0 or >= length");
+  }
+  if (spec.sizes == "fixed" && spec.max_length() != spec.message_flits) {
+    bad("max_flits", "requires sizes 'uniform' or 'bimodal'");
+  }
+  if (spec.carp != "none" && spec.carp != "random") {
+    bad("carp", "unknown program '" + spec.carp + "'");
+  }
+  if (spec.carp != "none" &&
+      spec.config.protocol.protocol != sim::ProtocolKind::kCarp) {
+    bad("carp", "requires protocol 'carp'");
+  }
 }
 
 CheckpointableRun::CheckpointableRun(const RunSpec& spec) {
@@ -130,10 +174,11 @@ void CheckpointableRun::build(const RunSpec& spec) {
   pattern_ = load::make_traffic(spec_.pattern, sim_->topology(),
                                 sim::Rng{spec_.seed * 31 + 7},
                                 spec_.working_set);
-  sizes_ = std::make_unique<load::FixedSize>(spec_.message_flits);
+  sizes_ = make_sizes(spec_);
   driver_ = std::make_unique<load::OpenLoopDriver>(
       *sim_, *pattern_, *sizes_, spec_.offered_load, spec_.warmup,
-      spec_.measure, spec_.drain_cap, spec_.seed);
+      spec_.measure, spec_.drain_cap, spec_.seed,
+      load::CarpCalls{spec_.carp == "random", spec_.max_length()});
 }
 
 void CheckpointableRun::rebind(Cycle measure, Cycle drain_cap) {

@@ -34,13 +34,23 @@ struct RunSpec {
   sim::SimConfig config;
   std::string pattern = "uniform";
   load::WorkingSetParams working_set;  ///< used by pattern "working-set"
-  std::int32_t message_flits = 64;
+  std::int32_t message_flits = 64;  ///< the shortest message
+  /// Message lengths over [message_flits, max_length()]: "fixed" |
+  /// "uniform" | "bimodal".
+  std::string sizes = "fixed";
+  std::int32_t max_flits = 0;  ///< longest message; 0 = message_flits
+  /// CARP calls around the sends (load::CarpCalls): "none" | "random".
+  std::string carp = "none";
   double offered_load = 0.10;
   Cycle warmup = 2000;
   Cycle measure = 10000;
   Cycle drain_cap = 300'000;
   std::uint64_t seed = 1;
   friend bool operator==(const RunSpec&, const RunSpec&) = default;
+
+  std::int32_t max_length() const noexcept {
+    return max_flits != 0 ? max_flits : message_flits;
+  }
 };
 
 /// RunSpec round trip (includes the embedded config).
@@ -54,10 +64,12 @@ inline Cycle default_drain_cap(Cycle warmup, Cycle measure) {
 
 /// Throws std::invalid_argument unless CheckpointableRun can build the
 /// spec: a valid config, a pattern that fits its topology
-/// (load::check_traffic), length >= 1, 0 <= load/length <= 1, and
+/// (load::check_traffic), length >= 1, 0 <= load/length <= 1,
 /// working-set values in range (size >= 1, locality in [0, 1], skew in
 /// [0, 1)) that differ from the defaults only under pattern
-/// "working-set". Workload errors name their job.v1 field ("spec field
+/// "working-set", a known size distribution whose max_flits is 0 or
+/// >= length (== length under "fixed"), and CARP calls only under
+/// protocol carp. Workload errors name their job.v1 field ("spec field
 /// 'load': ..."). Builds no topology or network.
 void validate(const RunSpec& spec);
 
@@ -77,6 +89,8 @@ class CheckpointableRun {
 
   /// Resume from a checkpoint() snapshot, anywhere in any phase.
   explicit CheckpointableRun(const Snapshot& snapshot);
+
+  const load::OpenLoopDriver& driver() const noexcept { return *driver_; }
 
   /// Install a step engine (nullptr = sequential). May differ from the
   /// engine the checkpointing process used.

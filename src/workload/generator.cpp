@@ -13,49 +13,46 @@ namespace wavesim::load {
 OpenLoopGenerator::OpenLoopGenerator(core::Simulation& sim,
                                      TrafficPattern& pattern, SizeDist& sizes,
                                      double offered_flits_per_node_cycle,
-                                     sim::Rng rng)
+                                     sim::Rng rng, CarpCalls carp)
     : sim_(sim), pattern_(pattern), sizes_(sizes),
-      load_(offered_flits_per_node_cycle),
-      offer_(offered_flits_per_node_cycle / sizes.mean()), rng_(rng) {
+      offer_(offered_flits_per_node_cycle / sizes.mean()), carp_(carp),
+      rng_(rng) {
+  const double load = offered_flits_per_node_cycle;
   // NaN passes both range checks below, so it is refused by name.
-  if (!std::isfinite(load_)) {
+  if (!std::isfinite(load)) {
     throw std::invalid_argument("OpenLoopGenerator: load is not finite");
   }
-  if (load_ < 0.0) {
+  if (load < 0.0) {
     throw std::invalid_argument("OpenLoopGenerator: negative load");
   }
-  if (load_ / sizes.mean() > 1.0) {
+  if (load / sizes.mean() > 1.0) {
     throw std::invalid_argument(
         "OpenLoopGenerator: load exceeds one message per node per cycle");
   }
 }
 
-void OpenLoopGenerator::tick() {
-  const std::int32_t n = sim_.topology().num_nodes();
-  // One chance(offer_) per node in node order; failures() runs the draws
-  // of the nodes that offer nothing in one register-resident loop.
-  for (NodeId src = rng_.failures(offer_, n); src < n;
-       src += 1 + rng_.failures(offer_, n - src - 1)) {
-    const NodeId dest = pattern_.pick(src, rng_);
-    sim_.send(src, dest, sizes_.sample(rng_));
-    ++offered_;
-  }
-  sim_.step();
-}
-
 void OpenLoopGenerator::run_batch(Cycle cycles) {
+  using Call = core::Network::Call;
   const std::int32_t n = sim_.topology().num_nodes();
   core::Network& net = sim_.network();
   const Cycle base = sim_.now();
-  // Cycle-major, node-minor: the exact draw order of tick() repeated
-  // `cycles` times (the draws depend only on the generator's own RNG, so
-  // pre-drawing cannot diverge from interleaved drawing).
   for (Cycle j = 0; j < cycles; ++j) {
+    // One chance(offer_) per node in node order; failures() runs the
+    // draws of the nodes that offer nothing in one register-resident loop.
     for (NodeId src = rng_.failures(offer_, n); src < n;
          src += 1 + rng_.failures(offer_, n - src - 1)) {
       const NodeId dest = pattern_.pick(src, rng_);
-      net.schedule_send(src, dest, sizes_.sample(rng_), base + j);
+      const std::int32_t length = sizes_.sample(rng_);
+      if (carp_.random && rng_.chance(0.3)) {
+        net.schedule_send(src, dest, carp_.buffer_flits, base + j,
+                          Call::kEstablish);
+      }
+      net.schedule_send(src, dest, length, base + j);
       ++offered_;
+      if (carp_.random && rng_.chance(0.1)) {
+        net.schedule_send(src, dest, carp_.buffer_flits, base + j,
+                          Call::kRelease);
+      }
     }
   }
   sim_.run(cycles);
@@ -69,11 +66,11 @@ void OpenLoopGenerator::snap(snap::Archive& ar) {
 OpenLoopDriver::OpenLoopDriver(core::Simulation& sim, TrafficPattern& pattern,
                                SizeDist& sizes, double offered_load,
                                Cycle warmup, Cycle measure, Cycle drain_cap,
-                               std::uint64_t seed)
+                               std::uint64_t seed, CarpCalls carp)
     // The watchdog is read-only: polling it does not perturb the run, so
     // results stay bit-identical to a run without it.
     : sim_(sim), watchdog_(sim.network(), 20'000),
-      gen_(sim, pattern, sizes, offered_load, sim::Rng{seed}),
+      gen_(sim, pattern, sizes, offered_load, sim::Rng{seed}, carp),
       warmup_(warmup), measure_(measure), drain_cap_(drain_cap) {}
 
 void OpenLoopDriver::poll() {
@@ -116,9 +113,8 @@ Cycle OpenLoopDriver::advance(Cycle max_cycles) {
       }
       if (used >= max_cycles) break;
       // Batched driving: spans between watchdog polls go to the generator
-      // in one run_batch each (identical message sequence to per-cycle
-      // ticks). Polls land at phase-local multiples of kPollEvery no
-      // matter how the caller slices advance() calls.
+      // in one run_batch each. Polls land at phase-local multiples of
+      // kPollEvery no matter how the caller slices advance() calls.
       const Cycle span =
           std::min({kPollEvery - done_in_phase_ % kPollEvery,
                     total - done_in_phase_, max_cycles - used});

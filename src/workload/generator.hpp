@@ -15,6 +15,15 @@ class Archive;
 
 namespace wavesim::load {
 
+/// The CARP calls around each send (a run spec's `carp`). With `random`,
+/// establish_circuit(src, dest) with `buffer_flits` buffers precedes it
+/// w.p. 0.3 and release_circuit(src, dest) follows it w.p. 0.1; without
+/// it the generator draws nothing for them.
+struct CarpCalls {
+  bool random = false;
+  std::int32_t buffer_flits = 0;
+};
+
 /// Injects messages open-loop: every cycle, every node offers a message
 /// with probability `offered_load / mean_length` so that the offered load
 /// in flits per node per cycle matches the request.
@@ -22,19 +31,14 @@ class OpenLoopGenerator {
  public:
   OpenLoopGenerator(core::Simulation& sim, TrafficPattern& pattern,
                     SizeDist& sizes, double offered_flits_per_node_cycle,
-                    sim::Rng rng);
+                    sim::Rng rng, CarpCalls carp = {});
 
-  /// Offer this cycle's messages, then step the simulation once.
-  void tick();
-
-  /// Equivalent to `cycles` tick() calls (identical RNG draw order and
-  /// message sequence), but draws the whole span up front into
-  /// Network::schedule_send and then advances the simulation with one
-  /// run() call.
+  /// Draw the next `cycles` cycles of traffic (cycle-major, node-minor)
+  /// into Network::schedule_send, then advance the simulation with one
+  /// run() call. Any split of a span into batches offers the same traffic.
   void run_batch(Cycle cycles);
 
   std::uint64_t offered_messages() const noexcept { return offered_; }
-  double offered_load() const noexcept { return load_; }
 
   /// Serialize the generator's RNG stream and offered counter
   /// (snapshot/restore).
@@ -44,9 +48,9 @@ class OpenLoopGenerator {
   core::Simulation& sim_;
   TrafficPattern& pattern_;
   SizeDist& sizes_;
-  double load_;  // [snap: skip] config, fixed at construction
   /// Each node offers a message each cycle with p = load / mean length.
   sim::Bernoulli offer_;  // [snap: skip] derived from config at construction
+  CarpCalls carp_;        // [snap: skip] config, fixed at construction
   sim::Rng rng_;
   std::uint64_t offered_ = 0;
 };
@@ -77,7 +81,8 @@ class OpenLoopDriver {
 
   OpenLoopDriver(core::Simulation& sim, TrafficPattern& pattern,
                  SizeDist& sizes, double offered_load, Cycle warmup,
-                 Cycle measure, Cycle drain_cap, std::uint64_t seed);
+                 Cycle measure, Cycle drain_cap, std::uint64_t seed,
+                 CarpCalls carp = {});
 
   /// Advance the run by at most `max_cycles` simulated cycles. Returns the
   /// cycles actually consumed (less than `max_cycles` only when the run
@@ -102,7 +107,9 @@ class OpenLoopDriver {
   /// and then measures for its own span.
   void rebind(Cycle measure, Cycle drain_cap);
 
-  Cycle measurement_cut() const noexcept { return cut_; }
+  /// The last watchdog poll's verdict and the stall it measured.
+  verify::Verdict verdict() const noexcept { return result_.watchdog_verdict; }
+  Cycle stalled_for() const noexcept { return watchdog_.stalled_for(); }
 
   /// Serialize driver progress (phase machine, counters, watchdog,
   /// generator RNG). The caller serializes the Simulation and the traffic

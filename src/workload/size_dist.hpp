@@ -15,7 +15,6 @@ class SizeDist {
   virtual std::int32_t sample(sim::Rng& rng) = 0;
   /// Expected value (used to convert flit-rate to message-rate).
   virtual double mean() const noexcept = 0;
-  virtual const char* name() const noexcept = 0;
 };
 
 class FixedSize final : public SizeDist {
@@ -23,7 +22,6 @@ class FixedSize final : public SizeDist {
   explicit FixedSize(std::int32_t flits);
   std::int32_t sample(sim::Rng& rng) override;
   double mean() const noexcept override { return flits_; }
-  const char* name() const noexcept override { return "fixed"; }
 
  private:
   std::int32_t flits_;
@@ -35,7 +33,6 @@ class UniformSize final : public SizeDist {
   UniformSize(std::int32_t lo, std::int32_t hi);
   std::int32_t sample(sim::Rng& rng) override;
   double mean() const noexcept override { return 0.5 * (lo_ + hi_); }
-  const char* name() const noexcept override { return "uniform"; }
 
  private:
   std::int32_t lo_;
@@ -50,7 +47,6 @@ class BimodalSize final : public SizeDist {
               double p_long);
   std::int32_t sample(sim::Rng& rng) override;
   double mean() const noexcept override;
-  const char* name() const noexcept override { return "bimodal"; }
 
  private:
   std::int32_t short_flits_;

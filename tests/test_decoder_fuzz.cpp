@@ -1,10 +1,11 @@
 // Deterministic mutational fuzzing of the decoders that read files a user
-// hands over: wavesim.repro.v2 (simcheck --replay), job.v1 run specs
-// (wavesimd submits, bench_sweep axes) and wavesim.faults.v1
-// (wavesim_cli --faults). Seeded byte flips, truncations and splices of
-// the committed fixtures under tests/data; every mutant must end in a
-// value or a typed error (std::runtime_error, std::invalid_argument),
-// never a crash, a hang or another exception. The sanitized build runs
+// hands over: wavesim.repro.v3 (simcheck --replay), job.v1 run specs
+// (wavesimd submits, bench_sweep axes), wavesim.faults.v1 (wavesim_cli
+// --faults) and experiment spec files (bench_sweep). Seeded byte flips,
+// truncations and splices of the committed fixtures under tests/data and
+// one bench spec file; every mutant must end in a value or a typed error
+// (std::runtime_error, std::invalid_argument), never a crash, a hang or
+// another exception. The sanitized build runs
 // this too, where undefined behaviour on any input is fatal.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 
 #include "check/simcheck.hpp"
 #include "fault/schedule.hpp"
+#include "harness/sweep.hpp"
 #include "sim/json.hpp"
 #include "sim/rng.hpp"
 #include "snap/runspec_codec.hpp"
@@ -28,11 +30,14 @@ namespace {
 
 constexpr int kInputsPerDecoder = 12'000;
 
-std::string fixture(const std::string& name) {
-  const std::string path = std::string(WAVESIM_TEST_DATA) + "/" + name;
+std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "missing fixture " << path;
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string fixture(const std::string& name) {
+  return read_file(std::string(WAVESIM_TEST_DATA) + "/" + name);
 }
 
 /// Values a hostile or corrupted file puts where a field's value was:
@@ -100,21 +105,27 @@ int fuzz(const std::string& seed_text, const std::vector<std::string>& corpus,
 
 class DecoderFuzz : public ::testing::Test {
  protected:
-  const std::string repro = fixture("repro_v2.json");
+  const std::string repro = fixture("repro_v3.json");
   const std::string spec = fixture("job_spec.json");
   const std::string faults = fixture("faults_storm.json");
-  const std::vector<std::string> corpus{repro, spec, faults};
+  const std::string sweep =
+      read_file(std::string(WAVESIM_SOURCE_DIR) +
+                "/bench/specs/e3_reuse_locality.json");
+  const std::vector<std::string> corpus{repro, spec, faults, sweep};
 };
 
 TEST_F(DecoderFuzz, FixturesDecodeUnmutated) {
   EXPECT_NO_THROW(check::repro_from_json(sim::JsonValue::parse(repro)));
   EXPECT_NO_THROW(snap::runspec_from_json(sim::JsonValue::parse(spec)));
   EXPECT_NO_THROW(fault::faults_from_json(sim::JsonValue::parse(faults)));
+  for (const bool quick : {false, true}) {
+    EXPECT_NO_THROW(harness::load_spec(sim::JsonValue::parse(sweep), quick));
+  }
 }
 
 // Each run must also accept some mutants (a value-level change can stay
 // valid), or the mutator never got past the JSON parser.
-TEST_F(DecoderFuzz, ReproV2SurvivesMutants) {
+TEST_F(DecoderFuzz, ReproV3SurvivesMutants) {
   EXPECT_GT(fuzz(repro, corpus, 1,
                  [](const sim::JsonValue& v) { check::repro_from_json(v); }),
             0);
@@ -129,6 +140,14 @@ TEST_F(DecoderFuzz, JobSpecSurvivesMutants) {
 TEST_F(DecoderFuzz, FaultsV1SurvivesMutants) {
   EXPECT_GT(fuzz(faults, corpus, 3,
                  [](const sim::JsonValue& v) { fault::faults_from_json(v); }),
+            0);
+}
+
+TEST_F(DecoderFuzz, SweepSpecSurvivesMutants) {
+  EXPECT_GT(fuzz(sweep, corpus, 4,
+                 [](const sim::JsonValue& v) {
+                   harness::load_spec(v, /*quick=*/true);
+                 }),
             0);
 }
 

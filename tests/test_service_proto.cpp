@@ -255,6 +255,78 @@ TEST(ServiceProto, VariantKeyRoundTripsAndHidesItsDefault) {
             std::string::npos);
 }
 
+TEST(ServiceProto, SizesAndCarpKeysRoundTripAndHideTheirDefaults) {
+  const snap::RunSpec spec = parse(
+      R"({"protocol": "carp", "carp": "random", "length": 8,)"
+      R"( "sizes": "bimodal", "max_flits": 40})");
+  EXPECT_EQ(spec.carp, "random");
+  EXPECT_EQ(spec.sizes, "bimodal");
+  EXPECT_EQ(spec.max_flits, 40);
+  EXPECT_EQ(spec.max_length(), 40);
+  const sim::JsonValue canon = runspec_to_json(spec);
+  for (const char* key : {"carp", "sizes", "max_flits"}) {
+    EXPECT_NE(canon.find(key), nullptr) << key;
+  }
+  EXPECT_EQ(runspec_from_json(canon), spec);
+  const sim::JsonValue plain = runspec_to_json(parse("{}"));
+  for (const char* key : {"carp", "sizes", "max_flits"}) {
+    EXPECT_EQ(plain.find(key), nullptr) << key;
+  }
+  for (const char* text : {R"({"sizes": "fixed"})", R"({"max_flits": 0})",
+                           R"({"carp": "none"})"}) {
+    EXPECT_EQ(runspec_to_json(parse(text)).dump(), plain.dump()) << text;
+  }
+}
+
+TEST(ServiceProto, BadSizesAndCarpValuesAreRefusedByName) {
+  // snap::validate, which submit and restore both run, names the field.
+  const auto refusal = [](const snap::RunSpec& spec) -> std::string {
+    try {
+      snap::validate(spec);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  snap::RunSpec base;
+  base.message_flits = 16;
+  const std::vector<std::pair<std::function<void(snap::RunSpec&)>,
+                              const char*>>
+      cases = {
+          {[](snap::RunSpec& s) { s.sizes = "zipf"; }, "sizes"},
+          {[](snap::RunSpec& s) {
+             s.sizes = "uniform";
+             s.max_flits = 8;  // below length
+           },
+           "max_flits"},
+          {[](snap::RunSpec& s) { s.max_flits = -4; }, "max_flits"},
+          {[](snap::RunSpec& s) { s.max_flits = 32; }, "max_flits"},  // fixed
+          {[](snap::RunSpec& s) { s.carp = "random"; }, "carp"},  // clrp
+          {[](snap::RunSpec& s) {
+             s.config.protocol.protocol = sim::ProtocolKind::kCarp;
+             s.carp = "sometimes";
+           },
+           "carp"},
+      };
+  for (const auto& [edit, field] : cases) {
+    snap::RunSpec spec = base;
+    edit(spec);
+    EXPECT_NE(refusal(spec).find(std::string("spec field '") + field + "'"),
+              std::string::npos)
+        << field << ": " << refusal(spec);
+  }
+  // max_flits equal to length is the fixed distribution's only length.
+  snap::RunSpec same = base;
+  same.max_flits = 16;
+  EXPECT_EQ(refusal(same), "");
+  EXPECT_NE(error_of(R"({"sizes": "zipf"})").find("spec field 'sizes'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"max_flits": 2.5})").find("spec field 'max_flits'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"carp": "random"})").find("spec field 'carp'"),
+            std::string::npos);
+}
+
 TEST(ServiceProto, BadWorkingSetValuesAreRefusedAtSubmitByName) {
   const std::vector<std::pair<const char*, const char*>> cases = {
       {"ws_size", "0"},       {"ws_size", "-3"},     {"ws_size", "2.5"},

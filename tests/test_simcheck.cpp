@@ -5,6 +5,8 @@
 // preserving the violation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -148,16 +150,19 @@ TEST(Scenario, FromJsonRejectsCorruptDocuments) {
 
   // Each case must be refused with the offending field named.
   sim::JsonValue missing = good;
-  sim::JsonValue no_max_flits = sim::JsonValue::object();
+  sim::JsonValue no_shards = sim::JsonValue::object();
   for (const auto& [key, value] : good.at("scenario").members()) {
-    if (key != "max_flits") no_max_flits.set(key, value);
+    if (key != "engine_shards") no_shards.set(key, value);
   }
-  missing.set("scenario", no_max_flits);
+  missing.set("scenario", no_shards);
   const std::vector<std::pair<sim::JsonValue, const char*>> cases = {
       {with_scenario_member(good, "inject_cycles", 128), "inject_cycles"},
-      {missing, "max_flits"},
+      {missing, "engine_shards"},
       {with_scenario_member(good, "seed", "12345"), "seed"},  // not 0x-hex
-      {with_scenario_member(good, "size_dist", 3), "size_dist"},
+      // Size fields are spec keys, not scenario members.
+      {with_scenario_member(good, "size_dist", "fixed"), "size_dist"},
+      {with_spec_member(good, "sizes", 3), "sizes"},
+      {with_spec_member(good, "sizes", "zipf"), "sizes"},
       // The hex seed is the only seed: job.v1's is capped at 2^53.
       {with_spec_member(good, "seed", 7), "spec.seed"},
       {with_spec_member(good, "routing", "shortest-path-first"), "routing"},
@@ -174,7 +179,7 @@ TEST(Scenario, FromJsonRejectsCorruptDocuments) {
       {with_spec_member(good, "drain_cap", 1e300), "drain_cap"},
       {with_spec_member(good, "topo", "4.5"), "topo"},
       {with_scenario_member(good, "engine_shards", 1e300), "engine_shards"},
-      {with_scenario_member(good, "max_flits", 2.5), "max_flits"},
+      {with_spec_member(good, "max_flits", 2.5), "max_flits"},
       {with_scenario_member(good, "spec", 1.0), "spec"},
   };
   for (const auto& [doc, field] : cases) {
@@ -299,6 +304,57 @@ TEST(Shrink, MinimizesWhilePreservingTheViolation) {
   EXPECT_EQ(again.runs, result.runs);
 }
 
+// Termination: whenever a transform changes a repaired scenario, it
+// strictly lowers the component it names and the measure as a whole, so
+// the shrinker never discards a simplification and always reaches a
+// fixpoint.
+TEST(Shrink, EveryTransformStrictlyLowersTheMeasure) {
+  std::size_t changed = 0;
+  for (Scenario s : round_trip_scenarios()) {
+    for (const ShrinkTransform& t : shrink_transforms()) {
+      Scenario candidate = s;
+      t.apply(candidate, candidate.spec.config);
+      candidate.repair();
+      if (candidate == s) continue;
+      ++changed;
+      const ShrinkMeasure before = shrink_measure(s);
+      const ShrinkMeasure after = shrink_measure(candidate);
+      EXPECT_LT(after[t.lowers], before[t.lowers])
+          << "component " << t.lowers << " on " << s.label();
+      EXPECT_TRUE(after < before)
+          << "component " << t.lowers << " on " << s.label();
+    }
+  }
+  EXPECT_GT(changed, 1000u);
+}
+
+// The storm shrinks in whole failed links, so a failure that needs any
+// storm at all settles on a one-link storm instead of halving a fraction
+// forever.
+TEST(Shrink, StormHalvesWholeLinksDownToOne) {
+  Scenario s = Scenario::generate(3);
+  s.spec.config.topology = {{4, 4}, true};  // 32 links
+  s.repair();
+  s.ensure_storm();
+  // The last kStormLinks transform halves; the first drops the storm.
+  const std::vector<ShrinkTransform>& all = shrink_transforms();
+  const ShrinkTransform& halve = *std::find_if(
+      all.rbegin(), all.rend(),
+      [](const ShrinkTransform& t) { return t.lowers == kStormLinks; });
+  std::size_t steps = 0;
+  for (Scenario next = s;; ++steps) {
+    halve.apply(next, next.spec.config);
+    next.repair();
+    if (next == s) break;
+    EXPECT_EQ(shrink_measure(next)[kStormLinks],
+              std::floor(shrink_measure(s)[kStormLinks] / 2));
+    s = next;
+  }
+  EXPECT_EQ(shrink_measure(s)[kStormLinks], 1.0);
+  EXPECT_GT(steps, 0u);
+  EXPECT_LT(steps, 8u);
+}
+
 TEST(Simcheck, CleanRunOnHealthyBuild) {
   SimcheckOptions options;
   options.base_seed = 1;
@@ -367,17 +423,20 @@ TEST(Repro, RejectsWrongSchemaAndMissingPieces) {
       repro_from_json(sim::JsonValue::parse("{\"schema\": \"other.v9\"}")),
       std::runtime_error);
   sim::JsonValue no_scenario = sim::JsonValue::object();
-  no_scenario.set("schema", "wavesim.repro.v2");
+  no_scenario.set("schema", "wavesim.repro.v3");
   EXPECT_THROW(repro_from_json(no_scenario), std::runtime_error);
 
   const sim::JsonValue good = repro_to_json(sample_failure());
   ASSERT_EQ(repro_error(good), "");
-  // A version-1 file is refused by name: its run fields are not job.v1
-  // keys.
-  sim::JsonValue v1 = good;
-  v1.set("schema", "wavesim.repro.v1");
-  EXPECT_NE(repro_error(v1).find("wavesim.repro.v1"), std::string::npos)
-      << repro_error(v1);
+  // Older files are refused by name: version 1's run fields are not
+  // job.v1 keys, and version 2 ran an injection loop simcheck no longer
+  // has.
+  for (const char* old : {"wavesim.repro.v1", "wavesim.repro.v2"}) {
+    sim::JsonValue doc = good;
+    doc.set("schema", old);
+    EXPECT_NE(repro_error(doc).find(old), std::string::npos)
+        << repro_error(doc);
+  }
   sim::JsonValue unknown = good;
   unknown.set("shrunk_runs", 3);
   EXPECT_NE(repro_error(unknown).find("'shrunk_runs'"), std::string::npos)

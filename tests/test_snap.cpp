@@ -333,6 +333,51 @@ TEST(SnapRestore, RejectsDefaultWorkingSetBlock) {
   EXPECT_THROW(snap::CheckpointableRun{decoded}, snap::ArchiveError);
 }
 
+// Likewise for the message shape: a runspec section that spells out the
+// default sizes, max_flits and CARP calls after the working set is
+// refused.
+TEST(SnapRestore, RejectsDefaultSizesBlock) {
+  snap::CheckpointableRun run(small_clrp_spec());
+  run.advance(64);
+  snap::Snapshot snap = run.checkpoint();
+  snap::Archive w = snap::Archive::writer();
+  load::WorkingSetParams ws;
+  std::string sizes = "fixed";
+  std::int32_t max_flits = 0;
+  std::string carp = "none";
+  w.pod(ws.size);
+  w.pod(ws.locality);
+  w.pod(ws.skew);
+  w.str(sizes);
+  w.pod(max_flits);
+  w.str(carp);
+  std::vector<std::uint8_t> bytes = snap.section("runspec");
+  const std::vector<std::uint8_t> block = w.take_bytes();
+  bytes.insert(bytes.end(), block.begin(), block.end());
+  snap.set("runspec", bytes);
+  const snap::Snapshot decoded = snap::Snapshot::decode(snap.encode());
+  EXPECT_THROW(snap::CheckpointableRun{decoded}, snap::ArchiveError);
+}
+
+/// Fold of a spec's runspec section bytes.
+std::uint64_t runspec_digest(snap::RunSpec spec) {
+  snap::Archive ar = snap::Archive::writer();
+  snap::snap_runspec(ar, spec);
+  snap::Snapshot snap;
+  snap.set("runspec", ar.take_bytes());
+  return snap.digest();
+}
+
+// The sizes, max_flits and carp fields trail the runspec section only
+// away from their defaults: specs that keep them keep the bytes and warm
+// keys they had before the fields existed (values recorded on that tree).
+TEST(SnapRestore, DefaultSpecsKeepTheirRunspecBytesAndWarmKeys) {
+  EXPECT_EQ(runspec_digest(snap::RunSpec{}), 3223709234375626869ULL);
+  EXPECT_EQ(snap::warm_key(snap::RunSpec{}), 3831805650334654271ULL);
+  EXPECT_EQ(runspec_digest(small_clrp_spec()), 10067532657793267916ULL);
+  EXPECT_EQ(snap::warm_key(small_clrp_spec()), 17533243477264001346ULL);
+}
+
 // -- Round-trip determinism across scenarios and phases ----------------------
 
 TEST(SnapRoundTrip, ClrpWorkingSetMidWarmup) {
@@ -357,6 +402,17 @@ TEST(SnapRoundTrip, ShapedWorkingSetWithSplitChannelsMidMeasure) {
 
 TEST(SnapRoundTrip, CarpTransposeMidMeasure) {
   check_round_trip(torus_carp_spec(), 900);
+}
+
+// Random CARP calls and bimodal lengths draw from the generator's stream;
+// the shape fields trail the runspec section and must come back on
+// restore, or the resumed run draws different traffic.
+TEST(SnapRoundTrip, CarpRandomCallsWithBimodalSizesMidMeasure) {
+  snap::RunSpec spec = torus_carp_spec();
+  spec.carp = "random";
+  spec.sizes = "bimodal";
+  spec.max_flits = 48;
+  check_round_trip(spec, 900);
 }
 
 TEST(SnapRoundTrip, FaultStormMidStorm) {
@@ -601,6 +657,11 @@ TEST(SnapWarmStart, WarmKeySeparatesDifferentPrefixes) {
   EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
   other = spec;
   other.working_set.locality = 0.9;
+  EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
+  other = spec;
+  other.sizes = "uniform";
+  EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
+  other.max_flits = 32;
   EXPECT_NE(snap::warm_key(other), snap::warm_key(spec));
   other = spec;
   other.drain_cap *= 2;  // not part of the warm prefix

@@ -145,8 +145,7 @@ TEST(Generator, OfferedLoadMatchesRequest) {
   UniformTraffic pattern(sim.topology());
   FixedSize sizes(8);
   OpenLoopGenerator gen(sim, pattern, sizes, /*load=*/0.16, sim::Rng{7});
-  const Cycle cycles = 4000;
-  for (Cycle c = 0; c < cycles; ++c) gen.tick();
+  gen.run_batch(4000);
   // Expected messages = load/len * nodes * cycles = 0.02 * 16 * 4000 = 1280.
   EXPECT_NEAR(static_cast<double>(gen.offered_messages()), 1280.0, 130.0);
 }
